@@ -7,8 +7,8 @@ deterministic JSON, CSV or DOT artifacts.  Configuration comes from the
 
 Exit codes: 0 success (for the ``check-*`` verdicts: property holds),
 1 verdict failure, 2 usage error (argparse), and the structured codes from
-:mod:`blowcube.errors` (3 parse, 4 map, 5 resolution, 6 complex, 7 budget,
-8 input/output).
+:mod:`blowcube.errors` (3 parse, including a malformed ``BLOWCUBE_*``
+value, 4 map, 5 resolution, 6 complex, 8 input/output).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ def _config(args) -> RunConfig:
         degree_cap=args.degree_cap,
         height_cap=args.height_cap,
         radius=getattr(args, "radius", None),
-        seed=args.seed,
     )
 
 
@@ -175,8 +174,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="refuse composites above this degree")
     sub.add_argument("--height-cap", type=int, default=None,
                      help="refuse towers of infinitely-near points above this")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for anything randomized")
     sub.add_argument("--format", choices=("json", "dot", "csv"), default=None,
                      help="output format (subcommands accept a subset)")
     sub.add_argument("-o", "--output", default=None,

@@ -10,6 +10,8 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .errors import ParseError
+
 ENV_PREFIX = "BLOWCUBE_"
 
 # Exponential-growth test: degree ratios must stay >= 1 + RATIO_MARGIN over
@@ -23,8 +25,6 @@ class RunConfig:
     degree_cap: int = 256     # refuse composites above this degree
     height_cap: int = 16      # refuse towers of infinitely-near points above this
     radius: int = 3           # ball radius (points blown up per marking)
-    seed: int = 0             # RNG seed for anything randomized
-    budget: int = 20000       # vertex-expansion budget for lazy complexes
     geodesic_limit: int = 10000  # stop enumerating geodesics past this count
 
     def with_overrides(self, **kw) -> "RunConfig":
@@ -39,7 +39,8 @@ def _env_int(name: str) -> int | None:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"{ENV_PREFIX}{name} must be an integer, got {raw!r}")
+        raise ParseError(
+            f"{ENV_PREFIX}{name} must be an integer, got {raw!r}") from None
 
 
 def from_environment() -> RunConfig:
@@ -49,8 +50,6 @@ def from_environment() -> RunConfig:
         degree_cap=_env_int("DEGREE_CAP"),
         height_cap=_env_int("HEIGHT_CAP"),
         radius=_env_int("RADIUS"),
-        seed=_env_int("SEED"),
-        budget=_env_int("BUDGET"),
         geodesic_limit=_env_int("GEODESIC_LIMIT"),
     )
 

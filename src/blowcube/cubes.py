@@ -1,10 +1,8 @@
 """Cube-complex combinatorics: validation, hyperplanes, distances, geodesics,
 the flag (Gromov) link condition and classification of vertex isometries.
 
-A complex is either explicit (finite lists of vertices, oriented edges and
-cubes) or lazy (a neighbor oracle that yields incident edges on demand,
-explored under a budget).  Vertex ids are opaque hashables; all outputs are
-deterministically ordered.
+A complex is given by finite lists of vertices, oriented edges and cubes.
+Vertex ids are opaque hashables; all outputs are deterministically ordered.
 
 Edges are oriented tail -> head and the two opposite edges of every square
 must point the same way; hyperplane half-spaces inherit that orientation
@@ -22,10 +20,10 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .config import DEFAULTS, RunConfig
-from .errors import BudgetExceeded, ComplexError, OutputError
+from .errors import ComplexError, OutputError
 
 
 def _vkey(v):
@@ -41,18 +39,14 @@ def _pair(a, b) -> frozenset:
 # the complex
 # ---------------------------------------------------------------------------
 
-NeighborOracle = Callable[[object], object]
-
-
 class CubeComplex:
-    """A cube complex, explicit or lazily generated.
+    """A finite cube complex.
 
     Use :func:`build_complex`; the constructor performs no validation.
     """
 
-    def __init__(self, vertices=(), edges=(), cubes=(), generator=None,
+    def __init__(self, vertices=(), edges=(), cubes=(),
                  cfg: RunConfig = DEFAULTS):
-        self.generator: Optional[NeighborOracle] = generator
         self.cfg = cfg
         self.vertices = frozenset(vertices)
         self.edges = frozenset(tuple(e) for e in edges)
@@ -66,68 +60,12 @@ class CubeComplex:
         self._orient: dict[frozenset, tuple] = {}
         self._cube_labels: dict[frozenset, dict] = {}
         self._hyperplanes: Optional[tuple] = None
-        self._spent = 0
-
-    @property
-    def is_lazy(self) -> bool:
-        return self.generator is not None
 
     @property
     def dimension(self) -> int:
         if self.cubes:
             return max(self.cubes)
         return 1 if self.edges else 0
-
-    def _need_explicit(self, what: str) -> None:
-        if self.is_lazy:
-            raise ComplexError(f"{what} needs an explicit finite complex")
-
-    def adjacency(self, v) -> tuple:
-        """Neighbors of v, sorted; expands the oracle for lazy complexes."""
-        got = self._adj.get(v)
-        if got is not None:
-            return got
-        if not self.is_lazy:
-            if v not in self.vertices:
-                raise ComplexError(f"unknown vertex {v!r}")
-            return ()
-        return self._expand(v)
-
-    def _expand(self, v) -> tuple:
-        self._spent += 1
-        if self._spent > self.cfg.budget:
-            raise BudgetExceeded(
-                f"lazy frontier exceeded its budget of {self.cfg.budget} "
-                "vertex expansions")
-        yielded = self.generator(v)
-        if isinstance(yielded, tuple) and len(yielded) == 2:
-            edges, _cubes = yielded
-        else:
-            edges = yielded
-        neighbors = set()
-        for a, b in edges:
-            if v not in (a, b):
-                raise ComplexError(
-                    f"oracle for {v!r} yielded a non-incident edge ({a!r}, {b!r})")
-            if a == b:
-                raise ComplexError(f"self-loop at {a!r}")
-            pair = _pair(a, b)
-            known = self._orient.get(pair)
-            if known is not None and known != (a, b):
-                raise ComplexError(
-                    f"orientation violation: edge {{{a!r}, {b!r}}} yielded "
-                    "with both orientations")
-            self._orient[pair] = (a, b)
-            neighbors.add(b if a == v else a)
-        out = tuple(sorted(neighbors, key=_vkey))
-        self._adj[v] = out
-        return out
-
-    def edge_orientation(self, a, b) -> tuple:
-        got = self._orient.get(_pair(a, b))
-        if got is None:
-            raise ComplexError(f"no edge between {a!r} and {b!r}")
-        return got
 
     def has_edge(self, a, b) -> bool:
         """True when the oriented edge (a, b) is present."""
@@ -257,17 +195,12 @@ def _submasks(mask: int):
 
 
 def build_complex(vertices: Iterable = (), edges: Iterable = (),
-                  cubes: Iterable = (), generator: Optional[NeighborOracle] = None,
-                  cfg: RunConfig = DEFAULTS) -> CubeComplex:
+                  cubes: Iterable = (), cfg: RunConfig = DEFAULTS) -> CubeComplex:
     """Assemble and validate a cube complex.
 
     ``cubes`` is a flat iterable of vertex collections; the dimension of each
-    is inferred from its size.  With ``generator`` the complex is lazy: the
-    oracle is called as ``generator(v)`` and must yield the edges incident to
-    v (optionally a pair ``(edges, cubes)``), and no global validation runs.
+    is inferred from its size.
     """
-    if generator is not None:
-        return CubeComplex(generator=generator, cfg=cfg)
     seen = set()
     cube_list = []
     for cube in cubes:
@@ -329,11 +262,10 @@ def _components(C: CubeComplex) -> list[frozenset]:
 def hyperplanes(C: CubeComplex) -> tuple[Hyperplane, ...]:
     """All hyperplane classes, deterministically indexed.
 
-    Requires an explicit connected complex.  The opposite-edge relation is
+    Requires a connected complex.  The opposite-edge relation is
     closed by union-find over the recorded squares; each class must cut the
     complex into exactly two sides with all member tails on one of them.
     """
-    C._need_explicit("hyperplanes")
     if C._hyperplanes is not None:
         return C._hyperplanes
     if len(_components(C)) != 1:
@@ -426,12 +358,7 @@ def _component_subcomplex(C: CubeComplex, v) -> CubeComplex:
 
 
 def distance(C: CubeComplex, u, v) -> int:
-    """Combinatorial distance: the number of separating hyperplanes.
-
-    For lazy complexes this falls back to budgeted bidirectional search.
-    """
-    if C.is_lazy:
-        return _lazy_distance(C, u, v)
+    """Combinatorial distance: the number of separating hyperplanes."""
     for x in (u, v):
         if x not in C.vertices:
             raise ComplexError(f"unknown vertex {x!r}")
@@ -441,36 +368,6 @@ def distance(C: CubeComplex, u, v) -> int:
     if v not in sub.vertices:
         raise ComplexError(f"vertex {v!r} is unreachable from {u!r}")
     return sum(1 for h in hyperplanes(sub) if h.separates(u, v))
-
-
-def _lazy_distance(C: CubeComplex, u, v) -> int:
-    if u == v:
-        return 0
-    dist_u = {u: 0}
-    dist_v = {v: 0}
-    frontier_u, frontier_v = deque([u]), deque([v])
-    best = None
-    while frontier_u or frontier_v:
-        for frontier, mine, theirs in ((frontier_u, dist_u, dist_v),
-                                       (frontier_v, dist_v, dist_u)):
-            if not frontier:
-                continue
-            x = frontier.popleft()
-            if best is not None and mine[x] + 1 >= best:
-                continue
-            for w in C.adjacency(x):
-                if w in mine:
-                    continue
-                mine[w] = mine[x] + 1
-                if w in theirs:
-                    total = mine[w] + theirs[w]
-                    best = total if best is None else min(best, total)
-                frontier.append(w)
-        if best is not None and not frontier_u and not frontier_v:
-            break
-    if best is None:
-        raise ComplexError(f"vertex {v!r} is unreachable from {u!r}")
-    return best
 
 
 @dataclass(frozen=True)
@@ -489,7 +386,6 @@ def geodesics(C: CubeComplex, u, v, limit: Optional[int] = None) -> GeodesicResu
     other hyperplane, so the search only ever steps across an uncrossed
     separating hyperplane toward v.
     """
-    C._need_explicit("geodesic enumeration")
     if limit is None:
         limit = C.cfg.geodesic_limit
     sub = _component_subcomplex(C, u)
@@ -556,7 +452,6 @@ def check_gromov(C: CubeComplex) -> GromovReport:
     vertex (in deterministic order) is returned with the offending clique.
     Simple connectivity is not checked.
     """
-    C._need_explicit("the link condition")
     corners: dict = {v: set() for v in C.vertices}
     for cs in C.cubes.values():
         for S in cs:
@@ -603,8 +498,8 @@ class VertexIsometry:
     """A vertex bijection claimed to preserve the cubical structure.
 
     ``preserves_orientation`` is the caller's certificate; the classifier
-    still verifies edges (with orientation) on everything it touches and
-    rejects inversions.
+    still verifies every edge (with orientation) and cube, and rejects
+    inversions.
     """
 
     def __init__(self, mapping: Union[Mapping, Callable], *,
@@ -624,16 +519,14 @@ class VertexIsometry:
 
 @dataclass(frozen=True)
 class IsometryReport:
-    kind: str  # "elliptic" | "loxodromic" | "undecided"
+    kind: str  # "elliptic" | "undecided"
     probe_depth: int
     distances: tuple
-    translation_length: Optional[int] = None
     fixed_vertex: object = None
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "probe_depth": self.probe_depth,
                 "distances": list(self.distances),
-                "translation_length": self.translation_length,
                 "fixed_vertex": None if self.fixed_vertex is None
                 else str(self.fixed_vertex)}
 
@@ -657,61 +550,27 @@ def _check_structure_preserved(C: CubeComplex, f: VertexIsometry) -> None:
                 raise ComplexError("not an isometry: a cube does not map to a cube")
 
 
-def _check_touched_edges(C: CubeComplex, f: VertexIsometry, touched) -> None:
-    for x in touched:
-        for w in C.adjacency(x):
-            t, h = C.edge_orientation(x, w)
-            ft, fh = f(t), f(h)
-            C.adjacency(ft)
-            if C._orient.get(_pair(ft, fh)) != (ft, fh):
-                if C._orient.get(_pair(ft, fh)) == (fh, ft):
-                    raise ComplexError(
-                        f"inversion: edge ({t!r}, {h!r}) maps onto its reverse")
-                raise ComplexError(
-                    f"not an isometry: edge ({t!r}, {h!r}) does not map to an edge")
-
-
 def classify_isometry(C: CubeComplex, f: VertexIsometry, v0, N: int = 8) -> IsometryReport:
-    """Semisimple type of f from the displacement sequence d(v0, f^n(v0)).
+    """Type of f, with the displacement sequence d(v0, f^n(v0)) for n <= N.
 
-    Exactly constant positive differences over the final half window give a
-    loxodromic verdict with the difference as translation length; a bounded
-    tail triggers a fixed-vertex probe (whole vertex set when explicit, the
-    explored region when lazy) and an elliptic verdict when one is found.
-    Anything else is undecided.
+    The complex is finite, so f has finite order and bounded orbits: the
+    verdict is elliptic with the first fixed vertex in deterministic order,
+    or undecided when f fixes no vertex.
     """
     if not f.preserves_orientation:
         raise ComplexError(
             "isometry classification requires the orientation certificate")
-    if N < 2:
-        raise ComplexError("the probe needs N >= 2")
+    if N < 1:
+        raise ComplexError("the probe needs N >= 1")
+    _check_structure_preserved(C, f)
 
     orbit = [v0]
     for _ in range(N):
         orbit.append(f(orbit[-1]))
-    if C.is_lazy:
-        _check_touched_edges(C, f, orbit)
-    else:
-        _check_structure_preserved(C, f)
-
     dists = tuple(distance(C, v0, w) for w in orbit)
-    window = -(-N // 2)
-    diffs = [dists[n] - dists[n - 1] for n in range(N - window + 1, N + 1)]
-
-    if diffs and all(s == diffs[0] for s in diffs) and diffs[0] > 0:
-        return IsometryReport("loxodromic", N, dists,
-                              translation_length=diffs[0])
-
-    head = dists[:N - window + 1]
-    bounded = max(dists[N - window + 1:], default=0) <= max(head, default=0)
-    if bounded:
-        if C.is_lazy:
-            candidates = sorted(C._adj, key=_vkey)
-        else:
-            candidates = sorted(C.vertices, key=_vkey)
-        for w in candidates:
-            if f(w) == w:
-                return IsometryReport("elliptic", N, dists, fixed_vertex=w)
+    for w in sorted(C.vertices, key=_vkey):
+        if f(w) == w:
+            return IsometryReport("elliptic", N, dists, fixed_vertex=w)
     return IsometryReport("undecided", N, dists)
 
 
@@ -727,7 +586,6 @@ def _scalar_id(v):
 
 
 def complex_to_dict(C: CubeComplex) -> dict:
-    C._need_explicit("serialization")
     cubes = {}
     for n in sorted(C.cubes):
         cubes[str(n)] = sorted(
@@ -760,7 +618,6 @@ _DOT_PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e",
 
 def complex_to_dot(C: CubeComplex) -> str:
     """1-skeleton in DOT, edges colored by hyperplane class."""
-    C._need_explicit("DOT export")
     color = {}
     offset = 0
     for comp in _components(C):

@@ -3,14 +3,14 @@
 Every error that can escape the library carries a stable ``exit_code`` so the
 command line tool can translate failures into documented process exit codes:
 
-    3  input could not be parsed (map spec / polynomial text / JSON payload)
+    3  input could not be parsed (map spec / polynomial text / JSON payload /
+       a malformed ``BLOWCUBE_*`` environment value)
     4  map-level failure (no inverse strategy applies, degree cap exceeded,
        candidate inverse rejected, non-square or singular matrix)
     5  resolution failure (irrational base locus, tower height cap,
        contractedness undecidable, unsupported point transport)
     6  cube complex validation failure (face closure, orientation,
        duplicate cubes, disconnected input where connectivity is required)
-    7  exploration budget exhausted before an answer was certain
     8  input/output failure (unreadable file, unwritable output path)
 """
 
@@ -84,10 +84,6 @@ class TransportUnsupported(ResolutionError):
 
 class ComplexError(BlowcubeError):
     exit_code = 6
-
-
-class BudgetExceeded(BlowcubeError):
-    exit_code = 7
 
 
 class OutputError(BlowcubeError):

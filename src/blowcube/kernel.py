@@ -1,19 +1,51 @@
-"""Kernel selection: compiled extension if present, pure Python otherwise.
+"""Arithmetic kernel on packed-exponent dictionaries.
 
-Set BLOWCUBE_PURE=1 to force the pure-Python kernel (useful for timing
-comparisons and for debugging the representation).
+A polynomial's terms live in a dict mapping a packed exponent key to an
+integer coefficient.  Exponents are packed 16 bits per variable (variable 0
+in the lowest bits), so multiplying monomials is integer addition of keys.
+Packing never overflows between fields here because callers keep individual
+exponents far below 2**16 (the degree cap is 256).
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("BLOWCUBE_PURE"):
-    from blowcube._kernel_py import BACKEND, add_scaled_packed, mul_packed
-else:
-    try:
-        from blowcube._speedups import BACKEND, add_scaled_packed, mul_packed
-    except ImportError:
-        from blowcube._kernel_py import BACKEND, add_scaled_packed, mul_packed
+BACKEND = "python"
 
 __all__ = ["BACKEND", "mul_packed", "add_scaled_packed"]
+
+
+def mul_packed(a: dict, b: dict) -> dict:
+    """Product of two packed term dicts. Zero coefficients are dropped."""
+    if len(a) < len(b):  # iterate the smaller one outermost
+        a, b = b, a
+    out: dict = {}
+    items = list(b.items())
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in items:
+            k = ka + kb
+            prev = get(k)
+            if prev is None:
+                out[k] = ca * cb
+            else:
+                out[k] = prev + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def add_scaled_packed(a: dict, b: dict, s: int) -> dict:
+    """a + s*b on packed term dicts."""
+    if s == 0:
+        return dict(a)
+    out = dict(a)
+    get = out.get
+    for k, c in b.items():
+        prev = get(k)
+        if prev is None:
+            out[k] = s * c
+        else:
+            v = prev + s * c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out

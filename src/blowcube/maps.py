@@ -274,10 +274,10 @@ _ITERATES: dict[tuple, list[ProjMap]] = {}
 
 
 def iterate(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> ProjMap:
-    """f^n (n >= 1) with caching across calls."""
+    """f^n (n >= 1), cached across calls per map and degree cap."""
     if n < 1:
         raise MapError("iterate exponent must be >= 1")
-    chain = _ITERATES.setdefault(f.key(), [f])
+    chain = _ITERATES.setdefault((f.key(), cfg.degree_cap), [f])
     while len(chain) < n:
         chain.append(compose(f, chain[-1], cfg))
     return chain[n - 1]

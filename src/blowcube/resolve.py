@@ -239,13 +239,17 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: Chart,
     """
     system = [p.truncate_total(budget) for p in system]
     mult = _order_at_origin(system)
-    assert 1 <= mult <= budget
+    if not 1 <= mult <= budget:
+        raise ResolutionError(
+            f"local multiplicity {mult} over {bubble} is outside 1..{budget}")
 
     chart0, chart1 = blow_up_point(chart, coords)
 
     alpha = [p.subs_monomial(((1, 0), (1, 1))) for p in system]  # u->u, t->u*t
     alpha, k0 = _strip_common_power(alpha, "u")
-    assert k0 == mult, "stripped exceptional power must equal the local multiplicity"
+    if k0 != mult:
+        raise ResolutionError(
+            "stripped exceptional power must equal the local multiplicity")
     on_line = [p.set_var("u", 0) for p in alpha]
     nz = [p for p in on_line if not p.is_zero]
     if not nz:
@@ -260,7 +264,9 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: Chart,
 
     beta = [p.subs_monomial(((1, 1), (0, 1))) for p in system]  # u->u*t, t->t
     beta, k1 = _strip_common_power(beta, "t")
-    assert k1 == mult
+    if k1 != mult:
+        raise ResolutionError(
+            "stripped exceptional power must equal the local multiplicity")
     vertical = all(p.coefficient((0, 0)) == 0 for p in beta)
 
     children = []

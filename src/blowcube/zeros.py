@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import EliminationCapExceeded
+from .errors import EliminationCapExceeded, ResolutionError
 from .maps import ProjPoint, normalize_point
 from .poly import Poly, factor_q, poly_exact_div, poly_gcd, resultant
 
@@ -376,7 +376,9 @@ def affine_common_zeros(qs: Sequence[Poly]):
         pts |= p2
         flag |= f2
     for (x0, y0) in pts:
-        assert all(q.evaluate((x0, y0)) == 0 for q in system)
+        if not all(q.evaluate((x0, y0)) == 0 for q in system):
+            raise ResolutionError(
+                f"({x0}, {y0}) is not a common zero of the system")
     return pts, flag
 
 

@@ -225,6 +225,13 @@ def test_not_json_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_malformed_environment_value_exits_3(monkeypatch, capsys):
+    monkeypatch.setenv("BLOWCUBE_ITERS", "abc")
+    code, out, err = run(capsys, "check-bound", "henon")
+    assert code == 3 and out == ""
+    assert "BLOWCUBE_ITERS" in err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["degseq"])  # missing the map argument

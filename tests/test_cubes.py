@@ -12,7 +12,6 @@ import networkx as nx
 import pytest
 
 from blowcube import (
-    BudgetExceeded,
     ComplexError,
     CubeComplex,
     VertexIsometry,
@@ -27,7 +26,6 @@ from blowcube import (
     geodesics,
     hyperplanes,
 )
-from blowcube.config import RunConfig
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +250,6 @@ def test_grids_pass_gromov():
 # isometries
 # ---------------------------------------------------------------------------
 
-def line_oracle(v: int):
-    return [(v + 1, v), (v, v - 1)]
-
-
-def test_translation_on_a_lazy_line_is_loxodromic():
-    C = CubeComplex(generator=line_oracle)
-    assert C.is_lazy
-    rep = classify_isometry(C, VertexIsometry(lambda v: v + 1), 0, N=6)
-    assert rep.kind == "loxodromic"
-    assert rep.translation_length == 1
-    assert rep.distances == (0, 1, 2, 3, 4, 5, 6)
-
-
 def test_square_reflection_is_elliptic():
     C = unit_square()
     swap = {"00": "00", "01": "10", "10": "01", "11": "11"}
@@ -274,12 +259,21 @@ def test_square_reflection_is_elliptic():
     assert rep.distances == (0, 2, 0, 2, 0)
 
 
+def test_cyclic_shift_of_the_four_cube_is_elliptic():
+    C = grid((1, 1, 1, 1))
+    shift = VertexIsometry(lambda v: v[-1:] + v[:-1])
+    rep = classify_isometry(C, shift, (1, 1, 0, 0), N=2)
+    assert rep.kind == "elliptic"
+    assert rep.fixed_vertex == (0, 0, 0, 0)
+    assert rep.distances == (0, 2, 4)
+
+
 def test_edge_inversion_is_rejected():
-    C = CubeComplex(generator=line_oracle)
-    with pytest.raises(ComplexError):
+    C = build_complex(range(-2, 3), [(v + 1, v) for v in range(-2, 2)])
+    with pytest.raises(ComplexError, match="inversion"):
         classify_isometry(C, VertexIsometry(lambda v: -v), 1, N=4)
     with pytest.raises(ComplexError):
-        classify_isometry(C, VertexIsometry(lambda v: v + 1,
+        classify_isometry(C, VertexIsometry(lambda v: v,
                                             preserves_orientation=False), 0)
 
 
@@ -288,26 +282,6 @@ def test_non_bijections_are_rejected_on_explicit_complexes():
     crush = {"00": "00", "01": "00", "10": "10", "11": "10"}
     with pytest.raises(ComplexError):
         classify_isometry(C, VertexIsometry(crush), "00", N=4)
-
-
-# ---------------------------------------------------------------------------
-# lazy budgets
-# ---------------------------------------------------------------------------
-
-def test_lazy_distance_and_budget():
-    C = CubeComplex(generator=line_oracle)
-    assert distance(C, 0, 7) == 7
-    small = CubeComplex(generator=line_oracle, cfg=RunConfig(budget=10))
-    with pytest.raises(BudgetExceeded):
-        distance(small, 0, 100)
-
-
-def test_lazy_complexes_refuse_whole_complex_questions():
-    C = CubeComplex(generator=line_oracle)
-    with pytest.raises(ComplexError):
-        check_gromov(C)
-    with pytest.raises(ComplexError):
-        complex_to_dict(C)
 
 
 # ---------------------------------------------------------------------------

@@ -1,68 +1,12 @@
-"""Arithmetic kernel: backend selection and compiled/pure parity."""
+"""Arithmetic kernel on packed-exponent dictionaries."""
 
-import os
-import random
-import subprocess
-import sys
-
-import pytest
-
-from blowcube import _kernel_py, kernel
+from blowcube import kernel
 from blowcube.poly import pack
-
-try:
-    from blowcube import _speedups
-except ImportError:
-    _speedups = None
-
-
-def rand_packed(rng: random.Random, terms: int) -> dict:
-    out = {}
-    for _ in range(terms):
-        key = pack((rng.randint(0, 40), rng.randint(0, 40), rng.randint(0, 40)))
-        out[key] = rng.randint(-10 ** 6, 10 ** 6) or 1
-    return out
-
-
-def test_backend_names():
-    assert _kernel_py.BACKEND == "python"
-    assert kernel.BACKEND in ("python", "cython")
-    if _speedups is not None and not os.environ.get("BLOWCUBE_PURE"):
-        assert kernel.BACKEND == "cython"
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-def test_mul_packed_parity():
-    rng = random.Random(1)
-    for _ in range(40):
-        a = rand_packed(rng, rng.randint(0, 30))
-        b = rand_packed(rng, rng.randint(0, 30))
-        assert _speedups.mul_packed(a, b) == _kernel_py.mul_packed(a, b)
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-def test_add_scaled_packed_parity():
-    rng = random.Random(2)
-    for _ in range(40):
-        a = rand_packed(rng, rng.randint(0, 30))
-        b = rand_packed(rng, rng.randint(0, 30))
-        s = rng.choice([0, 1, -1, 7, -12, 10 ** 9])
-        assert _speedups.add_scaled_packed(a, b, s) == \
-            _kernel_py.add_scaled_packed(a, b, s)
 
 
 def test_add_scaled_cancellation_drops_keys():
     a = {pack((1, 0, 0)): 5, pack((0, 1, 0)): 2}
     b = {pack((1, 0, 0)): 1}
-    for impl in filter(None, (_kernel_py, _speedups)):
-        out = impl.add_scaled_packed(a, b, -5)
-        assert out == {pack((0, 1, 0)): 2}
-        assert impl.mul_packed(a, {}) == {}
-
-
-def test_pure_env_var_forces_python_backend():
-    code = "import blowcube.kernel as k; print(k.BACKEND)"
-    env = dict(os.environ, BLOWCUBE_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "python"
+    out = kernel.add_scaled_packed(a, b, -5)
+    assert out == {pack((0, 1, 0)): 2}
+    assert kernel.mul_packed(a, {}) == {}

@@ -22,6 +22,7 @@ from blowcube import (
     parse_poly,
     verify_inverse,
 )
+from blowcube import maps
 from blowcube.config import RunConfig
 from blowcube.errors import (
     DegreeCapExceeded,
@@ -141,13 +142,23 @@ def test_degree_sequences_match_frozen_values():
 
 
 def test_degree_cap_reports_partial_progress():
-    # composites are cached by map key, so probe a map no other test builds
     f = conjugate(builtin("lox1"), linear_map([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
     cfg = RunConfig(degree_cap=50)
     with pytest.raises(DegreeCapExceeded) as info:
         degree_sequence(f, 5, cfg)
     assert info.value.completed == 3
     assert list(info.value.partial) == [3, 8, 21]
+
+
+@pytest.mark.parametrize("uncapped_first", [False, True])
+def test_degree_cap_verdict_ignores_earlier_iterates(monkeypatch, uncapped_first):
+    monkeypatch.setattr(maps, "_ITERATES", {})
+    henon = builtin("henon")
+    if uncapped_first:
+        assert degree_sequence(henon, 6) == [2, 4, 8, 16, 32, 64]
+    with pytest.raises(DegreeCapExceeded) as info:
+        degree_sequence(henon, 6, RunConfig(degree_cap=16))
+    assert info.value.completed == 4
 
 
 def test_composition_of_inverses_attaches_inverse():
