@@ -16,6 +16,7 @@ contracted-curve counting.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -373,8 +374,6 @@ def mu(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> MuResu
 
 DIRECT_DEG_CAP = 12  # cross-check |Exc^1(f^n)| by direct factorization up to here
 
-_EXC_COUNT_CACHE: dict[tuple, list[int]] = {}
-
 
 def _strict_transform(C: Poly, f: ProjMap, seed_keys: frozenset) -> Poly:
     pull = C.compose(f.entries)
@@ -400,17 +399,19 @@ def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[in
     when the forward orbit of the seed's image point survives n-j-1 steps;
     once the point orbit hits the indeterminacy locus the status is settled
     by querying the reduced iterate on the explicit curve.  Small iterates
-    are cross-checked against direct Jacobian factorization.
+    are cross-checked against direct Jacobian factorization; a disagreement
+    raises ResolutionError.
     """
-    key = (f.key(), cfg.degree_cap)
-    cached = _EXC_COUNT_CACHE.get(key, [])
-    if len(cached) >= N:
-        return cached[:N]
+    inverse(f, cfg=cfg)
+    return list(_exc_counts(f, N, cfg.degree_cap))
 
-    finv = inverse(f, cfg=cfg)
+
+@functools.cache
+def _exc_counts(f: ProjMap, N: int, degree_cap: int) -> tuple[int, ...]:
+    cfg = RunConfig(degree_cap=degree_cap)
     seeds = exc_components(f, cfg)
     seed_keys = frozenset(c.curve.key() for c in seeds)
-    inv_keys = frozenset(c.curve.key() for c in exc_components(finv, cfg))
+    inv_keys = frozenset(c.curve.key() for c in exc_components(f.inverse, cfg))
 
     chains = []
     for comp in seeds:
@@ -445,9 +446,10 @@ def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[in
             break
         direct = _direct_exc_count(f, n, cfg)
         if counts[n - 1] != direct:
-            counts[n - 1] = direct
-    _EXC_COUNT_CACHE[key] = counts
-    return counts
+            raise ResolutionError(
+                f"|Exc^1(f^{n})| of {f}: the backward chains count "
+                f"{counts[n - 1]} curves, direct factorization {direct}")
+    return tuple(counts)
 
 
 @dataclass(frozen=True)

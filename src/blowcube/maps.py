@@ -10,10 +10,14 @@ Inverses are never guessed silently: ``inverse`` runs a short list of
 strategies (supplied candidate, linear adjugate, monomial matrix inverse,
 involution check, triangular back-substitution) and every strategy's output
 is verified by composing both ways before it is attached to the map.
+Composites and iterates of maps with verified inverses inherit inverses
+without re-verification: ``compose(f, g)`` carries g^-1 after f^-1, and
+``iterate(f, n)`` carries (f^-1)^n from the same store of iterates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -259,7 +263,8 @@ def compose(f: ProjMap, g: ProjMap, cfg: RunConfig = DEFAULTS) -> ProjMap:
     """f after g, reduced to canonical form.
 
     If both factors carry verified inverses the composite gets one too
-    (g^-1 after f^-1), without re-verification.
+    (g^-1 after f^-1), without re-verification.  Iterates do not come
+    through here: ``iterate`` pairs f^n with (f^-1)^n instead.
     """
     h = _compose_raw(f, g, cfg)
     if f._inverse is not None and g._inverse is not None and h._inverse is None:
@@ -273,14 +278,32 @@ def compose(f: ProjMap, g: ProjMap, cfg: RunConfig = DEFAULTS) -> ProjMap:
 _ITERATES: dict[tuple, list[ProjMap]] = {}
 
 
-def iterate(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> ProjMap:
-    """f^n (n >= 1), cached across calls per map and degree cap."""
-    if n < 1:
-        raise MapError("iterate exponent must be >= 1")
+def _powers(f: ProjMap, n: int, cfg: RunConfig) -> list[ProjMap]:
+    """The cached chain [f, f^2, ...] of at least n members, f^k built as
+    f^(k-1) after f."""
     chain = _ITERATES.setdefault((f.key(), cfg.degree_cap), [f])
     while len(chain) < n:
-        chain.append(compose(f, chain[-1], cfg))
-    return chain[n - 1]
+        chain.append(_compose_raw(chain[-1], f, cfg))
+    return chain
+
+
+def iterate(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> ProjMap:
+    """f^n (n >= 1), cached across calls per map and degree cap.
+
+    When f carries a verified inverse, f^n carries (f^-1)^n as its inverse,
+    taken from the same cache and not re-verified, so that
+    ``iterate(f, n).inverse is iterate(f.inverse, n)``.  When (f^-1)^n
+    exceeds the degree cap, f^n is returned without an inverse.
+    """
+    if n < 1:
+        raise MapError("iterate exponent must be >= 1")
+    h = _powers(f, n, cfg)[n - 1]
+    if h._inverse is None and f._inverse is not None:
+        try:
+            _attach(h, _powers(f._inverse, n, cfg)[n - 1])
+        except DegreeCapExceeded:
+            pass
+    return h
 
 
 def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
@@ -693,27 +716,24 @@ _BUILTIN_SPECS: dict[str, tuple[str, str | None]] = {
     "mon3": ("MON:3:[[-1,1,0],[-1,0,1],[1,0,0]]", None),
 }
 
-_BUILT: dict[str, ProjMap] = {}
-
-
 def builtin_names() -> tuple[str, ...]:
     return tuple(_BUILTIN_SPECS)
 
 
 def builtin(name: str) -> ProjMap:
     """Named bundled map, with its verified inverse attached."""
-    got = _BUILT.get(name)
-    if got is not None:
-        return got
     if name not in _BUILTIN_SPECS:
         raise MapError(f"unknown built-in map {name!r} "
                        f"(available: {', '.join(_BUILTIN_SPECS)})")
+    return _builtin(name)
+
+
+@functools.cache
+def _builtin(name: str) -> ProjMap:
     spec, cand_spec = _BUILTIN_SPECS[name]
     f = parse_map(spec)
     f.name = name
-    cand = parse_map(cand_spec) if cand_spec else None
-    inverse(f, candidate=cand)
-    _BUILT[name] = f
+    inverse(f, candidate=parse_map(cand_spec) if cand_spec else None)
     return f
 
 

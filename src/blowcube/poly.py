@@ -24,6 +24,7 @@ is native.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import re
@@ -766,15 +767,9 @@ def _det(rows: list[list[Poly]], vars: tuple[str, ...]) -> Poly:
 # sympy bridge: gcd, exact division, factorization, resultants
 # ---------------------------------------------------------------------------
 
-_SYMBOLS: dict[tuple[str, ...], tuple] = {}
-
-
+@functools.cache
 def _symbols(vars: tuple[str, ...]):
-    syms = _SYMBOLS.get(vars)
-    if syms is None:
-        syms = sympy.symbols(vars) if len(vars) > 1 else (sympy.Symbol(vars[0]),)
-        _SYMBOLS[vars] = tuple(syms)
-    return syms
+    return tuple(sympy.symbols(vars)) if len(vars) > 1 else (sympy.Symbol(vars[0]),)
 
 
 def to_sympy(p: Poly) -> "sympy.Poly":
@@ -854,6 +849,15 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
     if not r.is_zero:
         raise ValueError("not an exact division")
     return from_sympy(q, a.vars)
+
+
+def poly_divides(d: Poly, p: Poly) -> bool:
+    """Whether d divides p exactly."""
+    try:
+        poly_exact_div(p, d)
+    except ValueError:
+        return False
+    return True
 
 
 def poly_mod(a: Poly, b: Poly) -> Poly:

@@ -16,6 +16,7 @@ A deficit proves the base locus has members outside the rationals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -25,8 +26,8 @@ from .errors import (HeightCapExceeded, IrrationalBaseLocus, MapError,
                      ResolutionError, TransportUnsupported)
 from .maps import (ProjMap, ProjPoint, degree_sequence, inverse,
                    normalize_point, point_str)
-from .poly import (WIDTH, Poly, factor_q, jacobian_det, poly_exact_div,
-                   poly_gcd, poly_mod, primitive_tuple)
+from .poly import (WIDTH, Poly, content_gcd, factor_q, jacobian_det,
+                   poly_divides, poly_mod)
 from .zeros import projective_rational_zeros
 
 CHART_VARS = ("u", "t")
@@ -225,7 +226,7 @@ def _slope_roots(g: Poly, parent: BubblePoint) -> list[Fraction]:
 
 
 def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: Chart,
-                  coords: tuple[Fraction, Fraction], cfg: RunConfig,
+                  coords: tuple[Fraction, Fraction], height_cap: int,
                   budget: int) -> BaseNode:
     """Tower above one base point.
 
@@ -255,11 +256,7 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: Chart,
     if not nz:
         raise ResolutionError(
             f"the exceptional line over {bubble} lies in the base locus")
-    g = nz[0]
-    for p in nz[1:]:
-        g = poly_gcd(g, p)
-        if g.is_constant:
-            break
+    g = content_gcd(nz)
     slopes = [] if g.is_constant else _slope_roots(g, bubble)
 
     beta = [p.subs_monomial(((1, 1), (0, 1))) for p in system]  # u->u*t, t->t
@@ -271,25 +268,24 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: Chart,
 
     children = []
     if slopes or vertical:
-        if bubble.height + 1 > cfg.height_cap:
+        if bubble.height + 1 > height_cap:
             raise HeightCapExceeded(
                 f"tower over {point_str(bubble.root)} exceeds height cap "
-                f"{cfg.height_cap}")
+                f"{height_cap}")
     for t0 in slopes:
         child_system = [p.translate((Fraction(0), t0)) for p in alpha]
         child = _resolve_node(child_system,
                               BubblePoint(bubble.root, bubble.steps + (BubbleStep("s", t0),)),
-                              chart0, (Fraction(0), t0), cfg, budget - mult)
+                              chart0, (Fraction(0), t0), height_cap,
+                              budget - mult)
         children.append(child)
     if vertical:
         child = _resolve_node(beta,
                               BubblePoint(bubble.root, bubble.steps + (BubbleStep("v"),)),
-                              chart1, (Fraction(0), Fraction(0)), cfg, budget - mult)
+                              chart1, (Fraction(0), Fraction(0)), height_cap,
+                              budget - mult)
         children.append(child)
     return BaseNode(bubble, chart, coords, mult, tuple(children))
-
-
-_BASE_CACHE: dict[tuple, BasePointTree] = {}
 
 
 def base_points(f: ProjMap, cfg: RunConfig = DEFAULTS) -> BasePointTree:
@@ -303,16 +299,14 @@ def base_points(f: ProjMap, cfg: RunConfig = DEFAULTS) -> BasePointTree:
     if f.dim != 2:
         raise ResolutionError("base-point towers are only computed for plane maps")
     inverse(f, cfg=cfg)
-    key = (f.key(), cfg.height_cap)
-    cached = _BASE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _base_points(f, cfg.height_cap)
 
+
+@functools.cache
+def _base_points(f: ProjMap, height_cap: int) -> BasePointTree:
     d = f.degree()
     if d == 1:
-        tree = BasePointTree(d, ())
-        _BASE_CACHE[key] = tree
-        return tree
+        return BasePointTree(d, ())
 
     points, flag = projective_rational_zeros(f.entries)
     if flag:
@@ -326,8 +320,8 @@ def base_points(f: ProjMap, cfg: RunConfig = DEFAULTS) -> BasePointTree:
         rest = [j for j in range(3) if j != i]
         center = (Fraction(P[rest[0]], P[i]), Fraction(P[rest[1]], P[i]))
         local = [e.compose(chart.sub).translate(center) for e in f.entries]
-        roots.append(_resolve_node(local, BubblePoint(P), chart, center, cfg,
-                                   3 * (d - 1)))
+        roots.append(_resolve_node(local, BubblePoint(P), chart, center,
+                                   height_cap, 3 * (d - 1)))
 
     tree = BasePointTree(d, tuple(roots))
     mults = [n.multiplicity for n in tree.nodes()]
@@ -343,7 +337,6 @@ def base_points(f: ProjMap, cfg: RunConfig = DEFAULTS) -> BasePointTree:
             f"multiplicity accounting for {f} exceeds the birational bounds "
             f"({got1} vs {want1}, {got2} vs {want2}); this indicates an "
             "internal inconsistency")
-    _BASE_CACHE[key] = tree
     return tree
 
 
@@ -411,23 +404,13 @@ def _rational_points_on(C: Poly, max_slices: int) -> Iterator[ProjPoint]:
                     yield pt
 
 
-def _divisible(p: Poly, d: Poly) -> bool:
-    if p.is_zero:
-        return True
-    try:
-        poly_exact_div(p, d)
-        return True
-    except ValueError:
-        return False
-
-
 def _is_image_point(f: ProjMap, C: Poly, q: ProjPoint) -> bool:
     """Exact test that f maps all of C to the single point q: every 2x2
     minor of f against q must vanish modulo C."""
     pairs = ((0, 1), (0, 2), (1, 2))
     for i, j in pairs:
         minor = f.entries[i] * q[j] - f.entries[j] * q[i]
-        if not _divisible(minor, C):
+        if not poly_divides(C, minor):
             return False
     return True
 
@@ -477,17 +460,16 @@ def curve_image(f: ProjMap, C: Poly, cfg: RunConfig = DEFAULTS) -> ProjPoint | N
     return normalize_point(coords)
 
 
-_EXC_CACHE: dict[tuple, tuple[ExcComponent, ...]] = {}
-
-
 def exc_components(f: ProjMap, cfg: RunConfig = DEFAULTS) -> tuple[ExcComponent, ...]:
     """The irreducible curves contracted by f, with Jacobian multiplicities
     and image points."""
     if f.dim != 2:
         raise ResolutionError("contracted curves are only computed for plane maps")
-    cached = _EXC_CACHE.get(f.key())
-    if cached is not None:
-        return cached
+    return _exc_components(f)
+
+
+@functools.cache
+def _exc_components(f: ProjMap) -> tuple[ExcComponent, ...]:
     jac = jacobian_det(f.entries)
     if jac.is_zero:
         raise MapError(f"{f} is not dominant: its Jacobian vanishes identically")
@@ -495,12 +477,10 @@ def exc_components(f: ProjMap, cfg: RunConfig = DEFAULTS) -> tuple[ExcComponent,
     if not jac.is_constant:
         _, facs = factor_q(jac)
         for fac, mult in facs:
-            img = curve_image(f, fac, cfg)
+            img = curve_image(f, fac)
             if img is not None:
                 comps.append(ExcComponent(fac, mult, img))
-    result = tuple(comps)
-    _EXC_CACHE[f.key()] = result
-    return result
+    return tuple(comps)
 
 
 # ---------------------------------------------------------------------------

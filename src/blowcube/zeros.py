@@ -11,34 +11,16 @@ with a gcd computed over the number field Q[s]/(m).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EliminationCapExceeded, ResolutionError
 from .maps import ProjPoint, normalize_point
-from .poly import Poly, factor_q, poly_exact_div, poly_gcd, resultant
+from .poly import (Poly, content_gcd, factor_q, poly_divides, poly_gcd,
+                   resultant)
 
 # Branches whose resultant would exceed this degree raise instead of
 # grinding through a huge univariate factorisation.
 RES_CAP = 64
-
-
-def _divides(a: Poly, b: Poly) -> bool:
-    try:
-        poly_exact_div(b, a)
-        return True
-    except ValueError:
-        return False
-
-
-def _gcd_chain(polys: Iterable[Poly]) -> Poly:
-    acc = None
-    for p in polys:
-        acc = p if acc is None else poly_gcd(acc, p)
-        if acc.is_constant:
-            break
-    if acc is None:
-        raise ValueError("gcd of an empty system")
-    return acc
 
 
 def _linear_root(fac: Poly, name: str) -> Fraction:
@@ -254,7 +236,7 @@ def _leading_coeff_in(p: Poly, name: str) -> Poly:
 
 def _zeros_on_factor(F: Poly, others: Sequence[Poly]):
     """Rational zeros of the system restricted to the irreducible curve F=0."""
-    survivors = [q for q in others if not _divides(F, q)]
+    survivors = [q for q in others if not poly_divides(F, q)]
     if not survivors:
         raise ValueError("common zero locus contains the curve "
                          f"{F} (not zero-dimensional)")
@@ -271,7 +253,7 @@ def _zeros_on_factor(F: Poly, others: Sequence[Poly]):
             # parametrise by x: y = -(a x + c)/b
             line = x_poly * (-a / b) + (-c / b)
             restricted = [q.compose((x_poly, line)) for q in survivors]
-            g = _gcd_chain(restricted)
+            g = content_gcd(restricted)
             roots, irr = _rational_roots(g, "x")
             flag |= irr
             for t in roots:
@@ -279,7 +261,7 @@ def _zeros_on_factor(F: Poly, others: Sequence[Poly]):
         else:
             x0 = -c / a
             restricted = [q.set_var("x", x0) for q in survivors]
-            g = _gcd_chain(restricted)
+            g = content_gcd(restricted)
             roots, irr = _rational_roots(g, "y")
             flag |= irr
             for y0 in roots:
@@ -323,7 +305,7 @@ def _zeros_on_factor(F: Poly, others: Sequence[Poly]):
         nz = [q for q in specialized if not q.is_zero]
         if any(q.is_constant for q in nz):
             continue
-        g = _gcd_chain(nz)
+        g = content_gcd(nz)
         roots, irr = _rational_roots(g, "x")
         flag |= irr
         for x0 in roots:
@@ -350,7 +332,7 @@ def affine_common_zeros(qs: Sequence[Poly]):
         raise ValueError("identically zero system")
     if any(q.is_constant for q in system):
         return set(), False
-    if len(system) < 2 or not _gcd_chain(system).is_constant:
+    if len(system) < 2 or not content_gcd(system).is_constant:
         raise ValueError("common zero locus is positive-dimensional")
 
     best = None
@@ -395,7 +377,7 @@ def projective_rational_zeros(entries: Sequence[Poly]):
     nz = [q for q in at_infinity if not q.is_zero]
     if not nz:
         raise ValueError("z divides every entry of a primitive tuple")
-    g = _gcd_chain(nz)
+    g = content_gcd(nz)
     if not g.is_constant:
         _, facs = factor_q(g)
         for fac, _m in facs:

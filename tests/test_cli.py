@@ -246,3 +246,18 @@ def test_module_entry_point():
                           "-n", "2"], capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout == "n,deg\n1,2\n2,1\n"
+
+
+def test_classify_does_not_depend_on_cache_state_or_optimization():
+    # each plane map alone in a fresh interpreter under -O must give the
+    # report that one warm process gives after classifying the others
+    cmd = ["-m", "blowcube", "classify"]
+    warm = subprocess.run([sys.executable, *cmd, "--all-builtins", "-n", "3"],
+                          capture_output=True, text=True)
+    assert warm.returncode == 0
+    reports = json.loads(warm.stdout)
+    for name, report in reports.items():
+        cold = subprocess.run([sys.executable, "-O", *cmd, name, "-n", "3"],
+                              capture_output=True, text=True)
+        assert cold.returncode == 0, cold.stderr
+        assert json.loads(cold.stdout) == report, name

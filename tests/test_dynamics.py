@@ -25,8 +25,9 @@ from blowcube import (
     vertex_distance,
     vertex_equiv,
 )
+from blowcube import dynamics
 from blowcube.config import RunConfig
-from blowcube.errors import ComplexError, MapError
+from blowcube.errors import ComplexError, MapError, ResolutionError
 from blowcube.maps import linear_map
 
 
@@ -146,6 +147,22 @@ def test_exc_count_sequences():
     assert exc_count_sequence(builtin("henon"), 5) == [1, 1, 1, 1, 1]
     assert exc_count_sequence(builtin("jonq1"), 5) == [2, 2, 2, 2, 2]
     assert exc_count_sequence(builtin("jonq2"), 5) == [2, 3, 4, 5, 6]
+
+
+def test_exc_count_sequence_returns_a_fresh_list():
+    jonq2 = builtin("jonq2")
+    counts = exc_count_sequence(jonq2, 4)
+    counts[0] = 99
+    assert exc_count_sequence(jonq2, 4) == [2, 3, 4, 5]
+
+
+def test_exc_count_disagreement_with_direct_factorization_raises(monkeypatch):
+    dynamics._exc_counts.cache_clear()
+    real = dynamics._direct_exc_count
+    monkeypatch.setattr(dynamics, "_direct_exc_count",
+                        lambda f, n, cfg: real(f, n, cfg) + 1)
+    with pytest.raises(ResolutionError, match="direct factorization"):
+        exc_count_sequence(builtin("jonq2"), 3)
 
 
 def test_nu_verdicts():

@@ -161,6 +161,30 @@ def test_degree_cap_verdict_ignores_earlier_iterates(monkeypatch, uncapped_first
     assert info.value.completed == 4
 
 
+@pytest.mark.parametrize("name", ["lox1", "henon"])
+def test_iterate_carries_the_iterate_of_the_inverse(name):
+    f = builtin(name)
+    for n in (2, 3, 4):
+        assert iterate(f, n).inverse is iterate(f.inverse, n)
+
+
+def test_a_map_and_its_inverse_share_one_iterate_chain(monkeypatch):
+    monkeypatch.setattr(maps, "_ITERATES", {})
+    lox1 = builtin("lox1")
+    calls = []
+    real = maps._compose_raw
+
+    def counted(f, g, cfg):
+        calls.append(None)
+        return real(f, g, cfg)
+
+    monkeypatch.setattr(maps, "_compose_raw", counted)
+    assert degree_sequence(lox1, 4) == [3, 8, 21, 55]
+    assert degree_sequence(inverse(lox1), 4) == [3, 8, 21, 55]
+    # lox1^k and lox1^-k for k = 2, 3, 4, each built once
+    assert len(calls) == 6
+
+
 def test_composition_of_inverses_attaches_inverse():
     henon = builtin("henon")
     sq = compose(henon, henon)
