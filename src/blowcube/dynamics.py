@@ -434,7 +434,7 @@ def _exc_counts(f: ProjMap, N: int, degree_cap: int) -> tuple[int, ...]:
             for j in range(min(n, len(chain))):
                 if n - j - 1 <= survival:
                     total += 1
-                elif curve_image(iterate(f, n, cfg), chain[j], cfg) is not None:
+                elif curve_image(iterate(f, n, cfg), chain[j]) is not None:
                     total += 1
         counts.append(total)
 

@@ -18,8 +18,11 @@ Term order is graded lexicographic (total degree first, then the exponent
 of vars[0], vars[1], ...).  ``str()`` prints terms in descending order and
 ``parse_poly(str(p), p.vars) == p`` exactly.
 
-Factorization, gcd and resultants are delegated to sympy; everything else
-is native.
+Factorization, gcd, exact division and resultants are delegated to sympy;
+everything else is native.  They cross to sympy as integer polynomials on
+ZZ: the bridge hands over ``den * p`` built straight from the integer
+numerators and reads the integer result back, while ``den`` and the
+rational scale of each answer stay on this side.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import sympy
+from sympy.polys.polyclasses import DMP
 
 from blowcube.errors import ParseError
 from blowcube.kernel import add_scaled_packed, mul_packed
@@ -699,6 +703,8 @@ def content_gcd(polys: Sequence[Poly]) -> Poly:
     nz = [p for p in polys if not p.is_zero]
     if not nz:
         raise ValueError("gcd of all-zero sequence")
+    if len(nz) == 1:
+        return canonical_factor(nz[0])
     acc = nz[0]
     for p in nz[1:]:
         acc = poly_gcd(acc, p)
@@ -772,7 +778,21 @@ def _symbols(vars: tuple[str, ...]):
     return tuple(sympy.symbols(vars)) if len(vars) > 1 else (sympy.Symbol(vars[0]),)
 
 
+def _to_zz(p: Poly) -> "sympy.Poly":
+    """``den * p`` as a sympy polynomial on ZZ, from the integer numerators."""
+    n = len(p.vars)
+    conv = sympy.ZZ.dtype  # int, or gmpy2's mpz when sympy uses it
+    rep = {unpack(k, n): conv(c) for k, c in p.coeffs.items()}
+    return sympy.Poly.new(DMP.from_dict(rep, n - 1, sympy.ZZ), *_symbols(p.vars))
+
+
+def _from_zz(sp, vars: tuple[str, ...], den: int = 1) -> Poly:
+    """``sp / den`` for a ZZ sympy polynomial over the generators ``vars``."""
+    return Poly(vars, den, {pack(e): int(c) for e, c in sp.rep.to_dict().items()})
+
+
 def to_sympy(p: Poly) -> "sympy.Poly":
+    """The QQ reference conversion (tests compare the bridge against it)."""
     syms = _symbols(p.vars)
     n = len(p.vars)
     data = {unpack(k, n): sympy.Rational(c, p.den) for k, c in p.coeffs.items()}
@@ -824,8 +844,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if k:
             g = g * Poly.var(a.vars, name) ** k
         return canonical_factor(g)
-    g = sympy.gcd(to_sympy(a), to_sympy(b))
-    return canonical_factor(from_sympy(g, a.vars))
+    return canonical_factor(_from_zz(_to_zz(a).gcd(_to_zz(b)), a.vars))
 
 
 def poly_exact_div(a: Poly, b: Poly) -> Poly:
@@ -845,10 +864,13 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
         if ka > kb:
             q = q * Poly.var(a.vars, name) ** (ka - kb)
         return q
-    q, r = sympy.div(to_sympy(a), to_sympy(b))
+    # Gauss's lemma: a primitive integer divisor of an integer polynomial
+    # over Q leaves an integer quotient, so the division stays on ZZ
+    content, prim = _to_zz(b).primitive()
+    q, r = _to_zz(a).div(prim, auto=False)
     if not r.is_zero:
         raise ValueError("not an exact division")
-    return from_sympy(q, a.vars)
+    return _from_zz(q, a.vars, a.den * int(content)) * b.den
 
 
 def poly_divides(d: Poly, p: Poly) -> bool:
@@ -920,12 +942,11 @@ def factor_q(p: Poly) -> tuple[Fraction, tuple[tuple[Poly, int], ...]]:
         raise ValueError("cannot factor the zero polynomial")
     if p.is_constant:
         return p.constant_value(), ()
-    coeff, factors = sympy.factor_list(to_sympy(p))
-    q = sympy.Rational(coeff)
-    unit = Fraction(int(q.p), int(q.q))
+    coeff, factors = _to_zz(p).factor_list()
+    unit = Fraction(int(coeff), p.den)
     out = []
     for f, mult in factors:
-        fp = from_sympy(sympy.Poly(f, *_symbols(p.vars), domain=sympy.QQ), p.vars)
+        fp = _from_zz(f, p.vars)
         canon = canonical_factor(fp)
         # fold the normalization back into the unit
         ratio = _leading_ratio(fp, canon)
@@ -942,20 +963,16 @@ def _leading_ratio(a: Poly, b: Poly) -> Fraction:
 
 
 def resultant(a: Poly, b: Poly, name: str) -> Poly:
+    """Resultant of a and b with respect to ``name``, exactly (on a.vars)."""
     if a.vars != b.vars:
         raise ValueError("variable mismatch")
-    syms = _symbols(a.vars)
-    var = syms[a.vars.index(name)]
-    r = sympy.resultant(to_sympy(a).as_expr(), to_sympy(b).as_expr(), var)
-    rp = sympy.Poly(r, *syms, domain=sympy.QQ)
-    return from_sympy(rp, a.vars)
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """Product of the distinct irreducible factors (no multiplicities)."""
-    if p.is_zero or p.is_constant:
-        return canonical_factor(p) if not p.is_zero else p
-    out = Poly.const(p.vars, 1)
-    for f, _ in factor_q(p)[1]:
-        out = out * f
-    return out
+    # sympy eliminates the first generator
+    gens = (name,) + tuple(v for v in a.vars if v != name)
+    r = _to_zz(a.with_vars(gens)).resultant(_to_zz(b.with_vars(gens)))
+    if r.is_zero:
+        return Poly.zero(a.vars)
+    # res(da*a, db*b) = da^deg(b) * db^deg(a) * res(a, b), degrees in name
+    den = a.den ** b.degree_in(name) * b.den ** a.degree_in(name)
+    if isinstance(r, sympy.Poly):
+        return _from_zz(r, gens[1:], den).with_vars(a.vars)
+    return Poly.const(a.vars, Fraction(int(r), den))  # no variable left

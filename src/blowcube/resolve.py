@@ -415,7 +415,7 @@ def _is_image_point(f: ProjMap, C: Poly, q: ProjPoint) -> bool:
     return True
 
 
-def curve_image(f: ProjMap, C: Poly, cfg: RunConfig = DEFAULTS) -> ProjPoint | None:
+def curve_image(f: ProjMap, C: Poly) -> ProjPoint | None:
     """The point C is contracted to by f, or None when C is not contracted.
 
     Strategy: image candidates come cheaply from rational points of C.  Two

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, checked against naive oracles and sympy."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,12 +22,12 @@ from blowcube import (
 from blowcube.errors import ParseError
 from blowcube.poly import (
     canonical_factor,
+    content_gcd,
     from_sympy,
     pack,
     parse_ratfunc,
     primitive_tuple,
     resultant,
-    squarefree_part,
     to_sympy,
     unpack,
 )
@@ -372,11 +373,136 @@ def test_primitive_tuple_strips_common_factor():
     assert stripped == (x * 2, y * 2, x - y)
 
 
-def test_resultant_and_squarefree():
+def test_resultant_eliminates_the_variable():
     a = parse_poly("x^2 - y", XY)
     b = parse_poly("x - y", XY)
     r = resultant(a, b, "x")
     assert r.degree_in("x") == 0
     assert canonical_factor(r) == canonical_factor(parse_poly("y^2 - y", XY))
-    p = parse_poly("(x + y)^2 * x", XY)
-    assert squarefree_part(p) == canonical_factor(parse_poly("(x + y) * x", XY))
+
+
+def test_content_gcd_of_one_entry_is_canonical():
+    p = parse_poly("2*x*y - 4*y", XY)
+    assert content_gcd([p]) == parse_poly("x*y - 2*y", XY)
+    assert content_gcd([Poly.zero(XY), p * Fraction(-1, 3)]) == poly_gcd(p, p)
+
+
+# ---------------------------------------------------------------------------
+# the ZZ bridge against the QQ expression reference
+# ---------------------------------------------------------------------------
+
+def rand_rational(rng: random.Random, vars=XYZ, steps=3, terms=4) -> Poly:
+    """Nonconstant, non-homogeneous (so gcd and division skip the
+    dehomogenized route), with a denominator above 1."""
+    while True:
+        p = rand_poly(rng, vars, steps, terms)
+        if not p.is_homogeneous() and p.den > 1:
+            return p
+
+
+def rand_divisor(rng: random.Random, vars=XYZ) -> Poly:
+    """Neither integer-primitive nor monic: den * b has content above 1."""
+    b = canonical_factor(rand_rational(rng, vars, steps=2, terms=3))
+    return b * Fraction(rng.choice([-4, 2, 6, 10]), rng.choice([3, 7, 9]))
+
+
+def reference_factor(p: Poly):
+    syms = sympy.symbols(p.vars)
+    coeff, facs = sympy.factor_list(to_sympy(p).as_expr(), *syms)
+    unit = Fraction(int(sympy.numer(coeff)), int(sympy.denom(coeff)))
+    out = []
+    for f, m in facs:
+        fp = from_sympy(sympy.Poly(f, *syms, domain=sympy.QQ), p.vars)
+        canon = canonical_factor(fp)
+        unit *= (fp.leading()[1] / canon.leading()[1]) ** m
+        out.append((canon, m))
+    return unit, Counter(out)
+
+
+def test_factor_q_matches_the_expression_reference():
+    rng = random.Random(53)
+    for _ in range(12):
+        p = rand_rational(rng) * rand_divisor(rng) ** rng.randint(1, 2)
+        unit, facs = factor_q(p)
+        assert (unit, Counter(facs)) == reference_factor(p)
+        prod = Poly.const(p.vars, unit)
+        for f, m in facs:
+            prod = prod * f ** m
+        assert prod == p
+
+
+def test_poly_gcd_matches_the_expression_reference():
+    rng = random.Random(59)
+    for _ in range(12):
+        g = rand_divisor(rng)
+        a, b = g * rand_rational(rng), g * rand_rational(rng)
+        want = canonical_factor(from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), XYZ))
+        got = poly_gcd(a, b)
+        assert got == want
+        poly_exact_div(got, canonical_factor(g))  # raises unless g | gcd
+
+
+def test_poly_exact_div_matches_the_expression_reference():
+    rng = random.Random(61)
+    for _ in range(12):
+        b = rand_divisor(rng)
+        a = rand_rational(rng) * b
+        q, r = sympy.div(to_sympy(a), to_sympy(b))
+        assert r.is_zero
+        assert poly_exact_div(a, b) == from_sympy(q, XYZ)
+        off = a + Poly.var(XYZ, "x") * Fraction(1, 2)
+        _q, r = sympy.div(to_sympy(off), to_sympy(b))
+        assert not r.is_zero
+        with pytest.raises(ValueError, match="not an exact division"):
+            poly_exact_div(off, b)
+
+
+def reference_resultant(a: Poly, b: Poly, name: str) -> Poly:
+    syms = sympy.symbols(a.vars)
+    r = sympy.resultant(to_sympy(a).as_expr(), to_sympy(b).as_expr(),
+                        sympy.Symbol(name))
+    return from_sympy(sympy.Poly(r, *syms, domain=sympy.QQ), a.vars)
+
+
+def test_resultant_is_the_exact_expression_resultant():
+    rng = random.Random(67)
+    for vars in (XY, XYZ):
+        for _ in range(8):
+            a, b = rand_rational(rng, vars, terms=3), rand_divisor(rng, vars)
+            name = rng.choice(vars)
+            assert resultant(a, b, name) == reference_resultant(a, b, name)
+    # the eliminated variable missing from one input
+    a = parse_poly("3/4*y^2 - 2/5*y*z + 1/3", XYZ)
+    b = parse_poly("2/3*x^2*y - 5/7*x + z", XYZ)
+    for pair in ((a, b), (b, a)):
+        assert resultant(*pair, "x") == reference_resultant(*pair, "x")
+    # a bivariate pair whose resultant is a constant
+    a = parse_poly("x/2 - y/2", XY)
+    b = parse_poly("2/3*x - 2/3*y + 1", XY)
+    r = resultant(a, b, "x")
+    assert r == reference_resultant(a, b, "x") == Poly.const(XY, Fraction(1, 2))
+    # one variable: sympy's resultant is a number, not a polynomial
+    X = ("x",)
+    a, b = parse_poly("x^2/2 - 3", X), parse_poly("2/3*x + 5/7", X)
+    assert resultant(a, b, "x") == reference_resultant(a, b, "x")
+    assert resultant(Poly.zero(X), b, "x").is_zero
+
+
+def test_bridge_makes_no_expression_round_trip(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bridge went through a sympy expression")
+
+    for name in ("factor_list", "resultant", "gcd", "div"):
+        monkeypatch.setattr(sympy, name, refuse)
+    monkeypatch.setattr(sympy.Poly, "as_expr", refuse)
+
+    unit, facs = factor_q(parse_poly("(x^2 - y) * (2*x + y + 1)^2 / 3", XY))
+    assert unit == Fraction(1, 3)
+    assert facs == ((parse_poly("2*x + y + 1", XY), 2), (parse_poly("x^2 - y", XY), 1))
+    a = parse_poly("(x^2 - y) * (x + 1) / 2", XY)
+    assert poly_gcd(a, parse_poly("(x^2 - y) * (y - 3) * 4/5", XY)) == parse_poly("x^2 - y", XY)
+    assert poly_exact_div(a, parse_poly("6/5*x + 6/5", XY)) == parse_poly("5/12*x^2 - 5/12*y", XY)
+    with pytest.raises(ValueError, match="not an exact division"):
+        poly_exact_div(a, parse_poly("6/5*x + 6/5*y", XY))
+    r = resultant(parse_poly("x^2/2 - y", XY), parse_poly("2/3*x - y", XY), "x")
+    assert r == parse_poly("y^2/2 - 4/9*y", XY)
