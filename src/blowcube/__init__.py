@@ -11,8 +11,7 @@ from .dynamics import (BallResult, DegreeBoundReport, DegreeGrowth,
                        action_on_ball, ball, check_degree_bound, classify,
                        degree_growth_class, exc_count_sequence, marked_vertex,
                        mu, nu1, transition, vertex_distance, vertex_equiv)
-from .errors import (BlowcubeError, ComplexError,
-                     ContractednessUndecided, DegreeCapExceeded,
+from .errors import (BlowcubeError, ComplexError, DegreeCapExceeded,
                      EliminationCapExceeded, HeightCapExceeded,
                      InverseUnavailable, IrrationalBaseLocus, MapError,
                      OutputError, ParseError, ResolutionError,

@@ -25,7 +25,6 @@ class RunConfig:
     degree_cap: int = 256     # refuse composites above this degree
     height_cap: int = 16      # refuse towers of infinitely-near points above this
     radius: int = 3           # ball radius (points blown up per marking)
-    geodesic_limit: int = 10000  # stop enumerating geodesics past this count
 
     def with_overrides(self, **kw) -> "RunConfig":
         kw = {k: v for k, v in kw.items() if v is not None}
@@ -50,7 +49,6 @@ def from_environment() -> RunConfig:
         degree_cap=_env_int("DEGREE_CAP"),
         height_cap=_env_int("HEIGHT_CAP"),
         radius=_env_int("RADIUS"),
-        geodesic_limit=_env_int("GEODESIC_LIMIT"),
     )
 
 

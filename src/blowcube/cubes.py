@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .config import DEFAULTS, RunConfig
 from .errors import ComplexError, OutputError
 
 
@@ -45,9 +44,7 @@ class CubeComplex:
     Use :func:`build_complex`; the constructor performs no validation.
     """
 
-    def __init__(self, vertices=(), edges=(), cubes=(),
-                 cfg: RunConfig = DEFAULTS):
-        self.cfg = cfg
+    def __init__(self, vertices=(), edges=(), cubes=()):
         self.vertices = frozenset(vertices)
         self.edges = frozenset(tuple(e) for e in edges)
         self.cubes: dict[int, frozenset] = {}
@@ -195,7 +192,7 @@ def _submasks(mask: int):
 
 
 def build_complex(vertices: Iterable = (), edges: Iterable = (),
-                  cubes: Iterable = (), cfg: RunConfig = DEFAULTS) -> CubeComplex:
+                  cubes: Iterable = ()) -> CubeComplex:
     """Assemble and validate a cube complex.
 
     ``cubes`` is a flat iterable of vertex collections; the dimension of each
@@ -210,7 +207,7 @@ def build_complex(vertices: Iterable = (), edges: Iterable = (),
                 "duplicate cube {" + ", ".join(repr(v) for v in sorted(S, key=_vkey)) + "}")
         seen.add(S)
         cube_list.append(S)
-    C = CubeComplex(vertices, edges, cube_list, cfg=cfg)
+    C = CubeComplex(vertices, edges, cube_list)
     _validate(C)
     return C
 
@@ -349,8 +346,7 @@ def _component_subcomplex(C: CubeComplex, v) -> CubeComplex:
         return C
     sub = CubeComplex(comp,
                       [e for e in C.edges if e[0] in comp],
-                      [S for cs in C.cubes.values() for S in cs if S <= comp],
-                      cfg=C.cfg)
+                      [S for cs in C.cubes.values() for S in cs if S <= comp])
     sub._orient = {p: e for p, e in C._orient.items() if next(iter(p)) in comp}
     sub._adj = {x: C._adj[x] for x in comp}
     sub._cube_labels = {S: L for S, L in C._cube_labels.items() if S <= comp}
@@ -379,15 +375,13 @@ class GeodesicResult:
         return len(self.paths)
 
 
-def geodesics(C: CubeComplex, u, v, limit: Optional[int] = None) -> GeodesicResult:
+def geodesics(C: CubeComplex, u, v, limit: int = 10000) -> GeodesicResult:
     """All geodesic vertex paths from u to v, up to ``limit`` of them.
 
     Every geodesic crosses each separating hyperplane exactly once and no
     other hyperplane, so the search only ever steps across an uncrossed
     separating hyperplane toward v.
     """
-    if limit is None:
-        limit = C.cfg.geodesic_limit
     sub = _component_subcomplex(C, u)
     if v not in sub.vertices:
         raise ComplexError(f"vertex {v!r} is unreachable from {u!r}")
@@ -601,7 +595,7 @@ def complex_to_json(C: CubeComplex) -> str:
     return json.dumps(complex_to_dict(C), indent=2, sort_keys=True)
 
 
-def complex_from_dict(data: Mapping, cfg: RunConfig = DEFAULTS) -> CubeComplex:
+def complex_from_dict(data: Mapping) -> CubeComplex:
     try:
         vertices = data["vertices"]
         edges = [tuple(e) for e in data["edges"]]
@@ -609,7 +603,7 @@ def complex_from_dict(data: Mapping, cfg: RunConfig = DEFAULTS) -> CubeComplex:
                  for S in bucket]
     except (KeyError, TypeError) as exc:
         raise ComplexError(f"malformed complex description: {exc}") from None
-    return build_complex(vertices, edges, cubes, cfg=cfg)
+    return build_complex(vertices, edges, cubes)
 
 
 _DOT_PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e",

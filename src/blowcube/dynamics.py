@@ -24,10 +24,9 @@ from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULTS, RATIO_MARGIN, RunConfig
 from .cubes import CubeComplex, VertexIsometry, build_complex
-from .errors import (ComplexError, ContractednessUndecided, DegreeCapExceeded,
-                     EliminationCapExceeded, HeightCapExceeded,
-                     IrrationalBaseLocus, MapError, ResolutionError,
-                     TransportUnsupported)
+from .errors import (ComplexError, DegreeCapExceeded, EliminationCapExceeded,
+                     HeightCapExceeded, IrrationalBaseLocus, MapError,
+                     ResolutionError, TransportUnsupported)
 from .maps import (ProjMap, compose, degree_sequence, identity, inverse,
                    iterate, normalize_point)
 from .poly import Poly, factor_q
@@ -246,7 +245,7 @@ def ball(center: MarkedVertex, radius: int, universe: Iterable,
                     if len(corners) == 1 << r:
                         cubes.add(corners)
 
-    complex_ = build_complex(ids, edges, sorted(cubes, key=sorted), cfg=cfg)
+    complex_ = build_complex(ids, edges, sorted(cubes, key=sorted))
     center_id = index.get((center.marking.key(), center.blown))
     if center_id is None:
         center_id = next(vid for vid, rep in zip(ids, canonical)
@@ -553,8 +552,7 @@ def degree_growth_class(f: ProjMap, N: Optional[int] = None,
 
 
 _SOFT_CAPS = (DegreeCapExceeded, HeightCapExceeded, IrrationalBaseLocus,
-              ContractednessUndecided, EliminationCapExceeded,
-              TransportUnsupported)
+              EliminationCapExceeded, TransportUnsupported)
 
 
 @dataclass(frozen=True)
@@ -607,10 +605,9 @@ def classify(f: ProjMap, N: Optional[int] = None,
     try:
         growth = degree_growth_class(f, N, cfg)
     except DegreeCapExceeded as exc:
-        done = getattr(exc, "completed", 0)
-        partial = tuple(getattr(exc, "partial", ()))
+        done = exc.completed
         caps.append(f"degree cap at iterate {done + 1}")
-        growth = DegreeGrowth("undecided", partial or (f.degree(),),
+        growth = DegreeGrowth("undecided", exc.partial or (f.degree(),),
                               done or 1)
 
     try:

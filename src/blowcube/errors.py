@@ -8,7 +8,7 @@ command line tool can translate failures into documented process exit codes:
     4  map-level failure (no inverse strategy applies, degree cap exceeded,
        candidate inverse rejected, non-square or singular matrix)
     5  resolution failure (irrational base locus, tower height cap,
-       contractedness undecidable, unsupported point transport)
+       unsupported point transport)
     6  cube complex validation failure (face closure, orientation,
        duplicate cubes, disconnected input where connectivity is required)
     8  input/output failure (unreadable file, unwritable output path)
@@ -48,12 +48,14 @@ class DegreeCapExceeded(MapError):
     """A composite's degree passed the configured cap.
 
     ``completed`` holds the number of iterates that were finished before the
-    cap hit, so partial sequences stay usable.
+    cap hit, and ``partial`` their degrees when a degree sequence was being
+    built, so partial sequences stay usable.
     """
 
     def __init__(self, message: str, completed: int = 0):
         super().__init__(message)
         self.completed = completed
+        self.partial: tuple[int, ...] = ()
 
 
 class ResolutionError(BlowcubeError):
@@ -66,10 +68,6 @@ class IrrationalBaseLocus(ResolutionError):
 
 class HeightCapExceeded(ResolutionError):
     """An infinitely-near tower climbed past the configured height cap."""
-
-
-class ContractednessUndecided(ResolutionError):
-    """A curve's contraction status could not be certified."""
 
 
 class EliminationCapExceeded(ResolutionError):

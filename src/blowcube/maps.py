@@ -189,9 +189,10 @@ def linear_map(matrix: Sequence[Sequence], dim: int | None = None) -> ProjMap:
             p = p + Poly.var(vars, vars[j]) * Fraction(c)
         entries.append(p)
     f = ProjMap(entries)
-    adj = _adjugate_frac(rows)
+    # a projective map is defined up to scale, so A^-1 serves for adj(A)
+    inv = _mat_inverse_frac([[Fraction(c) for c in row] for row in rows])
     g_entries = []
-    for row in adj:
+    for row in inv:
         p = Poly.zero(vars)
         for j, c in enumerate(row):
             p = p + Poly.var(vars, vars[j]) * c
@@ -218,14 +219,6 @@ def _det_frac(rows: list[list]) -> Fraction:
                 for c in range(col, n):
                     m[r][c] -= factor * m[col][c]
     return det
-
-
-def _adjugate_frac(rows: list[list]) -> list[list[Fraction]]:
-    n = len(rows)
-    m = [[Fraction(c) for c in row] for row in rows]
-    det = _det_frac(rows)
-    inv = _mat_inverse_frac(m)
-    return [[inv[i][j] * det for j in range(n)] for i in range(n)]
 
 
 def _mat_inverse_frac(m: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -309,8 +302,9 @@ def iterate(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> ProjMap:
 def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
     """[deg f, deg f^2, ..., deg f^n] of the reduced iterates.
 
-    On hitting the degree cap the partial list is attached to the raised
-    DegreeCapExceeded as ``.completed`` entries.
+    On hitting the degree cap the degrees found so far are attached to the
+    raised DegreeCapExceeded as ``.partial``, and their count as
+    ``.completed``.
     """
     degs: list[int] = []
     for k in range(1, n + 1):
@@ -318,7 +312,7 @@ def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
             degs.append(iterate(f, k, cfg).degree())
         except DegreeCapExceeded as exc:
             exc.completed = k - 1
-            exc.partial = degs  # type: ignore[attr-defined]
+            exc.partial = tuple(degs)
             raise
     return degs
 
@@ -562,7 +556,7 @@ def _rf_scale(a: RatFunc, s: Fraction) -> RatFunc:
     return (a[0] * s, a[1])
 
 
-def _eval_univar_at_rf(p: Poly, sname: str, val: RatFunc, out_one: Poly) -> RatFunc:
+def _eval_univar_at_rf(p: Poly, sname: str, val: RatFunc) -> RatFunc:
     """Evaluate a univariate polynomial at a rational function."""
     m = max(p.degree_in(sname), 0)
     N, D = val
@@ -614,10 +608,10 @@ def _triangular_inverse(f: ProjMap, cfg: RunConfig) -> ProjMap | None:
             B_n = nb.set_var(tname, 0)
             C_d = db.derivative(tname)
             D_d = db.set_var(tname, 0)
-            A_rf = _eval_univar_at_rf(A_n, sname, s_rf, one)
-            B_rf = _eval_univar_at_rf(B_n, sname, s_rf, one)
-            C_rf = _eval_univar_at_rf(C_d, sname, s_rf, one)
-            D_rf = _eval_univar_at_rf(D_d, sname, s_rf, one)
+            A_rf = _eval_univar_at_rf(A_n, sname, s_rf)
+            B_rf = _eval_univar_at_rf(B_n, sname, s_rf)
+            C_rf = _eval_univar_at_rf(C_d, sname, s_rf)
+            D_rf = _eval_univar_at_rf(D_d, sname, s_rf)
             # t = (D*Q - B) / (A - C*Q)
             t_num = _rf_add(_rf_mul(D_rf, (Q, one)), _rf_scale(B_rf, Fraction(-1)))
             t_den = _rf_add(A_rf, _rf_scale(_rf_mul(C_rf, (Q, one)), Fraction(-1)))

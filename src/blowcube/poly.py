@@ -18,11 +18,12 @@ Term order is graded lexicographic (total degree first, then the exponent
 of vars[0], vars[1], ...).  ``str()`` prints terms in descending order and
 ``parse_poly(str(p), p.vars) == p`` exactly.
 
-Factorization, gcd, exact division and resultants are delegated to sympy;
-everything else is native.  They cross to sympy as integer polynomials on
-ZZ: the bridge hands over ``den * p`` built straight from the integer
-numerators and reads the integer result back, while ``den`` and the
-rational scale of each answer stay on this side.
+Factorization, gcd, exact division, resultants and the common-zero test
+(a Groebner basis) are delegated to sympy; everything else is native.  This
+module is the only one that imports sympy.  Polynomials cross to sympy as
+integer polynomials on ZZ: the bridge hands over ``den * p`` built straight
+from the integer numerators and reads the integer result back, while
+``den`` and the rational scale of each answer stay on this side.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import sympy
+from sympy.polys.groebnertools import groebner
 from sympy.polys.polyclasses import DMP
+from sympy.polys.rings import ring
 
 from blowcube.errors import ParseError
 from blowcube.kernel import add_scaled_packed, mul_packed
@@ -770,7 +773,7 @@ def _det(rows: list[list[Poly]], vars: tuple[str, ...]) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge: gcd, exact division, factorization, resultants
+# sympy bridge: gcd, exact division, factorization, resultants, ideals
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -976,3 +979,24 @@ def resultant(a: Poly, b: Poly, name: str) -> Poly:
     if isinstance(r, sympy.Poly):
         return _from_zz(r, gens[1:], den).with_vars(a.vars)
     return Poly.const(a.vars, Fraction(int(r), den))  # no variable left
+
+
+def common_zero_over(m: Poly, polys: Sequence[Poly]) -> bool:
+    """Whether the members have a common zero above a root of ``m``.
+
+    ``m`` is irreducible and involves one variable, so all its roots are
+    Galois conjugate and behave alike; by the weak Nullstellensatz a common
+    zero exists exactly when 1 is not in the ideal (m, polys).  Members
+    that m divides vanish on the whole locus m = 0 and are skipped; when no
+    member is left the common zero set is not finite and ValueError is
+    raised.
+    """
+    rest = [q for q in polys if not poly_divides(m, q)]
+    if not rest:
+        raise ValueError("system vanishes on a positive-dimensional locus")
+    # den scales a generator by a unit, which leaves the ideal unchanged
+    R = ring(m.vars, sympy.ZZ)[0]
+    n = len(m.vars)
+    gens = [R.from_dict({unpack(k, n): c for k, c in q.coeffs.items()})
+            for q in (m, *rest)]
+    return groebner(gens, R) != [R.one]

@@ -94,35 +94,14 @@ def parent_closed(points: Iterable[BubblePoint]) -> bool:
 # charts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Chart:
-    """An affine chart of an iterated blow-up, recorded as the substitution
-    (u, t) -> [sub0 : sub1 : sub2] into the plane."""
-
-    sub: tuple[Poly, Poly, Poly]
-    label: str
-
-    def __str__(self):
-        return "[" + " : ".join(str(p) for p in self.sub) + "]"
-
-
-def standard_chart(i: int) -> Chart:
+def standard_chart(i: int) -> tuple[tuple[Poly, Poly, Poly], str]:
+    """The substitution (u, t) -> [sub0 : sub1 : sub2] of the affine chart
+    where coordinate i is 1, and its label."""
     u = Poly.var(CHART_VARS, "u")
     t = Poly.var(CHART_VARS, "t")
     one = Poly.const(CHART_VARS, 1)
     sub = {0: (one, u, t), 1: (u, one, t), 2: (u, t, one)}[i]
-    return Chart(sub, ("x=1", "y=1", "z=1")[i])
-
-
-def blow_up_point(chart: Chart, center: Sequence) -> tuple[Chart, Chart]:
-    """The two charts covering the blow-up of a rational chart point."""
-    a, b = (Fraction(c) for c in center)
-    u = Poly.var(CHART_VARS, "u")
-    t = Poly.var(CHART_VARS, "t")
-    first = tuple(p.compose((u + a, u * t + b)) for p in chart.sub)
-    second = tuple(p.compose((u * t + a, t + b)) for p in chart.sub)
-    label = f"{chart.label}; bl({a},{b})"
-    return Chart(first, label + "#0"), Chart(second, label + "#1")
+    return sub, ("x=1", "y=1", "z=1")[i]
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +111,7 @@ def blow_up_point(chart: Chart, center: Sequence) -> tuple[Chart, Chart]:
 @dataclass(frozen=True)
 class BaseNode:
     point: BubblePoint
-    chart: Chart
+    chart: str  # the label of the affine chart holding ``coords``
     coords: tuple[Fraction, Fraction]
     multiplicity: int
     children: tuple["BaseNode", ...]
@@ -146,7 +125,7 @@ class BaseNode:
         return {
             "point": point_str(self.point.root),
             "steps": [s.to_json() for s in self.point.steps],
-            "chart": self.chart.label,
+            "chart": self.chart,
             "coords": [str(c) for c in self.coords],
             "height": self.point.height,
             "multiplicity": self.multiplicity,
@@ -225,7 +204,7 @@ def _slope_roots(g: Poly, parent: BubblePoint) -> list[Fraction]:
     return sorted(roots)
 
 
-def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: Chart,
+def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
                   coords: tuple[Fraction, Fraction], height_cap: int,
                   budget: int) -> BaseNode:
     """Tower above one base point.
@@ -243,8 +222,6 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: Chart,
     if not 1 <= mult <= budget:
         raise ResolutionError(
             f"local multiplicity {mult} over {bubble} is outside 1..{budget}")
-
-    chart0, chart1 = blow_up_point(chart, coords)
 
     alpha = [p.subs_monomial(((1, 0), (1, 1))) for p in system]  # u->u, t->u*t
     alpha, k0 = _strip_common_power(alpha, "u")
@@ -266,6 +243,7 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: Chart,
             "stripped exceptional power must equal the local multiplicity")
     vertical = all(p.coefficient((0, 0)) == 0 for p in beta)
 
+    blown = f"{chart}; bl({coords[0]},{coords[1]})"
     children = []
     if slopes or vertical:
         if bubble.height + 1 > height_cap:
@@ -276,13 +254,13 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: Chart,
         child_system = [p.translate((Fraction(0), t0)) for p in alpha]
         child = _resolve_node(child_system,
                               BubblePoint(bubble.root, bubble.steps + (BubbleStep("s", t0),)),
-                              chart0, (Fraction(0), t0), height_cap,
+                              blown + "#0", (Fraction(0), t0), height_cap,
                               budget - mult)
         children.append(child)
     if vertical:
         child = _resolve_node(beta,
                               BubblePoint(bubble.root, bubble.steps + (BubbleStep("v"),)),
-                              chart1, (Fraction(0), Fraction(0)), height_cap,
+                              blown + "#1", (Fraction(0), Fraction(0)), height_cap,
                               budget - mult)
         children.append(child)
     return BaseNode(bubble, chart, coords, mult, tuple(children))
@@ -316,10 +294,10 @@ def _base_points(f: ProjMap, height_cap: int) -> BasePointTree:
     roots = []
     for P in points:
         i = next(j for j, c in enumerate(P) if c != 0)
-        chart = standard_chart(i)
+        sub, chart = standard_chart(i)
         rest = [j for j in range(3) if j != i]
         center = (Fraction(P[rest[0]], P[i]), Fraction(P[rest[1]], P[i]))
-        local = [e.compose(chart.sub).translate(center) for e in f.entries]
+        local = [e.compose(sub).translate(center) for e in f.entries]
         roots.append(_resolve_node(local, BubblePoint(P), chart, center,
                                    height_cap, 3 * (d - 1)))
 

@@ -4,8 +4,10 @@ The resolver needs the rational members of a finite zero set, plus a
 trustworthy signal when the set also contains points that are not defined
 over the rationals.  Everything here is exact: linear branches are solved by
 parametrisation, univariate branches by factoring, and genuinely bivariate
-irreducible branches by a resultant whose non-rational factors are settled
-with a gcd computed over the number field Q[s]/(m).
+irreducible branches by a resultant.  Whether the system has common zeros
+above the irrational roots of an irreducible univariate factor m is one
+ideal-membership test, ``poly.common_zero_over``; no number-field
+arithmetic is done here.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Sequence
 
 from .errors import EliminationCapExceeded, ResolutionError
 from .maps import ProjPoint, normalize_point
-from .poly import (Poly, content_gcd, factor_q, poly_divides, poly_gcd,
-                   resultant)
+from .poly import (Poly, common_zero_over, content_gcd, factor_q,
+                   poly_divides, poly_gcd, resultant)
 
 # Branches whose resultant would exceed this degree raise instead of
 # grinding through a huge univariate factorisation.
@@ -44,187 +46,6 @@ def _rational_roots(g: Poly, name: str) -> tuple[set[Fraction], bool]:
             flag = True
     return roots, flag
 
-
-# ---------------------------------------------------------------------------
-# univariate arithmetic over Q and over Q[s]/(m)
-#
-# Polynomials are lists of Fractions, ascending degree, no trailing zeros.
-# Field elements of K = Q[s]/(m) are tuples of Fractions of length deg(m).
-# ---------------------------------------------------------------------------
-
-def _trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _list_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-
-def _list_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(r) >= len(b) and _trim(r):
-        if not r:
-            break
-        shift = len(r) - len(b)
-        c = r[-1] / lead
-        q[shift] = c
-        for i, y in enumerate(b):
-            r[shift + i] -= c * y
-        _trim(r)
-    return _trim(q), r
-
-
-def _xgcd_lists(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = _trim(list(a)), _trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-
-    def sub_scaled(u, q, v):
-        prod = _list_mul(q, v)
-        out = [Fraction(0)] * max(len(u), len(prod))
-        for i, x in enumerate(u):
-            out[i] += x
-        for i, x in enumerate(prod):
-            out[i] -= x
-        return _trim(out)
-
-    while r1:
-        q, r = _list_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub_scaled(s0, q, s1)
-        t0, t1 = t1, sub_scaled(t0, q, t1)
-    if not r0:
-        raise ValueError("xgcd of zero polynomials")
-    lead = r0[-1]
-    inv = 1 / lead
-    return ([c * inv for c in r0], [c * inv for c in s0], [c * inv for c in t0])
-
-
-def _univar_coeffs(p: Poly, name: str) -> list[Fraction]:
-    i = p.vars.index(name)
-    out = [Fraction(0)] * (max(p.degree_in(name), 0) + 1)
-    for exps, c in p.terms():
-        if any(e for j, e in enumerate(exps) if j != i):
-            raise ValueError(f"{p} is not univariate in {name}")
-        out[exps[i]] += c
-    return _trim(out)
-
-
-class _Field:
-    """Arithmetic in K = Q[s]/(m) for an irreducible monic modulus m."""
-
-    def __init__(self, m: list[Fraction]):
-        lead = m[-1]
-        self.m = [c / lead for c in m]
-        self.deg = len(m) - 1
-
-    def elt(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        _, r = _list_divmod(_trim(list(coeffs)), self.m)
-        return tuple(r) + (Fraction(0),) * (self.deg - len(r))
-
-    @property
-    def zero(self):
-        return (Fraction(0),) * self.deg
-
-    def is_zero(self, a) -> bool:
-        return all(c == 0 for c in a)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        return self.elt(_list_mul(list(a), list(b)))
-
-    def inv(self, a):
-        g, s, _t = _xgcd_lists(list(a), self.m)
-        if len(g) != 1:
-            raise ValueError("modulus is not irreducible")
-        return self.elt([c / g[0] for c in s])
-
-
-def _kx_from_poly(q: Poly, mainvar: str, modvar: str, K: _Field):
-    """q as a polynomial in mainvar with coefficients in K (ascending)."""
-    mi = q.vars.index(mainvar)
-    vi = q.vars.index(modvar)
-    raw: dict[int, list[Fraction]] = {}
-    for exps, c in q.terms():
-        if any(e for j, e in enumerate(exps) if j not in (mi, vi)):
-            raise ValueError("unexpected extra variable")
-        cs = raw.setdefault(exps[mi], [])
-        while len(cs) <= exps[vi]:
-            cs.append(Fraction(0))
-        cs[exps[vi]] += c
-    if not raw:
-        return []
-    out = [K.zero] * (max(raw) + 1)
-    for e, cs in raw.items():
-        out[e] = K.elt(cs)
-    while out and K.is_zero(out[-1]):
-        out.pop()
-    return out
-
-
-def _kx_divmod(a, b, K: _Field):
-    r = list(a)
-    lead_inv = K.inv(b[-1])
-    while len(r) >= len(b):
-        c = K.mul(r[-1], lead_inv)
-        shift = len(r) - len(b)
-        for i, y in enumerate(b):
-            r[shift + i] = K.add(r[shift + i], tuple(-v for v in K.mul(c, y)))
-        while r and K.is_zero(r[-1]):
-            r.pop()
-        if len(r) < len(b):
-            break
-    return r
-
-
-def _kx_gcd_degree(polys, K: _Field) -> int:
-    """Degree of the gcd in K[mainvar] of the given coefficient lists."""
-    acc = None
-    for p in polys:
-        a, b = (acc, p) if acc is not None else (p, None)
-        if b is not None:
-            while b:
-                a, b = b, _kx_divmod(a, b, K)
-        acc = a
-        if len(acc) == 1:
-            break
-    return len(acc) - 1
-
-
-def _field_gcd_nonconstant(m_poly: Poly, modvar: str, mainvar: str,
-                           polys: Sequence[Poly]) -> bool:
-    """True when the system has a common zero above an irrational root of
-    m_poly: the gcd over K = Q[modvar]/(m) in mainvar is nonconstant."""
-    K = _Field(_univar_coeffs(m_poly, modvar))
-    reduced = []
-    for q in polys:
-        kq = _kx_from_poly(q, mainvar, modvar, K)
-        if not kq:
-            continue  # q vanishes identically on the m-locus
-        if len(kq) == 1:
-            return False  # a unit: no common zero above m at all
-        reduced.append(kq)
-    if not reduced:
-        raise ValueError("system vanishes on a positive-dimensional locus")
-    return _kx_gcd_degree(reduced, K) >= 1
-
-
-# ---------------------------------------------------------------------------
-# zero search proper
-# ---------------------------------------------------------------------------
 
 def _leading_coeff_in(p: Poly, name: str) -> Poly:
     i = p.vars.index(name)
@@ -270,10 +91,10 @@ def _zeros_on_factor(F: Poly, others: Sequence[Poly]):
 
     if xd == 0:
         # univariate irreducible in y of degree >= 2: only irrational y
-        flag |= _field_gcd_nonconstant(F, "y", "x", survivors)
+        flag |= common_zero_over(F, survivors)
         return pts, flag
     if yd == 0:
-        flag |= _field_gcd_nonconstant(F, "x", "y", survivors)
+        flag |= common_zero_over(F, survivors)
         return pts, flag
 
     # genuinely bivariate irreducible branch: eliminate x
@@ -311,7 +132,7 @@ def _zeros_on_factor(F: Poly, others: Sequence[Poly]):
         for x0 in roots:
             pts.add((x0, y0))
     for m_poly in moduli.values():
-        if _field_gcd_nonconstant(m_poly, "y", "x", system):
+        if common_zero_over(m_poly, system):
             flag = True
     return pts, flag
 

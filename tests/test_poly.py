@@ -1,14 +1,17 @@
 """Exact polynomial arithmetic, checked against naive oracles and sympy."""
 
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blowcube
 from blowcube import (
     Poly,
     factor_q,
@@ -22,6 +25,7 @@ from blowcube import (
 from blowcube.errors import ParseError
 from blowcube.poly import (
     canonical_factor,
+    common_zero_over,
     content_gcd,
     from_sympy,
     pack,
@@ -381,6 +385,47 @@ def test_resultant_eliminates_the_variable():
     assert canonical_factor(r) == canonical_factor(parse_poly("y^2 - y", XY))
 
 
+def test_common_zero_over_a_planted_root():
+    # x = y^2 - 1 is a common zero of both members above each root of m
+    m = parse_poly("y^2 - 2", XY)
+    g = parse_poly("x - y^2 + 1", XY)
+    polys = [g * parse_poly("x + 3", XY), g * parse_poly("x*y - 1", XY) + m * 5]
+    assert common_zero_over(m, polys) is True
+    m = parse_poly("x^3 - 2", XY)
+    assert common_zero_over(m, [parse_poly("y^2 - x", XY) * parse_poly("y + 1", XY),
+                                parse_poly("y^2 - x", XY) * 7 / 2]) is True
+
+
+def test_common_zero_over_conflicting_members():
+    # above y = sqrt 2 the first member forces x = y, the second x = -y
+    m = parse_poly("y^2 - 2", XY)
+    assert common_zero_over(m, [parse_poly("x - y", XY), parse_poly("x + y", XY)]) is False
+    # a member that is a nonzero constant on the locus m = 0
+    assert common_zero_over(m, [parse_poly("x - y", XY), parse_poly("y^2 - 1", XY)]) is False
+
+
+def test_common_zero_over_rejects_a_positive_dimensional_locus():
+    m = parse_poly("y^2 - 2", XY)
+    with pytest.raises(ValueError):
+        common_zero_over(m, [m * parse_poly("x", XY), m * parse_poly("x + 1", XY)])
+
+
+def test_only_poly_imports_sympy():
+    src = Path(blowcube.__file__).parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "sympy" for n in names):
+                importers.add(path.name)
+    assert importers == {"poly.py"}
+
+
 def test_content_gcd_of_one_entry_is_canonical():
     p = parse_poly("2*x*y - 4*y", XY)
     assert content_gcd([p]) == parse_poly("x*y - 2*y", XY)
@@ -492,7 +537,7 @@ def test_bridge_makes_no_expression_round_trip(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the bridge went through a sympy expression")
 
-    for name in ("factor_list", "resultant", "gcd", "div"):
+    for name in ("factor_list", "resultant", "gcd", "div", "groebner"):
         monkeypatch.setattr(sympy, name, refuse)
     monkeypatch.setattr(sympy.Poly, "as_expr", refuse)
 
@@ -506,3 +551,5 @@ def test_bridge_makes_no_expression_round_trip(monkeypatch):
         poly_exact_div(a, parse_poly("6/5*x + 6/5*y", XY))
     r = resultant(parse_poly("x^2/2 - y", XY), parse_poly("2/3*x - y", XY), "x")
     assert r == parse_poly("y^2/2 - 4/9*y", XY)
+    assert common_zero_over(parse_poly("y^2 - 2", XY),
+                            [parse_poly("x^2/3 - y/3", XY)]) is True

@@ -38,6 +38,24 @@ def test_fractional_coordinates():
     assert pts == {(Fraction(1, 2), Fraction(-1, 3))}
 
 
+# Each pair reaches one branch of the zero search that ends in the ideal test
+# for zeros above irrational roots: once with such a zero, once without.
+@pytest.mark.parametrize("texts, points, flag", [
+    # univariate in y
+    (("y^2 - 2", "x^2 - y"), set(), True),
+    (("y^2 - 2", "x^2 - y", "x^2 - 2*y"), set(), False),
+    # univariate in x
+    (("x^2 - 2", "y^2 - x"), set(), True),
+    (("x^2 - 2", "y^2 - x", "y^2 - 2*x"), set(), False),
+    # bivariate, through the resultant's irreducible factors
+    (("x*y - 1", "x^2 + y^2 - 3"), set(), True),
+    (("(y^2 - 2)*x^2 + x + 1", "(y^2 - 2)*x^2 + 2*x + 3"),
+     {(-2, Fraction(-3, 2)), (-2, Fraction(3, 2))}, False),
+])
+def test_zeros_above_irrational_roots(texts, points, flag):
+    assert affine_common_zeros(aff(*texts)) == (points, flag)
+
+
 def test_degenerate_systems_are_rejected():
     with pytest.raises(ValueError):
         affine_common_zeros(aff("x*y", "x"))  # shares the component x = 0
