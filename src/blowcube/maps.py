@@ -7,9 +7,10 @@ the plane enter as pairs of rational functions and are homogenized; monomial
 maps enter as integer exponent matrices.
 
 Inverses are never guessed silently: ``inverse`` runs a short list of
-strategies (supplied candidate, linear adjugate, monomial matrix inverse,
-involution check, triangular back-substitution) and every strategy's output
-is verified by composing both ways before it is attached to the map.
+strategies (supplied candidate, linear matrix inverse, monomial matrix
+inverse, and for plane maps one linear solve for the inverse in the degree
+of the map) and every strategy's output is verified by composing both ways
+before it is attached to the map.
 Composites and iterates of maps with verified inverses inherit inverses
 without re-verification: ``compose(f, g)`` carries g^-1 after f^-1, and
 ``iterate(f, n)`` carries (f^-1)^n from the same store of iterates.
@@ -30,6 +31,7 @@ from blowcube.poly import (
     compose_tuple,
     parse_poly,
     parse_ratfunc,
+    linear_relations,
     poly_gcd,
     poly_exact_div,
     poly_str,
@@ -179,55 +181,28 @@ def linear_map(matrix: Sequence[Sequence], dim: int | None = None) -> ProjMap:
     if dim is not None and dim != n - 1:
         raise MapError("matrix size does not match dimension")
     vars = pn_vars(n - 1)
-    det = _det_frac(rows)
-    if det == 0:
-        raise MapError("singular matrix does not define a projective map")
-    entries = []
-    for row in rows:
-        p = Poly.zero(vars)
-        for j, c in enumerate(row):
-            p = p + Poly.var(vars, vars[j]) * Fraction(c)
-        entries.append(p)
-    f = ProjMap(entries)
     # a projective map is defined up to scale, so A^-1 serves for adj(A)
-    inv = _mat_inverse_frac([[Fraction(c) for c in row] for row in rows])
-    g_entries = []
-    for row in inv:
-        p = Poly.zero(vars)
-        for j, c in enumerate(row):
-            p = p + Poly.var(vars, vars[j]) * c
-        g_entries.append(p)
-    return _attach(f, ProjMap(g_entries))
+    inv = _mat_inverse_frac(rows)
+    if inv is None:
+        raise MapError("singular matrix does not define a projective map")
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+
+    def entries(m):
+        return [Poly.from_terms(vars, zip(units, row)) for row in m]
+
+    return _attach(ProjMap(entries(rows)), ProjMap(entries(inv)))
 
 
-def _det_frac(rows: list[list]) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(c) for c in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
-def _mat_inverse_frac(m: list[list[Fraction]]) -> list[list[Fraction]]:
+def _mat_inverse_frac(m: Sequence[Sequence]) -> list[list[Fraction]] | None:
+    """Inverse of a rational matrix by Gauss-Jordan elimination, or None
+    for a singular matrix."""
     n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    aug = [[Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
-            raise MapError("singular matrix")
+            return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
         scale = 1 / aug[col][col]
         aug[col] = [v * scale for v in aug[col]]
@@ -302,6 +277,8 @@ def iterate(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> ProjMap:
 def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
     """[deg f, deg f^2, ..., deg f^n] of the reduced iterates.
 
+    Only the chain of f^k is built; (f^-1)^k is left to ``iterate``.
+
     On hitting the degree cap the degrees found so far are attached to the
     raised DegreeCapExceeded as ``.partial``, and their count as
     ``.completed``.
@@ -309,7 +286,7 @@ def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
     degs: list[int] = []
     for k in range(1, n + 1):
         try:
-            degs.append(iterate(f, k, cfg).degree())
+            degs.append(_powers(f, k, cfg)[k - 1].degree())
         except DegreeCapExceeded as exc:
             exc.completed = k - 1
             exc.partial = tuple(degs)
@@ -351,14 +328,14 @@ def monomial_map(matrix: Sequence[Sequence[int]]) -> ProjMap:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise MapError("monomial map needs a square integer matrix")
-    det = _det_frac([list(r) for r in rows])
-    if det == 0:
+    inv = _mat_inverse_frac(rows)
+    if inv is None:
         raise MapError("monomial matrix is singular")
     f = ProjMap(_monomial_entries(rows))
     f._monomial_matrix = tuple(rows)
-    if abs(det) == 1:
-        inv_rows = tuple(tuple(int(c) for c in r) for r in
-                         _mat_inverse_frac([[Fraction(c) for c in r] for r in rows]))
+    # an integer matrix has an integer inverse exactly when det = +-1
+    if all(c.denominator == 1 for r in inv for c in r):
+        inv_rows = tuple(tuple(int(c) for c in r) for r in inv)
         g = ProjMap(_monomial_entries(inv_rows))
         g._monomial_matrix = inv_rows
         _attach(f, g)
@@ -411,7 +388,7 @@ A2_VARS = ("x", "y")
 RatFunc = tuple[Poly, Poly]
 
 
-def _rf_reduce(n: Poly, d: Poly) -> RatFunc:
+def _reduce_ratfunc(n: Poly, d: Poly) -> RatFunc:
     if d.is_zero:
         raise MapError("zero denominator")
     if n.is_zero:
@@ -430,8 +407,8 @@ class AffineMap2:
     """Rational self-map of the affine plane, a pair of rational functions."""
 
     def __init__(self, fx: RatFunc, fy: RatFunc, name: str | None = None):
-        self.fx = _rf_reduce(*fx)
-        self.fy = _rf_reduce(*fy)
+        self.fx = _reduce_ratfunc(*fx)
+        self.fy = _reduce_ratfunc(*fy)
         self.name = name
 
     def apply(self, pt: Sequence) -> tuple[Fraction, Fraction] | None:
@@ -493,10 +470,10 @@ def inverse(f: ProjMap, candidate: ProjMap | None = None,
             cfg: RunConfig = DEFAULTS) -> ProjMap:
     """Verified inverse of f, or raise InverseUnavailable.
 
-    Strategies, in order: supplied candidate, linear adjugate, monomial
-    matrix inverse, involution check, triangular back-substitution for
-    plane maps.  Whatever a strategy produces is verified by composing
-    both ways before being accepted.
+    Strategies, in order: supplied candidate, linear matrix inverse,
+    monomial matrix inverse, and for plane maps the linear solve of
+    ``_plane_inverse``.  Whatever a strategy produces is verified by
+    composing both ways before being accepted.
     """
     if f._inverse is not None and candidate is None:
         return f._inverse
@@ -519,112 +496,57 @@ def inverse(f: ProjMap, candidate: ProjMap | None = None,
             return g
     if f.is_monomial():
         tried.append("monomial")
-        M = monomial_matrix_of(f)
-        det = _det_frac([list(r) for r in M])
-        if abs(det) == 1:
-            inv_rows = _mat_inverse_frac([[Fraction(c) for c in r] for r in M])
-            g = monomial_map([[int(c) for c in r] for r in inv_rows])
-            if verify_inverse(f, g, cfg):
-                _attach(f, g)
-                return g
-    tried.append("involution")
-    try:
-        if _compose_raw(f, f, cfg).is_identity():
-            f._inverse = f
-            return f
-    except DegreeCapExceeded:
-        pass
+        try:
+            g = monomial_map(monomial_matrix_of(f)).inverse
+        except MapError:  # singular, or det != +-1
+            g = None
+        if g is not None and verify_inverse(f, g, cfg):
+            _attach(f, g)
+            return g
     if f.dim == 2:
-        tried.append("triangular")
-        g = _triangular_inverse(f, cfg)
+        tried.append("plane nullspace")
+        g = _plane_inverse(f)
         if g is not None and verify_inverse(f, g, cfg):
             _attach(f, g)
             return g
     raise InverseUnavailable(
-        f"no inverse strategy applies to {f} (tried: {', '.join(tried)})")
+        f"no inverse strategy applies to {f} "
+        f"(tried: {', '.join(tried) or 'none'})")
 
 
-def _rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
-    return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+def _plane_inverse(f: ProjMap) -> ProjMap | None:
+    """The plane map g of degree d = deg f with g(f) proportional to the
+    identity, when those g span one line; else None.
 
-
-def _rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    return (a[0] * b[0], a[1] * b[1])
-
-
-def _rf_scale(a: RatFunc, s: Fraction) -> RatFunc:
-    return (a[0] * s, a[1])
-
-
-def _eval_univar_at_rf(p: Poly, sname: str, val: RatFunc) -> RatFunc:
-    """Evaluate a univariate polynomial at a rational function."""
-    m = max(p.degree_in(sname), 0)
-    N, D = val
-    num = Poly.zero(N.vars)
-    svals: dict[int, Fraction] = {}
-    for exps, q in p.terms():
-        e = exps[p.vars.index(sname)]
-        svals[e] = svals.get(e, Fraction(0)) + q
-    for e, q in svals.items():
-        num = num + (N ** e) * (D ** (m - e)) * q
-    return (num, D ** m)
-
-
-def _triangular_inverse(f: ProjMap, cfg: RunConfig) -> ProjMap | None:
-    """Back-substitution for maps whose one component is a Mobius function
-    of a single variable and whose other component has degree <= 1 in the
-    remaining variable."""
-    try:
-        aff = dehomogenize(f)
-    except MapError:
+    g(f) is proportional to the identity exactly when
+    g_0(f)*x_i - g_i(f)*x_0 = 0 for i = 1, 2, a linear system in the
+    coefficients of g.  A plane Cremona map and its inverse have the same
+    degree, so a birational f leaves exactly the line through f^-1; a
+    dominant f that is not birational leaves no solution, and one that is
+    not dominant leaves a space whose dimension is a multiple of 3.
+    """
+    d = f.degree()
+    vars = f.vars
+    x0, x1, x2 = (Poly.var(vars, v) for v in vars)
+    zero = Poly.zero(vars)
+    exps = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    powers = []
+    for p in f.entries:
+        row = [Poly.const(vars, 1)]
+        for _ in range(d):
+            row.append(row[-1] * p)
+        powers.append(row)
+    images = [powers[0][a] * powers[1][b] * powers[2][c] for a, b, c in exps]
+    neg = [-(m * x0) for m in images]
+    # unknowns: the coefficients of g_0, then of g_1, then of g_2
+    relations = linear_relations([(m * x1, m * x2) for m in images]
+                                 + [(q, zero) for q in neg]
+                                 + [(zero, q) for q in neg])
+    if len(relations) != 1:
         return None
-    comps = [aff.fx, aff.fy]
-    for a_idx in (0, 1):
-        for sname in A2_VARS:
-            tname = A2_VARS[1 - A2_VARS.index(sname)]
-            na, da = comps[a_idx]
-            if na.degree_in(tname) > 0 or da.degree_in(tname) > 0:
-                continue
-            if na.degree_in(sname) > 1 or da.degree_in(sname) > 1:
-                continue
-            # na = alpha*s + beta, da = gamma*s + delta
-            alpha = na.derivative(sname).constant_value() if na.degree_in(sname) == 1 else Fraction(0)
-            beta = na.set_var(sname, 0).constant_value()
-            gamma = da.derivative(sname).constant_value() if da.degree_in(sname) == 1 else Fraction(0)
-            delta = da.set_var(sname, 0).constant_value()
-            if alpha * delta - beta * gamma == 0:
-                continue
-            nb, db = comps[1 - a_idx]
-            if nb.degree_in(tname) > 1 or db.degree_in(tname) > 1:
-                continue
-            one = Poly.const(A2_VARS, 1)
-            P = Poly.var(A2_VARS, "x" if a_idx == 0 else "y")
-            Q = Poly.var(A2_VARS, "y" if a_idx == 0 else "x")
-            # s = (delta*P - beta) / (alpha - gamma*P)
-            s_rf = (P * delta - one * beta, one * alpha - P * gamma)
-            if s_rf[1].is_zero:
-                continue
-            A_n = nb.derivative(tname)       # coefficient of t in nb (poly in s)
-            B_n = nb.set_var(tname, 0)
-            C_d = db.derivative(tname)
-            D_d = db.set_var(tname, 0)
-            A_rf = _eval_univar_at_rf(A_n, sname, s_rf)
-            B_rf = _eval_univar_at_rf(B_n, sname, s_rf)
-            C_rf = _eval_univar_at_rf(C_d, sname, s_rf)
-            D_rf = _eval_univar_at_rf(D_d, sname, s_rf)
-            # t = (D*Q - B) / (A - C*Q)
-            t_num = _rf_add(_rf_mul(D_rf, (Q, one)), _rf_scale(B_rf, Fraction(-1)))
-            t_den = _rf_add(A_rf, _rf_scale(_rf_mul(C_rf, (Q, one)), Fraction(-1)))
-            if t_den[0].is_zero:
-                continue
-            t_rf = (t_num[0] * t_den[1], t_num[1] * t_den[0])
-            try:
-                pair = {sname: s_rf, tname: t_rf}
-                g_aff = AffineMap2(pair["x"], pair["y"])
-                return homogenize(g_aff)
-            except MapError:
-                continue
-    return None
+    rel, n = relations[0], len(exps)
+    return ProjMap([Poly.from_terms(vars, zip(exps, rel[i * n:(i + 1) * n]))
+                    for i in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -699,15 +621,14 @@ def parse_map(text: str) -> ProjMap:
     raise ParseError("map spec must start with P2:, A2: or MON:", text, 0)
 
 
-_BUILTIN_SPECS: dict[str, tuple[str, str | None]] = {
-    # name -> (spec, candidate inverse spec or None for automatic strategies)
-    "sigma": ("P2:[y*z : x*z : x*y]", None),
-    "henon": ("P2:[y*z : y^2 + x*z : z^2]", None),
-    "jonq1": ("A2:(x*y, y)", None),
-    "jonq2": ("A2:(x*y, y + 1)", None),
-    "hen2": ("A2:(y, x + y^2)", None),
-    "lox1": ("A2:(x^2*y, x*y + 1)", "A2:(x/(y - 1), (y - 1)^2/x)"),
-    "mon3": ("MON:3:[[-1,1,0],[-1,0,1],[1,0,0]]", None),
+_BUILTIN_SPECS: dict[str, str] = {
+    "sigma": "P2:[y*z : x*z : x*y]",
+    "henon": "P2:[y*z : y^2 + x*z : z^2]",
+    "jonq1": "A2:(x*y, y)",
+    "jonq2": "A2:(x*y, y + 1)",
+    "hen2": "A2:(y, x + y^2)",
+    "lox1": "A2:(x^2*y, x*y + 1)",
+    "mon3": "MON:3:[[-1,1,0],[-1,0,1],[1,0,0]]",
 }
 
 def builtin_names() -> tuple[str, ...]:
@@ -724,10 +645,9 @@ def builtin(name: str) -> ProjMap:
 
 @functools.cache
 def _builtin(name: str) -> ProjMap:
-    spec, cand_spec = _BUILTIN_SPECS[name]
-    f = parse_map(spec)
+    f = parse_map(_BUILTIN_SPECS[name])
     f.name = name
-    inverse(f, candidate=parse_map(cand_spec) if cand_spec else None)
+    inverse(f)
     return f
 
 

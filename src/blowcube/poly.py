@@ -18,12 +18,13 @@ Term order is graded lexicographic (total degree first, then the exponent
 of vars[0], vars[1], ...).  ``str()`` prints terms in descending order and
 ``parse_poly(str(p), p.vars) == p`` exactly.
 
-Factorization, gcd, exact division, resultants and the common-zero test
-(a Groebner basis) are delegated to sympy; everything else is native.  This
-module is the only one that imports sympy.  Polynomials cross to sympy as
-integer polynomials on ZZ: the bridge hands over ``den * p`` built straight
-from the integer numerators and reads the integer result back, while
-``den`` and the rational scale of each answer stay on this side.
+Factorization, gcd, exact division, resultants, the common-zero test (a
+Groebner basis) and linear relations (a nullspace) are delegated to sympy;
+everything else is native.  This module is the only one that imports
+sympy.  Polynomials cross to sympy as integer polynomials on ZZ: the
+bridge hands over ``den * p`` built straight from the integer numerators
+and reads the integer result back, while ``den`` and the rational scale of
+each answer stay on this side.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Iterable, Iterator, Sequence
 
 import sympy
 from sympy.polys.groebnertools import groebner
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyclasses import DMP
 from sympy.polys.rings import ring
 
@@ -773,7 +775,8 @@ def _det(rows: list[list[Poly]], vars: tuple[str, ...]) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge: gcd, exact division, factorization, resultants, ideals
+# sympy bridge: gcd, exact division, factorization, resultants, ideals,
+# nullspaces
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -794,20 +797,29 @@ def _from_zz(sp, vars: tuple[str, ...], den: int = 1) -> Poly:
     return Poly(vars, den, {pack(e): int(c) for e, c in sp.rep.to_dict().items()})
 
 
-def to_sympy(p: Poly) -> "sympy.Poly":
-    """The QQ reference conversion (tests compare the bridge against it)."""
-    syms = _symbols(p.vars)
-    n = len(p.vars)
-    data = {unpack(k, n): sympy.Rational(c, p.den) for k, c in p.coeffs.items()}
-    return sympy.Poly.from_dict(data, *syms, domain=sympy.QQ)
+def linear_relations(vectors: Sequence[Sequence[Poly]]) -> list[tuple[int, ...]]:
+    """A basis of the integer vectors c with sum_j c[j] * vectors[j] == 0.
 
-
-def from_sympy(sp, vars: tuple[str, ...]) -> Poly:
-    terms = []
-    for exps, coeff in sp.terms():
-        q = sympy.Rational(coeff)
-        terms.append((tuple(int(e) for e in exps), Fraction(int(q.p), int(q.q))))
-    return Poly.from_terms(vars, terms)
+    Each vector is a tuple of polynomials on common variables, compared
+    entry by entry; the basis is the nullspace, over the rationals, of the
+    matrix whose column j holds the coefficients of vectors[j].
+    """
+    # one row per (entry, monomial), as a sparse {column: value} dict
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    scales = []
+    for j, vec in enumerate(vectors):
+        scale = math.lcm(*(p.den for p in vec))
+        scales.append(scale)
+        for i, p in enumerate(vec):
+            for k, c in p.coeffs.items():
+                rows.setdefault((i, k), {})[j] = sympy.ZZ(c * (scale // p.den))
+    # column j holds scales[j] * vectors[j], so a relation c' among the
+    # columns is the relation c'[j] * scales[j] among the vectors
+    matrix = DomainMatrix(dict(enumerate(rows.values())),
+                          (len(rows), len(scales)), sympy.ZZ)
+    basis = matrix.nullspace()
+    return [tuple(int(c) * s for c, s in zip(vec, scales))
+            for vec in basis.to_list()]
 
 
 def canonical_factor(p: Poly) -> Poly:

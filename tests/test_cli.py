@@ -57,6 +57,15 @@ def test_mu_command(capsys):
     assert data["base_point_counts"] == [3, 5, 7, 9, 11]
 
 
+def test_mu_of_a_map_spec_solves_for_its_inverse(capsys):
+    # a shear conjugate of henon, written out without its inverse
+    code, out, err = run(capsys, "mu", "P2:[x*z + y^2 : -x*z - y^2 - y*z : -z^2]")
+    assert code == 0 and err == ""
+    _code, want, _err = run(capsys, "mu", "henon")
+    assert out == want
+    assert json.loads(out)["mu"] == 3
+
+
 def test_nu_command(capsys):
     code, out, _err = run(capsys, "nu", "jonq2")
     assert code == 0

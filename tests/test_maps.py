@@ -1,5 +1,6 @@
 """Map layer: parsing, composition, iteration, inverse strategies."""
 
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -59,6 +60,10 @@ def test_parse_monomial_form():
     assert f.dim == 2 and f.is_monomial()
     assert monomial_matrix_of(f) == ((0, 1), (1, 0))
     assert f.has_inverse  # determinant -1 inverts over the integers
+    g = parse_map("MON:2:[[2,0],[0,1]]")  # determinant 2: not birational
+    assert not g.has_inverse
+    with pytest.raises(InverseUnavailable):
+        inverse(g)
 
 
 def test_parse_map_rejections():
@@ -185,6 +190,13 @@ def test_a_map_and_its_inverse_share_one_iterate_chain(monkeypatch):
     assert len(calls) == 6
 
 
+def test_degree_sequence_builds_only_the_forward_chain(monkeypatch):
+    monkeypatch.setattr(maps, "_ITERATES", {})
+    lox1 = builtin("lox1")
+    assert degree_sequence(lox1, 4) == [3, 8, 21, 55]
+    assert len(maps._ITERATES) == 1
+
+
 def test_composition_of_inverses_attaches_inverse():
     henon = builtin("henon")
     sq = compose(henon, henon)
@@ -215,7 +227,7 @@ def test_monomial_inverse_is_matrix_inverse():
     assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def test_triangular_inverse_for_fibered_maps():
+def test_plane_inverse_for_fibered_maps():
     jonq2 = builtin("jonq2")
     assert verify_inverse(jonq2, jonq2.inverse)
     assert jonq2.inverse.key() == parse_map("A2:(x/(y - 1), y - 1)").key()
@@ -232,8 +244,49 @@ def test_candidate_inverse_accepted_and_rejected():
 
 
 def test_inverse_unavailable_for_non_birational_maps():
-    with pytest.raises(InverseUnavailable):
+    with pytest.raises(InverseUnavailable, match="inverse"):
         inverse(parse_map("P2:[x^2 : y^2 : z^2]"))
+    # dominant of topological degree 2, and not dominant (image a conic)
+    for spec in ("P2:[x^2 + y^2 : y*z : z^2]", "P2:[x^2 : x*y : y^2]"):
+        with pytest.raises(InverseUnavailable, match="inverse"):
+            inverse(parse_map(spec))
+
+
+def _dense_automorphism(rng):
+    values = (-3, -2, -1, 1, 2, 3)
+    while True:
+        try:
+            return linear_map([[rng.choice(values) for _ in range(3)]
+                               for _ in range(3)])
+        except MapError:
+            continue
+
+
+@pytest.mark.parametrize("name", ["henon", "jonq2", "lox1", "sigma"])
+def test_plane_inverse_of_dense_conjugate_specs(name):
+    rng = random.Random(name)
+    for _ in range(3):
+        g = conjugate(builtin(name), _dense_automorphism(rng))
+        spec = parse_map(f"P2:{g}")
+        assert not spec.has_inverse
+        assert inverse(spec).key() == g.inverse.key()
+
+
+def test_plane_inverse_of_a_shear_conjugate_spec():
+    f = parse_map("P2:[x*z + y^2 : -x*z - y^2 - y*z : -z^2]")
+    g = inverse(f)
+    assert verify_inverse(f, g)
+    assert g.key() == parse_map("P2:[x^2 + 2*x*y + x*z + y^2 : -x*z - y*z : -z^2]").key()
+
+
+def test_non_plane_maps_beyond_linear_and_monomial_need_a_candidate():
+    # a linear conjugate of the standard cubic involution of P^3
+    a = linear_map([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [1, 0, 0, 1]])
+    g = conjugate(parse_map("MON:3:[[-1,0,0],[0,-1,0],[0,0,-1]]"), a)
+    fresh = ProjMap(g.entries)
+    with pytest.raises(InverseUnavailable, match="tried: none"):
+        inverse(fresh)
+    assert inverse(fresh, candidate=g.inverse) is g.inverse
 
 
 # ---------------------------------------------------------------------------

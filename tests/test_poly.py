@@ -27,12 +27,11 @@ from blowcube.poly import (
     canonical_factor,
     common_zero_over,
     content_gcd,
-    from_sympy,
+    linear_relations,
     pack,
     parse_ratfunc,
     primitive_tuple,
     resultant,
-    to_sympy,
     unpack,
 )
 
@@ -43,6 +42,22 @@ XYZ = ("x", "y", "z")
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
+
+def to_sympy(p: Poly) -> sympy.Poly:
+    """The QQ reference conversion the bridge is compared against."""
+    syms = sympy.symbols(p.vars) if len(p.vars) > 1 else (sympy.Symbol(p.vars[0]),)
+    n = len(p.vars)
+    data = {unpack(k, n): sympy.Rational(c, p.den) for k, c in p.coeffs.items()}
+    return sympy.Poly.from_dict(data, *syms, domain=sympy.QQ)
+
+
+def from_sympy(sp, vars: tuple[str, ...]) -> Poly:
+    terms = []
+    for exps, coeff in sp.terms():
+        q = sympy.Rational(coeff)
+        terms.append((tuple(int(e) for e in exps), Fraction(int(q.p), int(q.q))))
+    return Poly.from_terms(vars, terms)
+
 
 def as_dict(p: Poly) -> dict:
     return dict(p.terms())
@@ -408,6 +423,25 @@ def test_common_zero_over_rejects_a_positive_dimensional_locus():
     m = parse_poly("y^2 - 2", XY)
     with pytest.raises(ValueError):
         common_zero_over(m, [m * parse_poly("x", XY), m * parse_poly("x + 1", XY)])
+
+
+def test_linear_relations_span_the_planted_relations():
+    rng = random.Random(17)
+    base = [(rand_poly(rng), rand_poly(rng)) for _ in range(3)]
+    a, b, c = base
+    vectors = base + [tuple(p * Fraction(2, 3) - q for p, q in zip(a, b)),
+                      tuple(p * 5 for p in c)]
+    assert linear_relations(base) == []
+    relations = linear_relations(vectors)
+    assert len(relations) == 2
+    assert sympy.Matrix(relations).rank() == 2
+    for rel in relations:
+        assert all(type(k) is int for k in rel)
+        for i in range(2):
+            total = Poly.zero(XYZ)
+            for k, vec in zip(rel, vectors):
+                total = total + vec[i] * k
+            assert total.is_zero
 
 
 def test_only_poly_imports_sympy():
