@@ -44,8 +44,14 @@ def _json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _config(args) -> RunConfig:
-    return from_environment().with_overrides(
+def _config(args, parser: argparse.ArgumentParser) -> RunConfig:
+    """The run configuration; an iterate horizon below 1 is refused."""
+    if args.iters is not None and args.iters < 1:
+        parser.error(f"argument -n/--iters: must be at least 1, got {args.iters}")
+    env = from_environment()
+    if env.iters < 1:
+        raise ParseError(f"BLOWCUBE_ITERS must be at least 1, got {env.iters}")
+    return env.with_overrides(
         iters=args.iters,
         degree_cap=args.degree_cap,
         height_cap=args.height_cap,
@@ -69,7 +75,7 @@ def _check_format(args, parser, allowed: tuple[str, ...]) -> str:
 
 
 def _cmd_classify(args, parser) -> int:
-    cfg = _config(args)
+    cfg = _config(args, parser)
     _check_format(args, parser, ("json",))
     if args.all_builtins:
         out = {}
@@ -87,7 +93,7 @@ def _cmd_classify(args, parser) -> int:
 
 
 def _cmd_mu(args, parser) -> int:
-    cfg = _config(args)
+    cfg = _config(args, parser)
     _check_format(args, parser, ("json",))
     rep = mu(_map_argument(args, parser), args.iters, cfg)
     _emit(_json(rep.to_dict()), args.output)
@@ -95,7 +101,7 @@ def _cmd_mu(args, parser) -> int:
 
 
 def _cmd_nu(args, parser) -> int:
-    cfg = _config(args)
+    cfg = _config(args, parser)
     _check_format(args, parser, ("json",))
     rep = nu1(_map_argument(args, parser), args.iters, cfg)
     _emit(_json(rep.to_dict()), args.output)
@@ -103,7 +109,7 @@ def _cmd_nu(args, parser) -> int:
 
 
 def _cmd_base_points(args, parser) -> int:
-    cfg = _config(args)
+    cfg = _config(args, parser)
     _check_format(args, parser, ("json",))
     tree = base_points(_map_argument(args, parser), cfg)
     _emit(_json(tree.to_dict()), args.output)
@@ -111,7 +117,7 @@ def _cmd_base_points(args, parser) -> int:
 
 
 def _cmd_degseq(args, parser) -> int:
-    cfg = _config(args)
+    cfg = _config(args, parser)
     fmt = _check_format(args, parser, ("csv", "json"))
     f = _map_argument(args, parser)
     n = args.iters if args.iters is not None else cfg.iters
@@ -125,7 +131,7 @@ def _cmd_degseq(args, parser) -> int:
 
 
 def _cmd_ball(args, parser) -> int:
-    cfg = _config(args)
+    cfg = _config(args, parser)
     fmt = _check_format(args, parser, ("json", "dot"))
     f = _map_argument(args, parser)
     inverse(f, cfg=cfg)
@@ -141,6 +147,7 @@ def _cmd_ball(args, parser) -> int:
 
 
 def _cmd_check_cat0(args, parser) -> int:
+    _config(args, parser)  # reads no setting, but refuses bad ones alike
     _check_format(args, parser, ("json",))
     try:
         with open(args.file) as fh:
@@ -158,7 +165,7 @@ def _cmd_check_cat0(args, parser) -> int:
 
 
 def _cmd_check_bound(args, parser) -> int:
-    cfg = _config(args)
+    cfg = _config(args, parser)
     _check_format(args, parser, ("json",))
     f = _map_argument(args, parser)
     n = args.iters if args.iters is not None else 8

@@ -29,7 +29,7 @@ from .errors import (ComplexError, DegreeCapExceeded, EliminationCapExceeded,
                      ResolutionError, TransportUnsupported)
 from .maps import (ProjMap, compose, degree_sequence, identity, inverse,
                    iterate, normalize_point)
-from .poly import Poly, factor_q
+from .poly import Poly, factor_q, jacobian_det, poly_exact_div
 from .resolve import (BubblePoint, base_points, bubble_transport,
                       curve_image, exc_components, parent_closed)
 
@@ -371,7 +371,7 @@ def mu(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> MuResu
 # nu1: growth rate of the contracted-curve count
 # ---------------------------------------------------------------------------
 
-DIRECT_DEG_CAP = 12  # cross-check |Exc^1(f^n)| by direct factorization up to here
+DIRECT_DEG_CAP = 12  # cross-check |Exc^1(f^n)| against J(f^n) up to here
 
 
 def _strict_transform(C: Poly, f: ProjMap, seed_keys: frozenset) -> Poly:
@@ -389,6 +389,35 @@ def _direct_exc_count(f: ProjMap, n: int, cfg: RunConfig) -> int:
     return len(exc_components(iterate(f, n, cfg), cfg))
 
 
+def _exc_certificate(fn: ProjMap, counted: Sequence[tuple[Poly, bool]]) -> bool:
+    """Whether the counted curves are exactly the contracted curves of fn.
+
+    ``counted`` pairs each Q-irreducible curve with whether fn is already
+    known to contract it.  Every curve must divide the Jacobian, all its
+    powers are stripped, and a nonzero constant must remain; a curve listed
+    twice finds nothing left to divide the second time.  So the curves are
+    the irreducible factors of J(fn), each once, and every one of them not
+    yet known to be contracted must map to a point.
+    """
+    jac = jacobian_det(fn.entries)
+    if jac.is_zero:
+        return False  # exact division of 0 never stops
+    for C, _confirmed in counted:
+        divided = False
+        while True:
+            try:
+                jac = poly_exact_div(jac, C)
+            except ValueError:
+                break
+            divided = True
+        if not divided:
+            return False
+    if not jac.is_constant:
+        return False
+    return all(confirmed or curve_image(fn, C) is not None
+               for C, confirmed in counted)
+
+
 def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[int]:
     """|Exc^1(f^n)| for n = 1..N.
 
@@ -397,9 +426,16 @@ def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[in
     member is itself contracted by f^-1.  C_j is contracted by f^n exactly
     when the forward orbit of the seed's image point survives n-j-1 steps;
     once the point orbit hits the indeterminacy locus the status is settled
-    by querying the reduced iterate on the explicit curve.  Small iterates
-    are cross-checked against direct Jacobian factorization; a disagreement
-    raises ResolutionError.
+    by querying the reduced iterate on the explicit curve.
+
+    For 2 <= n while deg f^n <= DIRECT_DEG_CAP the count is certified by
+    exact division: the curves counted for f^n, each stripped from the
+    Jacobian J(f^n) with all its powers, must leave a nonzero constant, and
+    each must be contracted by f^n.  The curves are Q-irreducible, so the
+    contracted curves of f^n are then exactly the counted ones.  Only when
+    the certificate fails is J(f^n) factored directly; a disagreement with
+    that count raises ResolutionError.  n = 1 needs no check: every seed is
+    counted there, so the count is |Exc^1(f)| by construction.
     """
     inverse(f, cfg=cfg)
     return list(_exc_counts(f, N, cfg.degree_cap))
@@ -426,29 +462,35 @@ def _exc_counts(f: ProjMap, N: int, degree_cap: int) -> tuple[int, ...]:
         survival = len(orbit) - 1  # f^survival(image) is still defined
         chains.append((chain, survival))
 
-    counts = []
+    # counted[n - 1]: the curves counted for f^n, each paired with whether
+    # curve_image on f^n already confirmed it
+    counted: list[list[tuple[Poly, bool]]] = []
     for n in range(1, N + 1):
-        total = 0
+        curves = []
         for chain, survival in chains:
             for j in range(min(n, len(chain))):
                 if n - j - 1 <= survival:
-                    total += 1
+                    curves.append((chain[j], False))
                 elif curve_image(iterate(f, n, cfg), chain[j]) is not None:
-                    total += 1
-        counts.append(total)
+                    curves.append((chain[j], True))
+        counted.append(curves)
+    counts = tuple(len(curves) for curves in counted)
 
-    for n in range(1, N + 1):
+    for n in range(2, N + 1):
         try:
-            if iterate(f, n, cfg).degree() > DIRECT_DEG_CAP:
-                break
+            fn = iterate(f, n, cfg)
         except DegreeCapExceeded:
             break
+        if fn.degree() > DIRECT_DEG_CAP:
+            break
+        if _exc_certificate(fn, counted[n - 1]):
+            continue
         direct = _direct_exc_count(f, n, cfg)
         if counts[n - 1] != direct:
             raise ResolutionError(
                 f"|Exc^1(f^{n})| of {f}: the backward chains count "
                 f"{counts[n - 1]} curves, direct factorization {direct}")
-    return tuple(counts)
+    return counts
 
 
 @dataclass(frozen=True)

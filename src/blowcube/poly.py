@@ -283,17 +283,29 @@ class Poly:
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != len(self.vars):
             raise ValueError("point arity does not match variables")
-        point = [Fraction(v) for v in point]
-        total = Fraction(0)
-        n = len(self.vars)
+        # with a_i/b_i the coordinates and E_i the top exponent of vars[i],
+        # each term c * prod (a_i/b_i)^e_i is the integer
+        # c * prod a_i^e_i * b_i^(E_i - e_i) over the common scale
+        # den * prod b_i^E_i, so one Fraction is built at the end
+        shifts = [WIDTH * i for i in range(len(self.vars))]
+        scale = self.den
+        tables = []
+        for v, s in zip(point, shifts):
+            q = Fraction(v)
+            a, b = q.numerator, q.denominator
+            top = max(((k >> s) & MASK for k in self.coeffs), default=0)
+            apow, bpow = [1], [1]
+            for _ in range(top):
+                apow.append(apow[-1] * a)
+                bpow.append(bpow[-1] * b)
+            tables.append([apow[e] * bpow[top - e] for e in range(top + 1)])
+            scale *= bpow[top]
+        total = 0
         for k, c in self.coeffs.items():
-            term = Fraction(c)
-            for i in range(n):
-                e = (k >> (WIDTH * i)) & MASK
-                if e:
-                    term *= point[i] ** e
-            total += term
-        return total / self.den
+            for s, table in zip(shifts, tables):
+                c *= table[(k >> s) & MASK]
+            total += c
+        return Fraction(total, scale)
 
     # -- substitutions -----------------------------------------------
 

@@ -241,6 +241,30 @@ def test_malformed_environment_value_exits_3(monkeypatch, capsys):
     assert "BLOWCUBE_ITERS" in err
 
 
+HORIZON_COMMANDS = [["classify", "henon"], ["mu", "henon"], ["nu", "henon"],
+                    ["base-points", "henon"], ["degseq", "henon"],
+                    ["ball", "sigma"], ["check-cat0", "missing.json"],
+                    ["check-bound", "henon"]]
+
+
+@pytest.mark.parametrize("argv", HORIZON_COMMANDS, ids=lambda a: a[0])
+def test_horizon_below_one_is_a_usage_error(argv, capsys):
+    for n in ("0", "-2"):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "-n", n])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", HORIZON_COMMANDS, ids=lambda a: a[0])
+def test_environment_horizon_below_one_exits_3(argv, monkeypatch, capsys):
+    monkeypatch.setenv("BLOWCUBE_ITERS", "0")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "BLOWCUBE_ITERS" in err and "at least 1" in err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["degseq"])  # missing the map argument

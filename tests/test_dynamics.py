@@ -1,5 +1,8 @@
 """Dynamical invariants on the blow-up complex: balls, mu, nu, classification."""
 
+import random
+import signal
+
 import pytest
 
 from blowcube import (
@@ -11,24 +14,31 @@ from blowcube import (
     check_gromov,
     classify,
     classify_isometry,
+    conjugate,
     degree_growth_class,
     distance,
+    exc_components,
     exc_count_sequence,
     geodesics,
     hyperplanes,
     identity,
     inverse,
+    iterate,
+    jacobian_det,
     marked_vertex,
     mu,
     nu1,
+    parse_map,
+    parse_poly,
     transition,
     vertex_distance,
     vertex_equiv,
 )
-from blowcube import dynamics
+from blowcube import dynamics, resolve
 from blowcube.config import RunConfig
 from blowcube.errors import ComplexError, MapError, ResolutionError
 from blowcube.maps import linear_map
+from blowcube.poly import poly_divides
 
 
 def sigma_ball():
@@ -157,12 +167,82 @@ def test_exc_count_sequence_returns_a_fresh_list():
 
 
 def test_exc_count_disagreement_with_direct_factorization_raises(monkeypatch):
+    # a wrong chain count fails the division certificate, and the direct
+    # factorization it falls back to then disagrees; both are forced here
     dynamics._exc_counts.cache_clear()
     real = dynamics._direct_exc_count
+    monkeypatch.setattr(dynamics, "_exc_certificate", lambda fn, counted: False)
     monkeypatch.setattr(dynamics, "_direct_exc_count",
                         lambda f, n, cfg: real(f, n, cfg) + 1)
     with pytest.raises(ResolutionError, match="direct factorization"):
         exc_count_sequence(builtin("jonq2"), 3)
+
+
+def _contracted_by_square(name):
+    f2 = iterate(builtin(name), 2)
+    return f2, [(comp.curve, False) for comp in exc_components(f2)]
+
+
+@pytest.mark.parametrize("name", ["jonq2", "henon"])
+def test_exc_certificate_accepts_the_contracted_curves(name):
+    f2, counted = _contracted_by_square(name)
+    assert counted
+    assert dynamics._exc_certificate(f2, counted)
+    assert dynamics._exc_certificate(f2, [(C, True) for C, _ in counted])
+
+
+@pytest.mark.parametrize("name", ["jonq2", "henon"])
+def test_exc_certificate_rejects_a_wrong_curve_list(name):
+    f2, counted = _contracted_by_square(name)
+    assert not dynamics._exc_certificate(f2, counted[1:])  # one missing
+    assert not dynamics._exc_certificate(f2, counted + counted[:1])  # twice
+    line = parse_poly("x + 2*y + 3*z", f2.vars)
+    assert not poly_divides(line, jacobian_det(f2.entries))
+    assert not dynamics._exc_certificate(f2, counted + [(line, False)])
+
+
+def test_exc_certificate_rejects_a_vanishing_jacobian():
+    # exact division of 0 by a curve gives 0 again, so without its guard
+    # the stripping loop would never end; the alarm turns that into a failure
+    f = parse_map("P2:[x^2 : x*y : y^2]")
+    assert jacobian_det(f.entries).is_zero
+
+    def hang(signum, frame):
+        raise AssertionError("the certificate does not return on J = 0")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        assert not dynamics._exc_certificate(
+            f, [(parse_poly("x", f.vars), False)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _dense_automorphism(rng):
+    values = (-3, -2, -1, 1, 2, 3)
+    while True:
+        try:
+            return linear_map([[rng.choice(values) for _ in range(3)]
+                               for _ in range(3)])
+        except MapError:
+            continue
+
+
+def test_nu1_counts_are_certified_without_factoring(monkeypatch):
+    def refuse(f, n, cfg):
+        raise AssertionError(f"the certificate failed on f^{n} of {f}")
+
+    dynamics._exc_counts.cache_clear()
+    resolve._exc_components.cache_clear()
+    monkeypatch.setattr(dynamics, "_direct_exc_count", refuse)
+    rng = random.Random(1)
+    for name in ("sigma", "henon", "jonq1", "jonq2", "hen2"):
+        f = builtin(name)
+        nu1(f, N=4)
+        for _ in range(3):
+            nu1(conjugate(f, _dense_automorphism(rng)), N=2)
 
 
 def test_nu_verdicts():

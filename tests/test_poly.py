@@ -216,6 +216,40 @@ def test_evaluate_and_compose_match_sympy():
         assert to_sympy(comp).as_expr() - scomp == 0
 
 
+def fraction_evaluate(p: Poly, point) -> Fraction:
+    """The term-by-term Fraction loop that evaluate's integer sum replaces."""
+    point = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for exps, c in p.terms():
+        term = c
+        for v, e in zip(point, exps):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("vars", [XY, XYZ], ids=["2 vars", "3 vars"])
+def test_evaluate_matches_the_fraction_loop(vars):
+    rng = random.Random(len(vars))
+    coords = [0, 1, -1, 5, -7, Fraction(1, 2), Fraction(-3, 4), Fraction(9, 5)]
+    checked = 0
+    while checked < 60:
+        p = rand_poly(rng, vars, steps=6, terms=6)
+        if p.den == 1:
+            continue
+        for _ in range(4):
+            pt = tuple(rng.choice(coords) for _ in vars)
+            got = p.evaluate(pt)
+            assert type(got) is Fraction
+            assert got == fraction_evaluate(p, pt), (p, pt)
+        checked += 1
+    zero = Poly.zero(vars)
+    assert zero.evaluate((Fraction(-1, 3),) * len(vars)) == 0
+    with pytest.raises(ValueError, match="arity"):
+        zero.evaluate((1,) * (len(vars) + 1))
+
+
 def test_derivative_matches_sympy():
     rng = random.Random(23)
     for _ in range(20):
