@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .config import RunConfig, from_environment
+from .config import RunConfig, _env_int, from_environment
 from .cubes import (check_gromov, complex_from_dict, complex_to_dict,
                     complex_to_dot)
 from .dynamics import (ball, check_degree_bound, classify, marked_vertex, mu,
@@ -168,7 +168,7 @@ def _cmd_check_bound(args, parser) -> int:
     cfg = _config(args, parser)
     _check_format(args, parser, ("json",))
     f = _map_argument(args, parser)
-    n = args.iters if args.iters is not None else 8
+    n = args.iters or _env_int("ITERS") or 8  # both are >= 1 when set
     rep = check_degree_bound(f, n, cfg)
     _emit(_json(rep.to_dict()), args.output)
     return 0 if rep.holds else 1

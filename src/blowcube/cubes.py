@@ -8,6 +8,11 @@ Edges are oriented tail -> head and the two opposite edges of every square
 must point the same way; hyperplane half-spaces inherit that orientation
 (the ``plus`` side is the tail side).
 
+A cube record is recognised by the bit labels a breadth-first search gives
+its vertices; cubes are validated in increasing dimension, so face closure
+is checked facet by facet.  Hyperplanes are found once per complex, for
+every connected component; distances and geodesics use their component's.
+
 The validator certifies the local (flag) part of the CAT(0) condition only;
 simple connectivity of user-supplied complexes is not checked.  The bundled
 constructions are balls in a simply connected complex, where the local check
@@ -19,7 +24,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import ComplexError, OutputError
@@ -47,12 +51,10 @@ class CubeComplex:
     def __init__(self, vertices=(), edges=(), cubes=()):
         self.vertices = frozenset(vertices)
         self.edges = frozenset(tuple(e) for e in edges)
-        self.cubes: dict[int, frozenset] = {}
-        for cube in cubes:
-            S = frozenset(cube)
-            n = (len(S) - 1).bit_length()
-            self.cubes.setdefault(n, set()).add(S)
-        self.cubes = {n: frozenset(cs) for n, cs in self.cubes.items()}
+        by_dim: dict[int, set] = {}
+        for S in map(frozenset, cubes):
+            by_dim.setdefault((len(S) - 1).bit_length(), set()).add(S)
+        self.cubes = {n: frozenset(cs) for n, cs in by_dim.items()}
         self._adj: dict[object, tuple] = {}
         self._orient: dict[frozenset, tuple] = {}
         self._cube_labels: dict[frozenset, dict] = {}
@@ -73,61 +75,77 @@ class CubeComplex:
 # validation
 # ---------------------------------------------------------------------------
 
+def _desc(S) -> str:
+    return "{" + ", ".join(repr(v) for v in sorted(S, key=_vkey)) + "}"
+
+
+def _reach(adj: Mapping, start, cut=frozenset()) -> dict:
+    """Breadth-first depths of the vertices reachable from ``start`` without
+    crossing an edge whose vertex pair is in ``cut``."""
+    depth = {start: 0}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for w in adj[x]:
+            if w not in depth and not (cut and _pair(x, w) in cut):
+                depth[w] = depth[x] + 1
+                queue.append(w)
+    return depth
+
+
+def _opposite_edges(C: CubeComplex, S: frozenset) -> list:
+    """(bit flipped, edge at the base, edge at the top) for both pairs of
+    opposite edges of the square S."""
+    at = {lab: v for v, lab in C._cube_labels[S].items()}
+    return [(1, _pair(at[0], at[1]), _pair(at[2], at[3])),
+            (2, _pair(at[0], at[2]), _pair(at[1], at[3]))]
+
+
 def _hypercube_labels(S: frozenset, adj_in: dict) -> dict:
     """Coordinate labels (bit masks) for the vertex set of one cube.
 
     ``adj_in`` maps each vertex of S to its neighbors inside S.  Raises
     ComplexError unless the induced graph is the n-dimensional hypercube.
+    The base vertex is labelled 0, its neighbors get one bit each, and every
+    other vertex gets the OR of its neighbors one step closer to the base.
+    With 2^n vertices and n 2^(n-1) edges, the graph is the n-cube exactly
+    when all of it is reached, the base has n neighbors, the labels are
+    distinct and every edge flips one bit.
     """
     size = len(S)
     n = (size - 1).bit_length()
-    desc = "{" + ", ".join(repr(v) for v in sorted(S, key=_vkey)) + "}"
     if size < 4 or size != 1 << n:
-        raise ComplexError(f"cube record {desc} does not have 2^n vertices")
+        raise ComplexError(f"cube record {_desc(S)} does not have 2^n vertices")
     edge_count = sum(len(ws) for ws in adj_in.values()) // 2
     if edge_count < n * (1 << (n - 1)):
-        raise ComplexError(f"face-closure violation: cube {desc} is missing edges")
+        raise ComplexError(f"face-closure violation: cube {_desc(S)} is missing edges")
     if edge_count > n * (1 << (n - 1)):
-        raise ComplexError(f"cube record {desc} has too many internal edges")
+        raise ComplexError(f"cube record {_desc(S)} has too many internal edges")
 
     base = min(S, key=_vkey)
-    depth = {base: 0}
-    queue = deque([base])
-    while queue:
-        x = queue.popleft()
-        for w in adj_in[x]:
-            if w not in depth:
-                depth[w] = depth[x] + 1
-                queue.append(w)
+    depth = _reach(adj_in, base)
     if len(depth) != size:
-        raise ComplexError(f"cube record {desc} is not connected")
-
+        raise ComplexError(f"cube record {_desc(S)} is not connected")
     first = sorted(adj_in[base], key=_vkey)
-    if len(first) != n:
-        raise ComplexError(f"cube record {desc} is not a hypercube")
-    labels = {base: 0}
-    for i, w in enumerate(first):
-        labels[w] = 1 << i
-    for v in sorted(S, key=lambda x: (depth[x], _vkey(x))):
-        if depth[v] < 2:
-            continue
-        below = [w for w in adj_in[v] if depth[w] == depth[v] - 1]
-        lab = 0
-        for w in below:
-            lab |= labels[w]
-        if len(below) != depth[v] or lab.bit_count() != depth[v]:
-            raise ComplexError(f"cube record {desc} is not a hypercube")
-        labels[v] = lab
-    if len(set(labels.values())) != size:
-        raise ComplexError(f"cube record {desc} is not a hypercube")
-    for v, ws in adj_in.items():
-        for w in ws:
-            if (labels[v] ^ labels[w]).bit_count() != 1:
-                raise ComplexError(f"cube record {desc} is not a hypercube")
+    labels = {w: 1 << i for i, w in enumerate(first)}
+    labels[base] = 0
+    for v, d in depth.items():  # breadth-first order: lower depths first
+        if d > 1:
+            lab = 0
+            for w in adj_in[v]:
+                if depth[w] == d - 1:
+                    lab |= labels[w]
+            labels[v] = lab
+    if (len(first) != n or len(set(labels.values())) != size
+            or any((labels[v] ^ labels[w]).bit_count() != 1
+                   for v, ws in adj_in.items() for w in ws)):
+        raise ComplexError(f"cube record {_desc(S)} is not a hypercube")
     return labels
 
 
 def _validate(C: CubeComplex) -> None:
+    """Check the records and label every cube, in increasing dimension: so
+    an n-cube (n >= 3) only needs its 2n facets recorded."""
     if not C.vertices:
         raise ComplexError("a complex needs at least one vertex")
     adj = {v: set() for v in C.vertices}
@@ -152,43 +170,26 @@ def _validate(C: CubeComplex) -> None:
             stray = [v for v in S if v not in C.vertices]
             if stray:
                 raise ComplexError(f"cube uses unknown vertex {stray[0]!r}")
-            adj_in = {v: [w for w in adj[v] if w in S] for v in S}
-            labels = _hypercube_labels(S, adj_in)
+            labels = _hypercube_labels(
+                S, {v: [w for w in adj[v] if w in S] for v in S})
             C._cube_labels[S] = labels
-            by_label = {lab: v for v, lab in labels.items()}
-            for m in range(2, n):
-                for free in combinations(range(n), m):
-                    free_mask = sum(1 << i for i in free)
-                    rest = [i for i in range(n) if i not in free]
-                    for pick in range(1 << len(rest)):
-                        fixed = sum(1 << rest[i]
-                                    for i in range(len(rest)) if pick >> i & 1)
-                        face = frozenset(by_label[fixed | spread]
-                                         for spread in _submasks(free_mask))
-                        if face not in C.cubes.get(m, ()):
-                            raise ComplexError(
-                                f"face-closure violation: a {m}-face of a "
-                                f"{n}-cube is not recorded")
+            for i in range(n if n > 2 else 0):
+                for side in (0, 1 << i):
+                    facet = frozenset(v for v, lab in labels.items()
+                                      if lab & (1 << i) == side)
+                    if facet not in C.cubes.get(n - 1, ()):
+                        raise ComplexError(
+                            f"face-closure violation: a {n - 1}-face of a "
+                            f"{n}-cube is not recorded")
 
     for S in C.cubes.get(2, ()):
         labels = C._cube_labels[S]
-        by_label = {lab: v for v, lab in labels.items()}
-        for bit, other in ((1, 2), (2, 1)):
-            t0, h0 = C._orient[_pair(by_label[0], by_label[bit])]
-            t1, h1 = C._orient[_pair(by_label[other], by_label[3])]
+        for bit, a, b in _opposite_edges(C, S):
+            (t0, h0), (t1, h1) = C._orient[a], C._orient[b]
             if (labels[t0] & bit) != (labels[t1] & bit):
                 raise ComplexError(
                     "orientation violation: opposite edges of a square "
                     f"({t0!r}->{h0!r} vs {t1!r}->{h1!r}) disagree")
-
-
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def build_complex(vertices: Iterable = (), edges: Iterable = (),
@@ -203,8 +204,7 @@ def build_complex(vertices: Iterable = (), edges: Iterable = (),
     for cube in cubes:
         S = frozenset(cube)
         if S in seen:
-            raise ComplexError(
-                "duplicate cube {" + ", ".join(repr(v) for v in sorted(S, key=_vkey)) + "}")
+            raise ComplexError(f"duplicate cube {_desc(S)}")
         seen.add(S)
         cube_list.append(S)
     C = CubeComplex(vertices, edges, cube_list)
@@ -238,35 +238,40 @@ class Hyperplane:
         return self.side(u) != self.side(v)
 
 
-def _components(C: CubeComplex) -> list[frozenset]:
-    left = set(C.vertices)
-    out = []
-    while left:
-        start = min(left, key=_vkey)
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for w in C._adj.get(x, ()):
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        left -= comp
-        out.append(frozenset(comp))
-    return sorted(out, key=lambda c: min(map(_vkey, c)))
+def _split(C: CubeComplex, comp: frozenset, start, pairs, index) -> Hyperplane:
+    """The hyperplane of one class of parallel edges in the component comp."""
+    cut = frozenset(pairs)
+    near = frozenset(_reach(C._adj, start, cut))
+    far = comp - near
+    if not far or _reach(C._adj, min(far, key=_vkey), cut).keys() != far:
+        raise ComplexError(
+            "hyperplane class does not cut the complex into two sides")
+    members = frozenset(C._orient[p] for p in pairs)
+    tails = {t for t, _h in members}
+    plus, minus = (near, far) if tails <= near else (far, near)
+    if not (tails <= plus and {h for _t, h in members} <= minus):
+        raise ComplexError(
+            "orientation violation: a hyperplane class has tails on both sides")
+    return Hyperplane(index, members, plus, minus)
 
 
-def hyperplanes(C: CubeComplex) -> tuple[Hyperplane, ...]:
-    """All hyperplane classes, deterministically indexed.
+def _hyperplanes(C: CubeComplex) -> tuple[dict, list]:
+    """The component number of every vertex and the hyperplanes of each
+    component (or the ComplexError refusing them), cached on C.
 
-    Requires a connected complex.  The opposite-edge relation is
-    closed by union-find over the recorded squares; each class must cut the
-    complex into exactly two sides with all member tails on one of them.
+    Components are numbered by their least vertex.  The opposite-edge
+    relation is closed by union-find over the recorded squares; classes are
+    indexed component by component, each component's by their least edge.
     """
     if C._hyperplanes is not None:
         return C._hyperplanes
-    if len(_components(C)) != 1:
-        raise ComplexError("hyperplanes of a disconnected complex are ambiguous")
+    comp_of: dict = {}
+    comps: list[tuple] = []  # (least vertex, vertex set)
+    for v in sorted(C.vertices, key=_vkey):
+        if v not in comp_of:
+            comp = frozenset(_reach(C._adj, v))
+            comp_of.update(dict.fromkeys(comp, len(comps)))
+            comps.append((v, comp))
 
     parent = {pair: pair for pair in C._orient}
 
@@ -277,80 +282,54 @@ def hyperplanes(C: CubeComplex) -> tuple[Hyperplane, ...]:
         return x
 
     for S in C.cubes.get(2, ()):
-        labels = C._cube_labels[S]
-        by_label = {lab: v for v, lab in labels.items()}
-        for bit, other in ((1, 2), (2, 1)):
-            a = _pair(by_label[0], by_label[bit])
-            b = _pair(by_label[other], by_label[3])
+        for _bit, a, b in _opposite_edges(C, S):
             parent[find(a)] = find(b)
 
-    classes: dict = {}
+    classes: list[dict] = [{} for _ in comps]  # per component: root -> pairs
     for pair in C._orient:
-        classes.setdefault(find(pair), []).append(pair)
+        classes[comp_of[next(iter(pair))]].setdefault(find(pair), []).append(pair)
 
-    def class_key(pairs):
-        return min(sorted(map(_vkey, p)) for p in pairs)
-
-    out = []
-    for idx, pairs in enumerate(sorted(classes.values(), key=class_key)):
-        cut = set(map(frozenset, pairs))
-        start = min(C.vertices, key=_vkey)
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for w in C._adj[x]:
-                if w not in comp and _pair(x, w) not in cut:
-                    comp.add(w)
-                    queue.append(w)
-        rest = C.vertices - comp
-        rest_start = min(rest, key=_vkey) if rest else None
-        if rest:
-            other = {rest_start}
-            queue = deque([rest_start])
-            while queue:
-                x = queue.popleft()
-                for w in C._adj[x]:
-                    if w not in other and _pair(x, w) not in cut:
-                        other.add(w)
-                        queue.append(w)
-            if other != rest:
-                raise ComplexError(
-                    "hyperplane class does not cut the complex into two sides")
-        else:
-            raise ComplexError(
-                "hyperplane class does not cut the complex into two sides")
-        tails = {C._orient[p][0] for p in pairs}
-        heads = {C._orient[p][1] for p in pairs}
-        if tails <= comp and heads <= rest:
-            plus, minus = comp, rest
-        elif tails <= rest and heads <= comp:
-            plus, minus = rest, comp
-        else:
-            raise ComplexError(
-                "orientation violation: a hyperplane class has tails on both sides")
-        out.append(Hyperplane(idx, frozenset(C._orient[p] for p in pairs),
-                              frozenset(plus), frozenset(minus)))
-    C._hyperplanes = tuple(out)
+    planes: list = []
+    index = 0
+    for (start, comp), roots in zip(comps, classes):
+        group = sorted(roots.values(),
+                       key=lambda pairs: min(sorted(map(_vkey, p)) for p in pairs))
+        try:
+            planes.append(tuple(_split(C, comp, start, pairs, index + i)
+                                for i, pairs in enumerate(group)))
+        except ComplexError as exc:
+            planes.append(exc)
+        index += len(group)
+    C._hyperplanes = (comp_of, planes)
     return C._hyperplanes
 
 
-def _component_subcomplex(C: CubeComplex, v) -> CubeComplex:
-    comps = _components(C)
-    for comp in comps:
-        if v in comp:
-            break
-    else:
-        raise ComplexError(f"unknown vertex {v!r}")
-    if len(comps) == 1:
-        return C
-    sub = CubeComplex(comp,
-                      [e for e in C.edges if e[0] in comp],
-                      [S for cs in C.cubes.values() for S in cs if S <= comp])
-    sub._orient = {p: e for p, e in C._orient.items() if next(iter(p)) in comp}
-    sub._adj = {x: C._adj[x] for x in comp}
-    sub._cube_labels = {S: L for S, L in C._cube_labels.items() if S <= comp}
-    return sub
+def _checked(planes):
+    if isinstance(planes, ComplexError):
+        raise planes
+    return planes
+
+
+def hyperplanes(C: CubeComplex) -> tuple[Hyperplane, ...]:
+    """All hyperplane classes of a connected complex, indexed by least edge.
+
+    Each class must cut the complex into two sides with all member tails on
+    one of them.
+    """
+    planes = _hyperplanes(C)[1]
+    if len(planes) != 1:
+        raise ComplexError("hyperplanes of a disconnected complex are ambiguous")
+    return _checked(planes[0])
+
+
+def _planes_between(C: CubeComplex, u, v) -> tuple[Hyperplane, ...]:
+    """The hyperplanes of u's component, which must contain v."""
+    comp_of, planes = _hyperplanes(C)
+    if u not in comp_of:
+        raise ComplexError(f"unknown vertex {u!r}")
+    if comp_of.get(v) != comp_of[u]:
+        raise ComplexError(f"vertex {v!r} is unreachable from {u!r}")
+    return _checked(planes[comp_of[u]])
 
 
 def distance(C: CubeComplex, u, v) -> int:
@@ -360,10 +339,7 @@ def distance(C: CubeComplex, u, v) -> int:
             raise ComplexError(f"unknown vertex {x!r}")
     if u == v:
         return 0
-    sub = _component_subcomplex(C, u)
-    if v not in sub.vertices:
-        raise ComplexError(f"vertex {v!r} is unreachable from {u!r}")
-    return sum(1 for h in hyperplanes(sub) if h.separates(u, v))
+    return sum(1 for h in _planes_between(C, u, v) if h.separates(u, v))
 
 
 @dataclass(frozen=True)
@@ -379,24 +355,17 @@ def geodesics(C: CubeComplex, u, v, limit: int = 10000) -> GeodesicResult:
     """All geodesic vertex paths from u to v, up to ``limit`` of them.
 
     Every geodesic crosses each separating hyperplane exactly once and no
-    other hyperplane, so the search only ever steps across an uncrossed
-    separating hyperplane toward v.
+    other hyperplane, so the search only ever steps across a hyperplane
+    toward v: that one separates x from v and is not crossed yet.
     """
-    sub = _component_subcomplex(C, u)
-    if v not in sub.vertices:
-        raise ComplexError(f"vertex {v!r} is unreachable from {u!r}")
-    hps = hyperplanes(sub)
-    hp_of = {}
-    for h in hps:
-        for t, head in h.members:
-            hp_of[_pair(t, head)] = h
-    sep = frozenset(h.index for h in hps if h.separates(u, v))
-    want = len(sep)
+    hps = _planes_between(C, u, v)
+    hp_of = {_pair(*e): h for h in hps for e in h.members}
+    want = sum(1 for h in hps if h.separates(u, v))
 
     paths = []
     complete = True
 
-    def walk(x, crossed, trail):
+    def walk(x, trail):
         nonlocal complete
         if len(trail) - 1 == want:
             if x == v:
@@ -405,17 +374,13 @@ def geodesics(C: CubeComplex, u, v, limit: int = 10000) -> GeodesicResult:
                     return False
                 paths.append(tuple(trail))
             return True
-        for w in sub._adj[x]:
+        for w in C._adj[x]:
             h = hp_of[_pair(x, w)]
-            if h.index not in sep or h.index in crossed:
-                continue
-            if h.side(w) != h.side(v):
-                continue
-            if not walk(w, crossed | {h.index}, trail + [w]):
-                return False
+            if h.side(w) == h.side(v) and not walk(w, trail + [w]):
+                return False  # the limit is hit
         return True
 
-    walk(u, frozenset(), [u])
+    walk(u, [u])
     return GeodesicResult(tuple(paths), complete)
 
 
@@ -447,24 +412,21 @@ def check_gromov(C: CubeComplex) -> GromovReport:
     Simple connectivity is not checked.
     """
     corners: dict = {v: set() for v in C.vertices}
-    for cs in C.cubes.values():
-        for S in cs:
-            labels = C._cube_labels[S]
-            by_label = {lab: v for v, lab in labels.items()}
-            dim = len(S).bit_length() - 1
-            for x in S:
-                nbset = frozenset(by_label[labels[x] ^ (1 << i)] for i in range(dim))
-                corners[x].add(nbset)
+    for S, labels in C._cube_labels.items():
+        by_label = {lab: v for v, lab in labels.items()}
+        dim = len(S).bit_length() - 1
+        for x in S:
+            nbset = frozenset(by_label[labels[x] ^ (1 << i)] for i in range(dim))
+            corners[x].add(nbset)
 
     for v in sorted(C.vertices, key=_vkey):
-        nbrs = C._adj.get(v, ())
-        ladj = {w: set() for w in nbrs}
+        order = C._adj[v]  # sorted by _vkey
+        ladj = {w: set() for w in order}
         for nbset in corners[v]:
             if len(nbset) == 2:
                 a, b = nbset
                 ladj[a].add(b)
                 ladj[b].add(a)
-        order = sorted(nbrs, key=_vkey)
         pos = {w: i for i, w in enumerate(order)}
 
         def grow(clique, cands):
@@ -491,16 +453,12 @@ def check_gromov(C: CubeComplex) -> GromovReport:
 class VertexIsometry:
     """A vertex bijection claimed to preserve the cubical structure.
 
-    ``preserves_orientation`` is the caller's certificate; the classifier
-    still verifies every edge (with orientation) and cube, and rejects
-    inversions.
+    The classifier verifies every edge (with its orientation) and every
+    cube, and rejects inversions.
     """
 
-    def __init__(self, mapping: Union[Mapping, Callable], *,
-                 preserves_orientation: bool = True, label: str = ""):
+    def __init__(self, mapping: Union[Mapping, Callable]):
         self._mapping = mapping
-        self.preserves_orientation = preserves_orientation
-        self.label = label
 
     def __call__(self, v):
         if callable(self._mapping):
@@ -547,13 +505,12 @@ def _check_structure_preserved(C: CubeComplex, f: VertexIsometry) -> None:
 def classify_isometry(C: CubeComplex, f: VertexIsometry, v0, N: int = 8) -> IsometryReport:
     """Type of f, with the displacement sequence d(v0, f^n(v0)) for n <= N.
 
+    f is first checked on every edge, with its orientation, and every cube;
+    an inversion or a non-isometry raises ComplexError.
     The complex is finite, so f has finite order and bounded orbits: the
     verdict is elliptic with the first fixed vertex in deterministic order,
     or undecided when f fixes no vertex.
     """
-    if not f.preserves_orientation:
-        raise ComplexError(
-            "isometry classification requires the orientation certificate")
     if N < 1:
         raise ComplexError("the probe needs N >= 1")
     _check_structure_preserved(C, f)
@@ -612,18 +569,11 @@ _DOT_PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e",
 
 def complex_to_dot(C: CubeComplex) -> str:
     """1-skeleton in DOT, edges colored by hyperplane class."""
-    color = {}
-    offset = 0
-    for comp in _components(C):
-        sub = _component_subcomplex(C, min(comp, key=_vkey))
-        for h in hyperplanes(sub):
-            for e in h.members:
-                color[e] = _DOT_PALETTE[(offset + h.index) % len(_DOT_PALETTE)]
-        offset += len(hyperplanes(sub))
+    color = {e: _DOT_PALETTE[h.index % len(_DOT_PALETTE)]
+             for planes in _hyperplanes(C)[1] for h in _checked(planes)
+             for e in h.members}
     lines = ["digraph cubes {"]
-    for v in sorted(C.vertices, key=_vkey):
-        lines.append(f'  "{v}";')
-    for a, b in sorted(C.edges, key=lambda e: (_vkey(e[0]), _vkey(e[1]))):
-        lines.append(f'  "{a}" -> "{b}" [color="{color[(a, b)]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  "{v}";' for v in sorted(C.vertices, key=_vkey)]
+    lines += [f'  "{a}" -> "{b}" [color="{color[(a, b)]}"];'
+              for a, b in sorted(C.edges, key=lambda e: (_vkey(e[0]), _vkey(e[1])))]
+    return "\n".join(lines) + "\n}\n"

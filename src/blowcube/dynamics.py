@@ -270,12 +270,21 @@ def action_on_ball(f: ProjMap, result: BallResult,
             raise ComplexError(
                 f"the action of {f.name or f} pushes {vid} outside the ball")
         mapping[vid] = target
-    return VertexIsometry(mapping, label=f.name or str(f))
+    return VertexIsometry(mapping)
 
 
 # ---------------------------------------------------------------------------
 # slope extraction shared by the growth invariants
 # ---------------------------------------------------------------------------
+
+def _horizon(N: Optional[int], cfg: RunConfig) -> int:
+    """The iterate horizon: N, or ``cfg.iters`` when N is None; at least 1."""
+    if N is None:
+        N = cfg.iters
+    if N < 1:
+        raise ValueError(f"the iterate horizon must be at least 1, got {N}")
+    return N
+
 
 def _tail_window(n: int) -> int:
     return -(-n // 2)
@@ -353,8 +362,7 @@ def mu(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> MuResu
     and positive; returns 0 only with a fixed vertex of the action as a
     certificate; anything else is undecided.
     """
-    if N is None:
-        N = cfg.iters
+    N = _horizon(N, cfg)
     inverse(f, cfg=cfg)
     seq = tuple(base_points(iterate(f, n, cfg), cfg).count for n in range(1, N + 1))
     slope = _tail_slope(seq)
@@ -437,6 +445,7 @@ def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[in
     that count raises ResolutionError.  n = 1 needs no check: every seed is
     counted there, so the count is |Exc^1(f)| by construction.
     """
+    N = _horizon(N, cfg)
     inverse(f, cfg=cfg)
     return list(_exc_counts(f, N, cfg.degree_cap))
 
@@ -523,8 +532,7 @@ def _nu_from_counts(seq: Sequence[int]) -> Optional[int]:
 
 def nu1(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> NuResult:
     """Growth rates of |Exc^1(f^n)| and |Exc^1(f^-n)|."""
-    if N is None:
-        N = cfg.iters
+    N = _horizon(N, cfg)
     finv = inverse(f, cfg=cfg)
     seq_f = tuple(exc_count_sequence(f, N, cfg))
     seq_finv = tuple(exc_count_sequence(finv, N, cfg))
@@ -566,8 +574,7 @@ def degree_growth_class(f: ProjMap, N: Optional[int] = None,
     Bounded, then exact linear and quadratic window fits, then an
     exponential ratio test with margin; otherwise undecided.
     """
-    if N is None:
-        N = cfg.iters
+    N = _horizon(N, cfg)
     degs = degree_sequence(f, N, cfg)
     n = len(degs)
     window = _tail_window(n)
@@ -639,8 +646,7 @@ def classify(f: ProjMap, N: Optional[int] = None,
     values vanish.  Caps hit along the way leave the affected invariant
     undecided and are reported.
     """
-    if N is None:
-        N = cfg.iters
+    N = _horizon(N, cfg)
     inverse(f, cfg=cfg)
     caps: list[str] = []
 
@@ -717,6 +723,7 @@ def check_degree_bound(f: ProjMap, N: int = 8,
     otherwise the report is marked vacuous (it still lists both sides when
     they are computable).
     """
+    N = _horizon(N, cfg)
     denom = f.dim + 1
     if f.degree() == 1:
         rows = tuple((n, 1, 0, True) for n in range(1, N + 1))

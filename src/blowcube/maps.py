@@ -411,22 +411,6 @@ class AffineMap2:
         self.fy = _reduce_ratfunc(*fy)
         self.name = name
 
-    def apply(self, pt: Sequence) -> tuple[Fraction, Fraction] | None:
-        x, y = (Fraction(c) for c in pt)
-        dx = self.fx[1].evaluate((x, y))
-        dy = self.fy[1].evaluate((x, y))
-        if dx == 0 or dy == 0:
-            return None
-        return (self.fx[0].evaluate((x, y)) / dx, self.fy[0].evaluate((x, y)) / dy)
-
-    def __str__(self):
-        def side(rf):
-            n, d = rf
-            if d.is_constant and d.constant_value() == 1:
-                return poly_str(n)
-            return f"({poly_str(n)})/({poly_str(d)})"
-        return f"({side(self.fx)}, {side(self.fy)})"
-
 
 def homogenize(aff: AffineMap2) -> ProjMap:
     """Projective closure on [x : y : z], affine chart z = 1."""

@@ -89,11 +89,8 @@ def _zeros_on_factor(F: Poly, others: Sequence[Poly]):
                 pts.add((x0, y0))
         return pts, flag
 
-    if xd == 0:
-        # univariate irreducible in y of degree >= 2: only irrational y
-        flag |= common_zero_over(F, survivors)
-        return pts, flag
-    if yd == 0:
+    if xd == 0 or yd == 0:
+        # univariate irreducible of degree >= 2: only irrational zeros
         flag |= common_zero_over(F, survivors)
         return pts, flag
 

@@ -179,6 +179,16 @@ def test_environment_overrides_and_flag_precedence(monkeypatch, capsys):
     assert json.loads(out)["degrees"] == [2, 4]
 
 
+def test_check_bound_horizon_comes_from_flag_then_environment(monkeypatch, capsys):
+    _code, out, _err = run(capsys, "check-bound", "jonq2")
+    assert len(json.loads(out)["rows"]) == 8
+    monkeypatch.setenv("BLOWCUBE_ITERS", "3")
+    _code, out, _err = run(capsys, "check-bound", "jonq2")
+    assert [r["n"] for r in json.loads(out)["rows"]] == [1, 2, 3]
+    _code, out, _err = run(capsys, "check-bound", "jonq2", "-n", "2")
+    assert [r["n"] for r in json.loads(out)["rows"]] == [1, 2]
+
+
 def test_degree_cap_flag_is_honored(capsys):
     code, _out, err = run(capsys, "degseq", "lox1", "-n", "6", "--degree-cap", "50")
     assert code == 4

@@ -7,6 +7,7 @@ independent oracle for everything median here.
 
 import itertools
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -26,6 +27,7 @@ from blowcube import (
     geodesics,
     hyperplanes,
 )
+from blowcube.cubes import _hypercube_labels
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +138,60 @@ def test_face_closure_is_required():
         build_complex(vertices, edges, missing + [frozenset(vertices)])
 
 
+def _relabelled(G, rng):
+    """G on shuffled vertex ids, so that no id order follows the structure."""
+    ids = [f"v{i}" for i in range(G.number_of_nodes())]
+    rng.shuffle(ids)
+    return nx.relabel_nodes(G, dict(zip(G.nodes, ids)))
+
+
+def _recognition_inputs(n, rng):
+    cube = nx.convert_node_labels_to_integers(nx.hypercube_graph(n))
+    size = 1 << n
+    graphs = [_relabelled(cube, rng) for _ in range(30)]
+    non_edges = sorted(nx.non_edges(cube))
+    for _ in range(40):  # one edge moved to a non-edge
+        G = cube.copy()
+        G.remove_edge(*rng.choice(sorted(G.edges)))
+        G.add_edge(*rng.choice(non_edges))
+        graphs.append(_relabelled(G, rng))
+    graphs += [_relabelled(nx.random_regular_graph(n, size, seed=rng.randrange(10**6)),
+                           rng) for _ in range(36)]
+    if n == 3:
+        graphs.append(_relabelled(nx.disjoint_union(nx.complete_graph(4),
+                                                    nx.complete_graph(4)), rng))
+    return graphs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hypercube_recognition_matches_networkx(n):
+    rng = random.Random(1000 + n)
+    cube = nx.hypercube_graph(n)
+    for G in _recognition_inputs(n, rng):
+        want = nx.is_isomorphic(G, cube)
+        try:
+            labels = _hypercube_labels(frozenset(G.nodes),
+                                       {v: list(G[v]) for v in G.nodes})
+        except ComplexError:
+            assert not want
+            continue
+        assert want
+        assert sorted(labels.values()) == list(range(1 << n))
+        assert all((labels[a] ^ labels[b]).bit_count() == 1 for a, b in G.edges)
+
+
+def test_four_cube_rejects_any_missing_face():
+    vertices, edges, cubes = grid_data((1, 1, 1, 1))
+    squares = [S for S in cubes if len(S) == 4]
+    solids = [S for S in cubes if len(S) == 8]
+    assert (len(squares), len(solids)) == (24, 8)
+    for missing, message in [(S, "a 2-face of a 3-cube") for S in squares] + \
+                            [(S, "a 3-face of a 4-cube") for S in solids]:
+        with pytest.raises(ComplexError,
+                           match=f"face-closure violation: {message} is not recorded"):
+            build_complex(vertices, edges, [S for S in cubes if S != missing])
+
+
 def test_three_cube_needs_all_six_faces():
     vertices, edges, cubes = grid_data((1, 1, 1))
     assert len(cubes) == 7  # six faces and the solid cube
@@ -190,6 +246,79 @@ def test_distance_requires_a_path():
     C = build_complex(["a", "b"], [], [])
     with pytest.raises(ComplexError):
         distance(C, "a", "b")
+
+
+def two_components():
+    """A strip of two squares and a solid 3-cube, side by side."""
+    parts = []
+    for prefix, dims in (("a", (2, 1)), ("b", (1, 1, 1))):
+        vertices, edges, cubes = grid_data(dims)
+        tag = {v: prefix + "".join(map(str, v)) for v in vertices}
+        parts.append(([tag[v] for v in vertices],
+                      [(tag[a], tag[b]) for a, b in edges],
+                      [frozenset(tag[v] for v in S) for S in cubes]))
+    return build_complex(*(sum((part[i] for part in parts), []) for i in range(3)))
+
+
+TWO_COMPONENTS_DOT = """digraph cubes {
+  "a00";
+  "a01";
+  "a10";
+  "a11";
+  "a20";
+  "a21";
+  "b000";
+  "b001";
+  "b010";
+  "b011";
+  "b100";
+  "b101";
+  "b110";
+  "b111";
+  "a01" -> "a00" [color="#1b9e77"];
+  "a10" -> "a00" [color="#d95f02"];
+  "a11" -> "a01" [color="#d95f02"];
+  "a11" -> "a10" [color="#1b9e77"];
+  "a20" -> "a10" [color="#7570b3"];
+  "a21" -> "a11" [color="#7570b3"];
+  "a21" -> "a20" [color="#1b9e77"];
+  "b001" -> "b000" [color="#e7298a"];
+  "b010" -> "b000" [color="#66a61e"];
+  "b011" -> "b001" [color="#66a61e"];
+  "b011" -> "b010" [color="#e7298a"];
+  "b100" -> "b000" [color="#e6ab02"];
+  "b101" -> "b001" [color="#e6ab02"];
+  "b101" -> "b100" [color="#e7298a"];
+  "b110" -> "b010" [color="#e6ab02"];
+  "b110" -> "b100" [color="#66a61e"];
+  "b111" -> "b011" [color="#e6ab02"];
+  "b111" -> "b101" [color="#66a61e"];
+  "b111" -> "b110" [color="#e7298a"];
+}
+"""
+
+
+def test_two_components_measure_each_component():
+    C = two_components()
+    G = skeleton(C)
+    for u in C.vertices:
+        lengths = nx.single_source_shortest_path_length(G, u)
+        for v in C.vertices:
+            if v in lengths:
+                assert distance(C, u, v) == lengths[v]
+                res = geodesics(C, u, v)
+                assert res.complete
+                assert len(res) == len(list(nx.all_shortest_paths(G, u, v)))
+            else:
+                with pytest.raises(ComplexError, match="unreachable"):
+                    distance(C, u, v)
+                with pytest.raises(ComplexError, match="unreachable"):
+                    geodesics(C, u, v)
+    with pytest.raises(ComplexError, match="unknown vertex 'c'"):
+        distance(C, "a00", "c")
+    with pytest.raises(ComplexError, match="ambiguous"):
+        hyperplanes(C)
+    assert complex_to_dot(C) == TWO_COMPONENTS_DOT
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +401,6 @@ def test_edge_inversion_is_rejected():
     C = build_complex(range(-2, 3), [(v + 1, v) for v in range(-2, 2)])
     with pytest.raises(ComplexError, match="inversion"):
         classify_isometry(C, VertexIsometry(lambda v: -v), 1, N=4)
-    with pytest.raises(ComplexError):
-        classify_isometry(C, VertexIsometry(lambda v: v,
-                                            preserves_orientation=False), 0)
 
 
 def test_non_bijections_are_rejected_on_explicit_complexes():

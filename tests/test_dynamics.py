@@ -322,6 +322,19 @@ def test_degree_bound_for_the_linear_fibration():
         (n, n + 1, n + 1) for n in range(1, 9)]
 
 
+@pytest.mark.parametrize("invariant", [
+    lambda f, N: classify(f, N).to_dict(), mu, nu1, degree_growth_class,
+    exc_count_sequence, check_degree_bound,
+], ids=["classify", "mu", "nu1", "degree_growth_class", "exc_count_sequence",
+        "check_degree_bound"])
+@pytest.mark.parametrize("N", [0, -1])
+def test_horizon_below_one_is_refused(invariant, N):
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        invariant(builtin("henon"), N)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        invariant(linear_map([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), N)
+
+
 def test_degree_bound_is_vacuous_without_contraction_growth():
     rep = check_degree_bound(builtin("henon"), N=4)
     assert rep.vacuous and rep.holds
