@@ -56,6 +56,7 @@ class CubeComplex:
             by_dim.setdefault((len(S) - 1).bit_length(), set()).add(S)
         self.cubes = {n: frozenset(cs) for n, cs in by_dim.items()}
         self._adj: dict[object, tuple] = {}
+        self._rank: dict = {}
         self._orient: dict[frozenset, tuple] = {}
         self._cube_labels: dict[frozenset, dict] = {}
         self._hyperplanes: Optional[tuple] = None
@@ -101,12 +102,12 @@ def _opposite_edges(C: CubeComplex, S: frozenset) -> list:
             (2, _pair(at[0], at[2]), _pair(at[1], at[3]))]
 
 
-def _hypercube_labels(S: frozenset, adj_in: dict) -> dict:
+def _hypercube_labels(S: frozenset, adj_in: dict, key: Callable) -> dict:
     """Coordinate labels (bit masks) for the vertex set of one cube.
 
-    ``adj_in`` maps each vertex of S to its neighbors inside S.  Raises
-    ComplexError unless the induced graph is the n-dimensional hypercube.
-    The base vertex is labelled 0, its neighbors get one bit each, and every
+    ``adj_in`` maps each vertex of S to its neighbors inside S, and ``key``
+    orders the vertices.  Raises ComplexError unless the induced graph is
+    the n-dimensional hypercube.  The base vertex is labelled 0, its neighbors get one bit each, and every
     other vertex gets the OR of its neighbors one step closer to the base.
     With 2^n vertices and n 2^(n-1) edges, the graph is the n-cube exactly
     when all of it is reached, the base has n neighbors, the labels are
@@ -122,11 +123,11 @@ def _hypercube_labels(S: frozenset, adj_in: dict) -> dict:
     if edge_count > n * (1 << (n - 1)):
         raise ComplexError(f"cube record {_desc(S)} has too many internal edges")
 
-    base = min(S, key=_vkey)
+    base = min(S, key=key)
     depth = _reach(adj_in, base)
     if len(depth) != size:
         raise ComplexError(f"cube record {_desc(S)} is not connected")
-    first = sorted(adj_in[base], key=_vkey)
+    first = sorted(adj_in[base], key=key)
     labels = {w: 1 << i for i, w in enumerate(first)}
     labels[base] = 0
     for v, d in depth.items():  # breadth-first order: lower depths first
@@ -145,7 +146,10 @@ def _hypercube_labels(S: frozenset, adj_in: dict) -> dict:
 
 def _validate(C: CubeComplex) -> None:
     """Check the records and label every cube, in increasing dimension: so
-    an n-cube (n >= 3) only needs its 2n facets recorded."""
+    an n-cube (n >= 3) only needs its 2n facets recorded.
+
+    Every deterministic order on the vertices reads ``C._rank``, the
+    position of each vertex in the ``_vkey`` order, computed here once."""
     if not C.vertices:
         raise ComplexError("a complex needs at least one vertex")
     adj = {v: set() for v in C.vertices}
@@ -161,17 +165,22 @@ def _validate(C: CubeComplex) -> None:
         C._orient[pair] = (a, b)
         adj[a].add(b)
         adj[b].add(a)
-    C._adj = {v: tuple(sorted(ws, key=_vkey)) for v, ws in adj.items()}
+    stray = {v for cs in C.cubes.values() for S in cs for v in S} - C.vertices
+    if stray:
+        raise ComplexError(
+            f"cube uses unknown vertex {min(stray, key=_vkey)!r}")
+    rank = C._rank = {v: i for i, v in enumerate(sorted(C.vertices, key=_vkey))}
+    C._adj = {v: tuple(sorted(ws, key=rank.get)) for v, ws in adj.items()}
+
+    def cube_key(S):
+        return sorted(map(rank.get, S))
 
     for n in sorted(C.cubes):
         if n < 2:
             raise ComplexError("cube records start at dimension 2")
-        for S in sorted(C.cubes[n], key=lambda s: sorted(map(_vkey, s))):
-            stray = [v for v in S if v not in C.vertices]
-            if stray:
-                raise ComplexError(f"cube uses unknown vertex {stray[0]!r}")
+        for S in sorted(C.cubes[n], key=cube_key):
             labels = _hypercube_labels(
-                S, {v: [w for w in adj[v] if w in S] for v in S})
+                S, {v: [w for w in adj[v] if w in S] for v in S}, rank.get)
             C._cube_labels[S] = labels
             for i in range(n if n > 2 else 0):
                 for side in (0, 1 << i):
@@ -182,7 +191,7 @@ def _validate(C: CubeComplex) -> None:
                             f"face-closure violation: a {n - 1}-face of a "
                             f"{n}-cube is not recorded")
 
-    for S in C.cubes.get(2, ()):
+    for S in sorted(C.cubes.get(2, ()), key=cube_key):
         labels = C._cube_labels[S]
         for bit, a, b in _opposite_edges(C, S):
             (t0, h0), (t1, h1) = C._orient[a], C._orient[b]
@@ -243,7 +252,7 @@ def _split(C: CubeComplex, comp: frozenset, start, pairs, index) -> Hyperplane:
     cut = frozenset(pairs)
     near = frozenset(_reach(C._adj, start, cut))
     far = comp - near
-    if not far or _reach(C._adj, min(far, key=_vkey), cut).keys() != far:
+    if not far or _reach(C._adj, min(far, key=C._rank.get), cut).keys() != far:
         raise ComplexError(
             "hyperplane class does not cut the complex into two sides")
     members = frozenset(C._orient[p] for p in pairs)
@@ -267,7 +276,8 @@ def _hyperplanes(C: CubeComplex) -> tuple[dict, list]:
         return C._hyperplanes
     comp_of: dict = {}
     comps: list[tuple] = []  # (least vertex, vertex set)
-    for v in sorted(C.vertices, key=_vkey):
+    rank = C._rank
+    for v in sorted(C.vertices, key=rank.get):
         if v not in comp_of:
             comp = frozenset(_reach(C._adj, v))
             comp_of.update(dict.fromkeys(comp, len(comps)))
@@ -293,7 +303,8 @@ def _hyperplanes(C: CubeComplex) -> tuple[dict, list]:
     index = 0
     for (start, comp), roots in zip(comps, classes):
         group = sorted(roots.values(),
-                       key=lambda pairs: min(sorted(map(_vkey, p)) for p in pairs))
+                       key=lambda pairs: min(sorted(map(rank.get, p))
+                                             for p in pairs))
         try:
             planes.append(tuple(_split(C, comp, start, pairs, index + i)
                                 for i, pairs in enumerate(group)))
@@ -419,8 +430,8 @@ def check_gromov(C: CubeComplex) -> GromovReport:
             nbset = frozenset(by_label[labels[x] ^ (1 << i)] for i in range(dim))
             corners[x].add(nbset)
 
-    for v in sorted(C.vertices, key=_vkey):
-        order = C._adj[v]  # sorted by _vkey
+    for v in sorted(C.vertices, key=C._rank.get):
+        order = C._adj[v]  # sorted by rank
         ladj = {w: set() for w in order}
         for nbset in corners[v]:
             if len(nbset) == 2:
@@ -442,7 +453,7 @@ def check_gromov(C: CubeComplex) -> GromovReport:
 
         offender = grow((), order)
         if offender is not None:
-            return GromovReport(False, v, tuple(sorted(offender, key=_vkey)))
+            return GromovReport(False, v, tuple(sorted(offender, key=C._rank.get)))
     return GromovReport(True)
 
 
@@ -484,7 +495,7 @@ class IsometryReport:
 
 
 def _check_structure_preserved(C: CubeComplex, f: VertexIsometry) -> None:
-    for a, b in sorted(C.edges, key=lambda e: (_vkey(e[0]), _vkey(e[1]))):
+    for a, b in sorted(C.edges, key=lambda e: (C._rank[e[0]], C._rank[e[1]])):
         fa, fb = f(a), f(b)
         if C._orient.get(_pair(fa, fb)) != (fa, fb):
             if C._orient.get(_pair(fa, fb)) == (fb, fa):
@@ -519,7 +530,7 @@ def classify_isometry(C: CubeComplex, f: VertexIsometry, v0, N: int = 8) -> Isom
     for _ in range(N):
         orbit.append(f(orbit[-1]))
     dists = tuple(distance(C, v0, w) for w in orbit)
-    for w in sorted(C.vertices, key=_vkey):
+    for w in sorted(C.vertices, key=C._rank.get):
         if f(w) == w:
             return IsometryReport("elliptic", N, dists, fixed_vertex=w)
     return IsometryReport("undecided", N, dists)
@@ -537,14 +548,15 @@ def _scalar_id(v):
 
 
 def complex_to_dict(C: CubeComplex) -> dict:
+    rank = C._rank.get
     cubes = {}
     for n in sorted(C.cubes):
         cubes[str(n)] = sorted(
-            (sorted((_scalar_id(v) for v in S), key=_vkey) for S in C.cubes[n]),
-            key=lambda S: list(map(_vkey, S)))
-    return {"vertices": sorted((_scalar_id(v) for v in C.vertices), key=_vkey),
+            (sorted((_scalar_id(v) for v in S), key=rank) for S in C.cubes[n]),
+            key=lambda S: list(map(rank, S)))
+    return {"vertices": sorted((_scalar_id(v) for v in C.vertices), key=rank),
             "edges": sorted(([_scalar_id(a), _scalar_id(b)] for a, b in C.edges),
-                            key=lambda e: list(map(_vkey, e))),
+                            key=lambda e: list(map(rank, e))),
             "cubes": cubes}
 
 
@@ -573,7 +585,7 @@ def complex_to_dot(C: CubeComplex) -> str:
              for planes in _hyperplanes(C)[1] for h in _checked(planes)
              for e in h.members}
     lines = ["digraph cubes {"]
-    lines += [f'  "{v}";' for v in sorted(C.vertices, key=_vkey)]
+    lines += [f'  "{v}";' for v in sorted(C.vertices, key=C._rank.get)]
     lines += [f'  "{a}" -> "{b}" [color="{color[(a, b)]}"];'
-              for a, b in sorted(C.edges, key=lambda e: (_vkey(e[0]), _vkey(e[1])))]
+              for a, b in sorted(C.edges, key=lambda e: (C._rank[e[0]], C._rank[e[1]]))]
     return "\n".join(lines) + "\n}\n"

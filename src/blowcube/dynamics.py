@@ -120,7 +120,7 @@ def _lift_base_count(h: ProjMap, B1: frozenset, B2: frozenset,
             if not p.is_proper:
                 continue  # its image stays infinitely near, off the proper rest
             try:
-                images.add(bubble_transport(h, [p], cfg)[p])
+                images.add(bubble_transport(h, [p])[p])
             except TransportUnsupported:
                 # p sits on a contracted curve: its image is infinitely near
                 continue
@@ -394,7 +394,7 @@ def _strict_transform(C: Poly, f: ProjMap, seed_keys: frozenset) -> Poly:
 
 
 def _direct_exc_count(f: ProjMap, n: int, cfg: RunConfig) -> int:
-    return len(exc_components(iterate(f, n, cfg), cfg))
+    return len(exc_components(iterate(f, n, cfg)))
 
 
 def _exc_certificate(fn: ProjMap, counted: Sequence[tuple[Poly, bool]]) -> bool:
@@ -453,9 +453,9 @@ def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[in
 @functools.cache
 def _exc_counts(f: ProjMap, N: int, degree_cap: int) -> tuple[int, ...]:
     cfg = RunConfig(degree_cap=degree_cap)
-    seeds = exc_components(f, cfg)
+    seeds = exc_components(f)
     seed_keys = frozenset(c.curve.key() for c in seeds)
-    inv_keys = frozenset(c.curve.key() for c in exc_components(f.inverse, cfg))
+    inv_keys = frozenset(c.curve.key() for c in exc_components(f.inverse))
 
     chains = []
     for comp in seeds:

@@ -172,14 +172,12 @@ def identity(dim: int = 2) -> ProjMap:
     return f
 
 
-def linear_map(matrix: Sequence[Sequence], dim: int | None = None) -> ProjMap:
+def linear_map(matrix: Sequence[Sequence]) -> ProjMap:
     """Projective linear map from an invertible rational matrix."""
     rows = [list(r) for r in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise MapError("linear map needs a square matrix")
-    if dim is not None and dim != n - 1:
-        raise MapError("matrix size does not match dimension")
     vars = pn_vars(n - 1)
     # a projective map is defined up to scale, so A^-1 serves for adj(A)
     inv = _mat_inverse_frac(rows)

@@ -914,7 +914,10 @@ def poly_mod(a: Poly, b: Poly) -> Poly:
     graded-lex leading term of b, and a - result is a multiple of b.
 
     The result does not depend on the reduction order (one divisor is its
-    own Groebner basis), so reducible terms are cancelled from a worklist.
+    own Groebner basis), so reducible terms are cancelled from a worklist,
+    largest first.  The work is on integers: ``cur / scale`` is the running
+    remainder, and ``scale`` grows only when the leading coefficient of b
+    does not divide the coefficient being cancelled.
     """
     if a.vars != b.vars:
         raise ValueError("variable mismatch")
@@ -926,15 +929,16 @@ def poly_mod(a: Poly, b: Poly) -> Poly:
     bt = sorted(b.coeffs.items(),
                 key=lambda kv: (_key_total(kv[0]), unpack(kv[0], n)),
                 reverse=True)
-    bk = bt[0][0]
-    bc = Fraction(bt[0][1], b.den)
-    tail = [(k, Fraction(c, b.den)) for k, c in bt[1:]]
+    bk, lead = bt[0]
+    tail = bt[1:]
     shifts = [WIDTH * i for i in range(n)]
     bexp = [(bk >> s) & MASK for s in shifts]
+
     def hkey(k: int):
         return (-_key_total(k), tuple(-e for e in unpack(k, n)))
 
-    cur = {k: Fraction(c, a.den) for k, c in a.coeffs.items()}
+    scale = a.den
+    cur = dict(a.coeffs)
     heap = [(hkey(k), k) for k in cur]
     heapq.heapify(heap)
     while heap:
@@ -944,18 +948,26 @@ def poly_mod(a: Poly, b: Poly) -> Poly:
             continue
         if not all(((t >> s) & MASK) >= e for s, e in zip(shifts, bexp)):
             continue
-        ratio = c / bc
+        if c % lead:
+            m = abs(lead) // math.gcd(c, lead)
+            scale *= m
+            cur = {k: v * m for k, v in cur.items()}
+            c *= m
+        q = c // lead
         del cur[t]
         base = t - bk
+        # every new key is below t, so none of them has been popped yet
         for tk, tc in tail:
             nk = base + tk
-            nv = cur.get(nk, Fraction(0)) - ratio * tc
-            if nv:
-                cur[nk] = nv
+            nv = cur.get(nk)
+            if nv is None:
+                cur[nk] = -q * tc
                 heapq.heappush(heap, (hkey(nk), nk))
+            elif nv == q * tc:
+                del cur[nk]
             else:
-                cur.pop(nk, None)
-    return Poly.from_terms(a.vars, [(unpack(k, n), c) for k, c in cur.items()])
+                cur[nk] = nv - q * tc
+    return Poly(a.vars, scale, cur)
 
 
 def factor_q(p: Poly) -> tuple[Fraction, tuple[tuple[Poly, int], ...]]:

@@ -12,6 +12,11 @@ accounting: writing m_p for the vanishing order of the (properly
 transformed) system at each tower point, a degree-d birational plane map
 satisfies sum(m_p) = 3(d-1) and sum(m_p^2) = d^2-1 over the full tower.
 A deficit proves the base locus has members outside the rationals.
+
+Contracted curves are the Q-irreducible factors of the Jacobian that f maps
+to a point.  That is decided by one exact test, normal forms modulo the
+curve (``poly_mod``), for every curve: no rational point of the curve is
+needed and nothing is factored or divided.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from .errors import (HeightCapExceeded, IrrationalBaseLocus, MapError,
                      ResolutionError, TransportUnsupported)
 from .maps import (ProjMap, ProjPoint, degree_sequence, inverse,
                    normalize_point, point_str)
-from .poly import (WIDTH, Poly, content_gcd, factor_q, jacobian_det,
-                   poly_divides, poly_mod)
+from .poly import WIDTH, Poly, content_gcd, factor_q, jacobian_det, poly_mod
 from .zeros import projective_rational_zeros
 
 CHART_VARS = ("u", "t")
@@ -338,99 +342,25 @@ class ExcComponent:
                 "image": point_str(self.image)}
 
 
-
-
-
-def _rational_points_on(C: Poly, max_slices: int) -> Iterator[ProjPoint]:
-    """Distinct rational points on the curve C from a bounded deterministic
-    sweep of the vertical lines x = t*z plus the line at infinity."""
-    seen: set[ProjPoint] = set()
-    at_inf = C.set_var("z", 0)
-    if not at_inf.is_zero:
-        _, facs = factor_q(at_inf)
-        for fac, _m in facs:
-            if fac.degree() == 1:
-                a = fac.coefficient((1, 0, 0))
-                b = fac.coefficient((0, 1, 0))
-                pt = normalize_point((-b, a, Fraction(0)))
-                if pt not in seen:
-                    seen.add(pt)
-                    yield pt
-
-    def rationals() -> Iterator[Fraction]:
-        yield Fraction(0)
-        k = 1
-        while True:
-            yield Fraction(k)
-            yield Fraction(-k)
-            yield Fraction(1, k + 1)
-            yield Fraction(-1, k + 1)
-            k += 1
-
-    for _slice, t in zip(range(max_slices), rationals()):
-        sliced = C.set_var("x", t).set_var("z", 1)
-        if sliced.is_zero or sliced.is_constant:
-            continue
-        _, facs = factor_q(sliced)
-        for fac, _m in facs:
-            if fac.degree() == 1:
-                a = fac.coefficient((0, 1, 0))
-                c = fac.coefficient((0, 0, 0))
-                pt = normalize_point((t, -c / a, Fraction(1)))
-                if pt not in seen:
-                    seen.add(pt)
-                    yield pt
-
-
-def _is_image_point(f: ProjMap, C: Poly, q: ProjPoint) -> bool:
-    """Exact test that f maps all of C to the single point q: every 2x2
-    minor of f against q must vanish modulo C."""
-    pairs = ((0, 1), (0, 2), (1, 2))
-    for i, j in pairs:
-        minor = f.entries[i] * q[j] - f.entries[j] * q[i]
-        if not poly_divides(C, minor):
-            return False
-    return True
-
-
 def curve_image(f: ProjMap, C: Poly) -> ProjPoint | None:
-    """The point C is contracted to by f, or None when C is not contracted.
+    """The point the irreducible curve C is contracted to by f, or None when
+    C is not contracted.
 
-    Strategy: image candidates come cheaply from rational points of C.  Two
-    sample points with different images reject outright; an agreeing
-    candidate is confirmed by exact divisibility of the coordinate minors.
-    Curves where the point sweep finds nothing usable fall back to an exact
-    remainder test: C is contracted exactly when every coordinate of f is,
-    modulo C, a fixed rational multiple of one pivot coordinate.
+    One exact remainder test decides every curve: C is contracted exactly
+    when the normal forms r_i of the coordinates of f modulo C are rational
+    multiples lambda_i of one nonzero pivot r_p, and then the image is
+    [lambda_0 : lambda_1 : lambda_2].  The normal form modulo one polynomial
+    is unique and linear, so r_i = lambda_i * r_p says that C divides
+    f_i - lambda_i * f_p.
     """
-    candidate: ProjPoint | None = None
-    hits = 0
-    for pt in _rational_points_on(C, max_slices=2 * C.degree() + 24):
-        q = f.apply(pt)
-        if q is None:
-            continue
-        if candidate is None:
-            candidate = q
-        elif q != candidate:
-            return None
-        hits += 1
-        if hits >= 2:
-            break
-    if candidate is not None:
-        return candidate if _is_image_point(f, C, candidate) else None
-
     rem = [poly_mod(e, C) for e in f.entries]
-    pivot = next((j for j, r in enumerate(rem) if not r.is_zero), None)
-    if pivot is None:
+    base = next((r for r in rem if not r.is_zero), None)
+    if base is None:
         raise ResolutionError(
             f"{C} divides every coordinate of {f}; the map is not reduced")
-    base = rem[pivot]
     key, lead = base.leading()
     coords: list[Fraction] = []
-    for i, r in enumerate(rem):
-        if i == pivot:
-            coords.append(Fraction(1))
-            continue
+    for r in rem:
         ratio = r.coefficient(key) / lead
         if r != base * ratio:
             return None
@@ -438,7 +368,7 @@ def curve_image(f: ProjMap, C: Poly) -> ProjPoint | None:
     return normalize_point(coords)
 
 
-def exc_components(f: ProjMap, cfg: RunConfig = DEFAULTS) -> tuple[ExcComponent, ...]:
+def exc_components(f: ProjMap) -> tuple[ExcComponent, ...]:
     """The irreducible curves contracted by f, with Jacobian multiplicities
     and image points."""
     if f.dim != 2:
@@ -489,14 +419,14 @@ def is_algebraically_stable(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> St
     return StabilityReport(True, None, tuple(degs))
 
 
-def bubble_transport(h: ProjMap, points: Iterable[BubblePoint],
-                     cfg: RunConfig = DEFAULTS) -> dict[BubblePoint, BubblePoint]:
+def bubble_transport(h: ProjMap, points: Iterable[BubblePoint]
+                     ) -> dict[BubblePoint, BubblePoint]:
     """Move bubble points along h by evaluation.
 
     Only proper points off the contracted curves of h move this way; other
     inputs raise TransportUnsupported (they would require resolving h).
     """
-    comps = exc_components(h, cfg)
+    comps = exc_components(h)
     out: dict[BubblePoint, BubblePoint] = {}
     for p in points:
         if not p.is_proper:

@@ -3,10 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from blowcube.cli import main
+
+# the reports of ``classify <name> -n 4`` that the benchmark also checks
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+PLANE_BUILTINS = ["hen2", "henon", "jonq1", "jonq2", "lox1", "sigma"]
 
 
 def run(capsys, *argv):
@@ -47,6 +52,15 @@ def test_classify_all_builtins(capsys):
     rows = {name: rep["table_row"] for name, rep in data.items()}
     assert rows == {"sigma": 1, "jonq1": 2, "jonq2": 3,
                     "henon": 6, "hen2": 6, "lox1": 7}
+
+
+@pytest.mark.parametrize("name", PLANE_BUILTINS)
+def test_classify_bytes_match_the_recorded_reports(name, capsys):
+    with open(EXPECTED / "classify" / f"{name}.json", newline="") as fh:
+        want = fh.read()
+    code, out, err = run(capsys, "classify", name, "-n", "4")
+    assert (code, err) == (0, "")
+    assert out == want
 
 
 def test_mu_command(capsys):

@@ -7,7 +7,10 @@ independent oracle for everything median here.
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
@@ -27,7 +30,7 @@ from blowcube import (
     geodesics,
     hyperplanes,
 )
-from blowcube.cubes import _hypercube_labels
+from blowcube.cubes import _hypercube_labels, _vkey
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +134,42 @@ def test_validation_catches_defects():
         build_complex([], [], [])
 
 
+HASH_SEED_PROBE = """
+from blowcube import ComplexError, build_complex
+
+def bad_square(p):
+    verts = [p + s for s in ("00", "01", "10", "11")]
+    edges = [(p + a, p + b) for a, b in
+             [("01", "00"), ("10", "11"), ("10", "00"), ("11", "01")]]
+    return verts, edges, [verts]
+
+squares = [bad_square(p) for p in "abcdef"]
+cases = [(["a", "b"], [], [["a", "b", "x", "y"]]),
+         tuple(sum((sq[i] for sq in squares), []) for i in range(3))]
+for vertices, edges, cubes in cases:
+    try:
+        build_complex(vertices, edges, cubes)
+    except ComplexError as exc:
+        print(exc)
+"""
+
+
+def test_validation_errors_do_not_depend_on_the_hash_seed():
+    # two stray vertices in one cube, six squares with bad orientations:
+    # the error must name the least offender whatever the set order is
+    outputs = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed)}
+        run = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    assert outputs == {
+        "cube uses unknown vertex 'x'\n"
+        "orientation violation: opposite edges of a square "
+        "('a01'->'a00' vs 'a10'->'a11') disagree\n"}
+
+
 def test_face_closure_is_required():
     vertices, edges, cubes = grid_data((1, 1, 1))
     missing = [S for S in cubes if len(S) != 4 or (0, 0, 0) not in S]
@@ -171,7 +210,7 @@ def test_hypercube_recognition_matches_networkx(n):
         want = nx.is_isomorphic(G, cube)
         try:
             labels = _hypercube_labels(frozenset(G.nodes),
-                                       {v: list(G[v]) for v in G.nodes})
+                                       {v: list(G[v]) for v in G.nodes}, _vkey)
         except ComplexError:
             assert not want
             continue

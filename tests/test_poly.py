@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, checked against naive oracles and sympy."""
 
 import ast
+import heapq
 import random
 from collections import Counter
 from fractions import Fraction
@@ -24,6 +25,9 @@ from blowcube import (
 )
 from blowcube.errors import ParseError
 from blowcube.poly import (
+    MASK,
+    WIDTH,
+    _key_total,
     canonical_factor,
     common_zero_over,
     content_gcd,
@@ -395,6 +399,65 @@ def test_poly_mod_is_a_normal_form():
         assert poly_mod(r, b) == r
         checked += 1
     assert checked >= 25
+
+
+def fraction_poly_mod(a: Poly, b: Poly) -> Poly:
+    """Reference normal form: the same graded-lex worklist reduction with
+    every coefficient held as a Fraction."""
+    n = len(a.vars)
+    bt = sorted(b.coeffs.items(),
+                key=lambda kv: (_key_total(kv[0]), unpack(kv[0], n)),
+                reverse=True)
+    bk = bt[0][0]
+    bc = Fraction(bt[0][1], b.den)
+    tail = [(k, Fraction(c, b.den)) for k, c in bt[1:]]
+    shifts = [WIDTH * i for i in range(n)]
+    bexp = [(bk >> s) & MASK for s in shifts]
+
+    def hkey(k: int):
+        return (-_key_total(k), tuple(-e for e in unpack(k, n)))
+
+    cur = {k: Fraction(c, a.den) for k, c in a.coeffs.items()}
+    heap = [(hkey(k), k) for k in cur]
+    heapq.heapify(heap)
+    while heap:
+        _, t = heapq.heappop(heap)
+        c = cur.get(t)
+        if c is None:
+            continue
+        if not all(((t >> s) & MASK) >= e for s, e in zip(shifts, bexp)):
+            continue
+        ratio = c / bc
+        del cur[t]
+        base = t - bk
+        for tk, tc in tail:
+            nk = base + tk
+            nv = cur.get(nk, Fraction(0)) - ratio * tc
+            if nv:
+                cur[nk] = nv
+                heapq.heappush(heap, (hkey(nk), nk))
+            else:
+                cur.pop(nk, None)
+    return Poly.from_terms(a.vars, [(unpack(k, n), c) for k, c in cur.items()])
+
+
+@pytest.mark.parametrize("vars", [XY, XYZ])
+def test_poly_mod_matches_the_fraction_reducer(vars):
+    rng = random.Random(4100 + len(vars))
+    checked = 0
+    for _ in range(120):
+        a = rand_poly(rng, vars, steps=7, terms=8)
+        b = rand_poly(rng, vars, steps=3, terms=4)
+        if b.is_constant or b.den == 1:
+            continue
+        lead_key = pack(b.leading()[0])
+        if abs(b.coeffs[lead_key]) == 1:
+            continue
+        r = poly_mod(a, b)
+        want = fraction_poly_mod(a, b)
+        assert (r.vars, r.den, r.coeffs) == (want.vars, want.den, want.coeffs)
+        checked += 1
+    assert checked >= 30
 
 
 def test_poly_mod_reduces_past_the_main_variable():

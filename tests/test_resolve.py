@@ -1,5 +1,7 @@
 """Base-point towers, contracted curves, transport, stability."""
 
+import random
+
 import pytest
 
 from blowcube import (
@@ -9,21 +11,25 @@ from blowcube import (
     conjugate,
     curve_image,
     exc_components,
+    factor_q,
     indeterminacy_points,
     inverse,
     is_algebraically_stable,
     iterate,
+    jacobian_det,
     parent_closed,
     parse_map,
     parse_poly,
 )
+from blowcube import poly, resolve
 from blowcube.config import RunConfig
 from blowcube.errors import (
     HeightCapExceeded,
     IrrationalBaseLocus,
+    MapError,
     TransportUnsupported,
 )
-from blowcube.maps import linear_map
+from blowcube.maps import ProjMap, linear_map
 from blowcube.resolve import BubblePoint
 
 P2 = ("x", "y", "z")
@@ -173,9 +179,56 @@ def test_curve_image_direct_queries():
     assert curve_image(sigma, x) == (1, 0, 0)
     assert curve_image(sigma, parse_poly("x + y + z", P2)) is None
     assert curve_image(sigma, conic) is None
-    # a conic without rational points exercises the remainder fallback
+    # a conic without rational points is decided like any other curve
     assert curve_image(sigma, parse_poly("x^2 + z^2", P2)) is None
     assert curve_image(iterate(builtin("lox1"), 2), conic) == (0, 1, 1)
+
+
+def test_curve_image_needs_no_factoring_division_or_evaluation(monkeypatch):
+    # the queries above, with every other exact route refused: the
+    # remainder test alone decides them
+    sigma, lox1_2 = builtin("sigma"), iterate(builtin("lox1"), 2)
+    queries = [(sigma, "x", (1, 0, 0)), (sigma, "x + y + z", None),
+               (sigma, "x*y + z^2", None), (sigma, "x^2 + z^2", None),
+               (lox1_2, "x*y + z^2", (0, 1, 1))]
+
+    def refuse(*_args):
+        raise AssertionError("curve_image must decide by remainders alone")
+
+    for module in (poly, resolve):
+        for name in ("factor_q", "poly_divides", "poly_exact_div"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(ProjMap, "apply", refuse)
+    for f, curve, image in queries:
+        assert curve_image(f, parse_poly(curve, P2)) == image
+
+
+def _dense_automorphism(rng):
+    values = (-3, -2, -1, 1, 2, 3)
+    while True:
+        try:
+            return linear_map([[rng.choice(values) for _ in range(3)]
+                               for _ in range(3)])
+        except MapError:
+            continue
+
+
+@pytest.mark.parametrize("name", ["sigma", "henon", "hen2", "jonq1", "jonq2",
+                                  "lox1"])
+def test_curve_image_commutes_with_linear_conjugation(name):
+    # g = a^-1 f a contracts C(a) exactly when f contracts C, and to a^-1
+    # of f's image point
+    f = builtin(name)
+    _, facs = factor_q(jacobian_det(f.entries))
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(3):
+        a = _dense_automorphism(rng)
+        g = conjugate(f, a)
+        for C, _mult in facs:
+            image = curve_image(f, C)
+            want = None if image is None else a.inverse.apply(image)
+            assert curve_image(g, C.compose(a.entries)) == want
 
 
 def test_jacobian_order_of_contracted_lines():
