@@ -12,10 +12,9 @@ from .dynamics import (BallResult, DegreeBoundReport, DegreeGrowth,
                        degree_growth_class, exc_count_sequence, marked_vertex,
                        mu, nu1, transition, vertex_distance, vertex_equiv)
 from .errors import (BlowcubeError, ComplexError, DegreeCapExceeded,
-                     EliminationCapExceeded, HeightCapExceeded,
-                     InverseUnavailable, IrrationalBaseLocus, MapError,
-                     OutputError, ParseError, ResolutionError,
-                     TransportUnsupported)
+                     HeightCapExceeded, InverseUnavailable,
+                     IrrationalBaseLocus, MapError, OutputError, ParseError,
+                     ResolutionError, TransportUnsupported)
 from .maps import (AffineMap2, ProjMap, builtin, builtin_names, compose,
                    conjugate, degree_sequence, dehomogenize, homogenize,
                    identity, inverse, iterate, monomial_degree_sequence,
@@ -24,8 +23,9 @@ from .poly import (Poly, factor_q, jacobian_det, parse_poly, poly_exact_div,
                    poly_gcd, poly_mod, poly_str)
 from .resolve import (BasePointTree, BubblePoint, ExcComponent,
                       StabilityReport, base_points, bubble_transport,
-                      curve_image, exc_components, indeterminacy_points,
-                      is_algebraically_stable, parent_closed)
+                      curve_image, exc_components, exc_curves,
+                      indeterminacy_points, is_algebraically_stable,
+                      parent_closed)
 
 __version__ = "0.1.0"
 

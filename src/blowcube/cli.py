@@ -45,17 +45,23 @@ def _json(data) -> str:
 
 
 def _config(args, parser: argparse.ArgumentParser) -> RunConfig:
-    """The run configuration; an iterate horizon below 1 is refused."""
+    """The run configuration; an iterate horizon below 1 and a ball radius
+    below 0 are refused."""
+    radius = getattr(args, "radius", None)
     if args.iters is not None and args.iters < 1:
         parser.error(f"argument -n/--iters: must be at least 1, got {args.iters}")
+    if radius is not None and radius < 0:
+        parser.error(f"argument --radius: must be at least 0, got {radius}")
     env = from_environment()
     if env.iters < 1:
         raise ParseError(f"BLOWCUBE_ITERS must be at least 1, got {env.iters}")
+    if env.radius < 0:
+        raise ParseError(f"BLOWCUBE_RADIUS must be at least 0, got {env.radius}")
     return env.with_overrides(
         iters=args.iters,
         degree_cap=args.degree_cap,
         height_cap=args.height_cap,
-        radius=getattr(args, "radius", None),
+        radius=radius,
     )
 
 

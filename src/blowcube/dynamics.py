@@ -24,14 +24,14 @@ from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULTS, RATIO_MARGIN, RunConfig
 from .cubes import CubeComplex, VertexIsometry, build_complex
-from .errors import (ComplexError, DegreeCapExceeded, EliminationCapExceeded,
-                     HeightCapExceeded, IrrationalBaseLocus, MapError,
-                     ResolutionError, TransportUnsupported)
-from .maps import (ProjMap, compose, degree_sequence, identity, inverse,
-                   iterate, normalize_point)
-from .poly import Poly, factor_q, jacobian_det, poly_exact_div
+from .errors import (ComplexError, DegreeCapExceeded, HeightCapExceeded,
+                     IrrationalBaseLocus, MapError, ResolutionError,
+                     TransportUnsupported)
+from .maps import (ProjMap, ProjPoint, compose, degree_sequence, identity,
+                   inverse, iterate, normalize_point)
+from .poly import Poly, jacobian_det, poly_exact_div
 from .resolve import (BubblePoint, base_points, bubble_transport,
-                      curve_image, exc_components, parent_closed)
+                      curve_image, exc_components, exc_curves, parent_closed)
 
 _PROBE_UNIVERSE_CAP = 8  # fixed-vertex probes enumerate subsets of this many points
 
@@ -188,6 +188,8 @@ def ball(center: MarkedVertex, radius: int, universe: Iterable,
     the lower; cubes are the intervals [B0, B1] whose difference blows up
     independently (each extra point proper or rooted inside B0).
     """
+    if radius < 0:
+        raise ValueError(f"the ball radius must be at least 0, got {radius}")
     pts = sorted({_as_bubble(p) for p in universe}, key=BubblePoint.sort_key)
     marks: list[ProjMap] = [center.marking]
     for m in markings:
@@ -364,7 +366,7 @@ def mu(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> MuResu
     """
     N = _horizon(N, cfg)
     inverse(f, cfg=cfg)
-    seq = tuple(base_points(iterate(f, n, cfg), cfg).count for n in range(1, N + 1))
+    seq = tuple(base_points(f, cfg, n).count for n in range(1, N + 1))
     slope = _tail_slope(seq)
     if slope is not None and slope > 0:
         return MuResult(slope, seq, N)
@@ -382,35 +384,24 @@ def mu(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> MuResu
 DIRECT_DEG_CAP = 12  # cross-check |Exc^1(f^n)| against J(f^n) up to here
 
 
-def _strict_transform(C: Poly, f: ProjMap, seed_keys: frozenset) -> Poly:
-    pull = C.compose(f.entries)
-    candidates = [fac for fac, _m in factor_q(pull)[1]
-                  if fac.key() not in seed_keys]
-    if len(candidates) != 1:
-        raise ResolutionError(
-            f"pullback of {C} does not have a unique non-contracted component; "
-            "this indicates an internal inconsistency")
-    return candidates[0]
-
-
 def _direct_exc_count(f: ProjMap, n: int, cfg: RunConfig) -> int:
     return len(exc_components(iterate(f, n, cfg)))
 
 
-def _exc_certificate(fn: ProjMap, counted: Sequence[tuple[Poly, bool]]) -> bool:
-    """Whether the counted curves are exactly the contracted curves of fn.
+def _exc_certificate(fn: ProjMap,
+                     counted: Sequence[tuple[Poly, ProjPoint]]) -> bool:
+    """Whether the counted (curve, image) pairs are exactly the contracted
+    curves of fn, with their images.
 
-    ``counted`` pairs each Q-irreducible curve with whether fn is already
-    known to contract it.  Every curve must divide the Jacobian, all its
-    powers are stripped, and a nonzero constant must remain; a curve listed
-    twice finds nothing left to divide the second time.  So the curves are
-    the irreducible factors of J(fn), each once, and every one of them not
-    yet known to be contracted must map to a point.
+    Every curve must divide the Jacobian, all its powers are stripped, and
+    a nonzero constant must remain; a curve listed twice finds nothing left
+    to divide the second time.  So the curves are the irreducible factors of
+    J(fn), each once, and each must map to its listed image.
     """
     jac = jacobian_det(fn.entries)
     if jac.is_zero:
         return False  # exact division of 0 never stops
-    for C, _confirmed in counted:
+    for C, _image in counted:
         divided = False
         while True:
             try:
@@ -422,28 +413,24 @@ def _exc_certificate(fn: ProjMap, counted: Sequence[tuple[Poly, bool]]) -> bool:
             return False
     if not jac.is_constant:
         return False
-    return all(confirmed or curve_image(fn, C) is not None
-               for C, confirmed in counted)
+    return all(curve_image(fn, C) == image for C, image in counted)
 
 
 def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[int]:
     """|Exc^1(f^n)| for n = 1..N.
 
-    Each curve contracted by f seeds a backward chain of strict transforms
-    C_0, C_1, ... (C_{j+1} pulls back C_j through f); the chain ends when a
-    member is itself contracted by f^-1.  C_j is contracted by f^n exactly
-    when the forward orbit of the seed's image point survives n-j-1 steps;
-    once the point orbit hits the indeterminacy locus the status is settled
-    by querying the reduced iterate on the explicit curve.
+    The contracted curves of f^n are read off the backward chains of
+    ``resolve.exc_curves``, which the base points of f^-n share.
 
     For 2 <= n while deg f^n <= DIRECT_DEG_CAP the count is certified by
     exact division: the curves counted for f^n, each stripped from the
     Jacobian J(f^n) with all its powers, must leave a nonzero constant, and
-    each must be contracted by f^n.  The curves are Q-irreducible, so the
-    contracted curves of f^n are then exactly the counted ones.  Only when
-    the certificate fails is J(f^n) factored directly; a disagreement with
-    that count raises ResolutionError.  n = 1 needs no check: every seed is
-    counted there, so the count is |Exc^1(f)| by construction.
+    each must be contracted by f^n to its listed image.  The curves are
+    Q-irreducible, so the contracted curves of f^n are then exactly the
+    counted ones.  Only when the certificate fails is J(f^n) factored
+    directly; a disagreement with that count raises ResolutionError.  n = 1
+    needs no check: every seed is counted there, so the count is |Exc^1(f)|
+    by construction.
     """
     N = _horizon(N, cfg)
     inverse(f, cfg=cfg)
@@ -453,38 +440,8 @@ def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[in
 @functools.cache
 def _exc_counts(f: ProjMap, N: int, degree_cap: int) -> tuple[int, ...]:
     cfg = RunConfig(degree_cap=degree_cap)
-    seeds = exc_components(f)
-    seed_keys = frozenset(c.curve.key() for c in seeds)
-    inv_keys = frozenset(c.curve.key() for c in exc_components(f.inverse))
-
-    chains = []
-    for comp in seeds:
-        chain = [comp.curve]
-        while len(chain) < N and chain[-1].key() not in inv_keys:
-            chain.append(_strict_transform(chain[-1], f, seed_keys))
-        orbit = [comp.image]
-        while len(orbit) <= N:
-            nxt = f.apply(orbit[-1])
-            if nxt is None:
-                break
-            orbit.append(nxt)
-        survival = len(orbit) - 1  # f^survival(image) is still defined
-        chains.append((chain, survival))
-
-    # counted[n - 1]: the curves counted for f^n, each paired with whether
-    # curve_image on f^n already confirmed it
-    counted: list[list[tuple[Poly, bool]]] = []
-    for n in range(1, N + 1):
-        curves = []
-        for chain, survival in chains:
-            for j in range(min(n, len(chain))):
-                if n - j - 1 <= survival:
-                    curves.append((chain[j], False))
-                elif curve_image(iterate(f, n, cfg), chain[j]) is not None:
-                    curves.append((chain[j], True))
-        counted.append(curves)
-    counts = tuple(len(curves) for curves in counted)
-
+    counted = [exc_curves(f, n, cfg) for n in range(1, N + 1)]
+    counts = tuple(len(pairs) for pairs in counted)
     for n in range(2, N + 1):
         try:
             fn = iterate(f, n, cfg)
@@ -601,7 +558,7 @@ def degree_growth_class(f: ProjMap, N: Optional[int] = None,
 
 
 _SOFT_CAPS = (DegreeCapExceeded, HeightCapExceeded, IrrationalBaseLocus,
-              EliminationCapExceeded, TransportUnsupported)
+              TransportUnsupported)
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,6 @@ class HeightCapExceeded(ResolutionError):
     """An infinitely-near tower climbed past the configured height cap."""
 
 
-class EliminationCapExceeded(ResolutionError):
-    """The zero search would need a resultant of impractical degree."""
-
-
 class TransportUnsupported(ResolutionError):
     """Moving a bubble point along a map would require resolving the map
     at that point (the point sits on a contracted curve, or is infinitely

@@ -18,13 +18,12 @@ Term order is graded lexicographic (total degree first, then the exponent
 of vars[0], vars[1], ...).  ``str()`` prints terms in descending order and
 ``parse_poly(str(p), p.vars) == p`` exactly.
 
-Factorization, gcd, exact division, resultants, the common-zero test (a
-Groebner basis) and linear relations (a nullspace) are delegated to sympy;
-everything else is native.  This module is the only one that imports
-sympy.  Polynomials cross to sympy as integer polynomials on ZZ: the
-bridge hands over ``den * p`` built straight from the integer numerators
-and reads the integer result back, while ``den`` and the rational scale of
-each answer stay on this side.
+Factorization, gcd, exact division and linear relations (a nullspace) are
+delegated to sympy; everything else is native.  This module is the only one
+that imports sympy.  Polynomials cross to sympy as integer polynomials on
+ZZ: the bridge hands over ``den * p`` built straight from the integer
+numerators and reads the integer result back, while ``den`` and the
+rational scale of each answer stay on this side.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import sympy
-from sympy.polys.groebnertools import groebner
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.polyclasses import DMP
-from sympy.polys.rings import ring
 
 from blowcube.errors import ParseError
 from blowcube.kernel import add_scaled_packed, mul_packed
@@ -469,20 +466,6 @@ class Poly:
         new_vars = self.vars[:i] + self.vars[i + 1:]
         return Poly(new_vars, self.den, out)
 
-    def with_vars(self, vars: Sequence[str]) -> "Poly":
-        """Reinterpret over a larger/reordered variable tuple."""
-        vars = tuple(vars)
-        positions = [vars.index(v) for v in self.vars]
-        out = {}
-        n = len(self.vars)
-        for k, c in self.coeffs.items():
-            nk = 0
-            for i in range(n):
-                e = (k >> (WIDTH * i)) & MASK
-                nk |= e << (WIDTH * positions[i])
-            out[nk] = c
-        return Poly(vars, self.den, out)
-
     def homogenize(self, name: str, degree: int | None = None) -> "Poly":
         """Insert ``name`` (appended to the variables) to reach equal term degree."""
         if name in self.vars:
@@ -787,8 +770,7 @@ def _det(rows: list[list[Poly]], vars: tuple[str, ...]) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge: gcd, exact division, factorization, resultants, ideals,
-# nullspaces
+# sympy bridge: gcd, exact division, factorization, nullspaces
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -900,15 +882,6 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
     return _from_zz(q, a.vars, a.den * int(content)) * b.den
 
 
-def poly_divides(d: Poly, p: Poly) -> bool:
-    """Whether d divides p exactly."""
-    try:
-        poly_exact_div(p, d)
-    except ValueError:
-        return False
-    return True
-
-
 def poly_mod(a: Poly, b: Poly) -> Poly:
     """Normal form of a modulo b: no term of the result is divisible by the
     graded-lex leading term of b, and a - result is a multiple of b.
@@ -999,40 +972,3 @@ def _leading_ratio(a: Poly, b: Poly) -> Fraction:
     (_, la) = a.leading()
     (_, lb) = b.leading()
     return la / lb
-
-
-def resultant(a: Poly, b: Poly, name: str) -> Poly:
-    """Resultant of a and b with respect to ``name``, exactly (on a.vars)."""
-    if a.vars != b.vars:
-        raise ValueError("variable mismatch")
-    # sympy eliminates the first generator
-    gens = (name,) + tuple(v for v in a.vars if v != name)
-    r = _to_zz(a.with_vars(gens)).resultant(_to_zz(b.with_vars(gens)))
-    if r.is_zero:
-        return Poly.zero(a.vars)
-    # res(da*a, db*b) = da^deg(b) * db^deg(a) * res(a, b), degrees in name
-    den = a.den ** b.degree_in(name) * b.den ** a.degree_in(name)
-    if isinstance(r, sympy.Poly):
-        return _from_zz(r, gens[1:], den).with_vars(a.vars)
-    return Poly.const(a.vars, Fraction(int(r), den))  # no variable left
-
-
-def common_zero_over(m: Poly, polys: Sequence[Poly]) -> bool:
-    """Whether the members have a common zero above a root of ``m``.
-
-    ``m`` is irreducible and involves one variable, so all its roots are
-    Galois conjugate and behave alike; by the weak Nullstellensatz a common
-    zero exists exactly when 1 is not in the ideal (m, polys).  Members
-    that m divides vanish on the whole locus m = 0 and are skipped; when no
-    member is left the common zero set is not finite and ValueError is
-    raised.
-    """
-    rest = [q for q in polys if not poly_divides(m, q)]
-    if not rest:
-        raise ValueError("system vanishes on a positive-dimensional locus")
-    # den scales a generator by a unit, which leaves the ideal unchanged
-    R = ring(m.vars, sympy.ZZ)[0]
-    n = len(m.vars)
-    gens = [R.from_dict({unpack(k, n): c for k, c in q.coeffs.items()})
-            for q in (m, *rest)]
-    return groebner(gens, R) != [R.one]

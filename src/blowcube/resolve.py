@@ -7,16 +7,20 @@ blowing up the origin produces two charts, (u, t) -> (u, u*t) and
 first chart (one per rational slope) plus possibly the origin of the second
 chart (the vertical direction).
 
-Completeness of the rational search is certified by exact multiplicity
-accounting: writing m_p for the vanishing order of the (properly
-transformed) system at each tower point, a degree-d birational plane map
-satisfies sum(m_p) = 3(d-1) and sum(m_p^2) = d^2-1 over the full tower.
-A deficit proves the base locus has members outside the rationals.
+The proper base points of a birational map f are exactly the points that
+f^-1 contracts curves to, so they are read off the contracted curves of the
+inverse.  Completeness is certified by exact multiplicity accounting:
+writing m_p for the vanishing order of the (properly transformed) system at
+each tower point, a degree-d birational plane map satisfies
+sum(m_p) = 3(d-1) and sum(m_p^2) = d^2-1 over the full tower.  A deficit
+proves the base locus has members outside the rationals.
 
 Contracted curves are the Q-irreducible factors of the Jacobian that f maps
 to a point.  That is decided by one exact test, normal forms modulo the
 curve (``poly_mod``), for every curve: no rational point of the curve is
-needed and nothing is factored or divided.
+needed and nothing is factored or divided.  The curves contracted by f^n
+come from backward chains of strict transforms under f, one chain per curve
+that f contracts, so no iterate's Jacobian is factored.
 """
 
 from __future__ import annotations
@@ -29,10 +33,9 @@ from typing import Iterable, Iterator, Sequence
 from .config import DEFAULTS, RunConfig
 from .errors import (HeightCapExceeded, IrrationalBaseLocus, MapError,
                      ResolutionError, TransportUnsupported)
-from .maps import (ProjMap, ProjPoint, degree_sequence, inverse,
+from .maps import (ProjMap, ProjPoint, degree_sequence, inverse, iterate,
                    normalize_point, point_str)
 from .poly import WIDTH, Poly, content_gcd, factor_q, jacobian_det, poly_mod
-from .zeros import projective_rational_zeros
 
 CHART_VARS = ("u", "t")
 
@@ -270,31 +273,29 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
     return BaseNode(bubble, chart, coords, mult, tuple(children))
 
 
-def base_points(f: ProjMap, cfg: RunConfig = DEFAULTS) -> BasePointTree:
-    """The tree of base points of a plane birational map, with multiplicities.
+def base_points(f: ProjMap, cfg: RunConfig = DEFAULTS, n: int = 1) -> BasePointTree:
+    """The tree of base points of f^n, with multiplicities.
 
     Requires a verified inverse (the map must be birational for the
-    accounting identities that certify completeness).  Raises
+    accounting identities that certify completeness).  The proper base
+    points are the images of the curves that f^-n contracts.  Raises
     IrrationalBaseLocus when the base locus has non-rational members and
     HeightCapExceeded when a tower climbs past ``cfg.height_cap``.
     """
     if f.dim != 2:
         raise ResolutionError("base-point towers are only computed for plane maps")
-    inverse(f, cfg=cfg)
-    return _base_points(f, cfg.height_cap)
+    finv = inverse(f, cfg=cfg)
+    fn = iterate(f, n, cfg)
+    if fn.degree() == 1:
+        return BasePointTree(1, ())
+    points = sorted({image for _C, image in exc_curves(finv, n, cfg)})
+    return _base_points(fn, tuple(points), cfg.height_cap)
 
 
 @functools.cache
-def _base_points(f: ProjMap, height_cap: int) -> BasePointTree:
+def _base_points(f: ProjMap, points: tuple[ProjPoint, ...],
+                 height_cap: int) -> BasePointTree:
     d = f.degree()
-    if d == 1:
-        return BasePointTree(d, ())
-
-    points, flag = projective_rational_zeros(f.entries)
-    if flag:
-        raise IrrationalBaseLocus(
-            f"the base locus of {f} contains points outside the rationals")
-
     roots = []
     for P in points:
         i = next(j for j, c in enumerate(P) if c != 0)
@@ -386,9 +387,74 @@ def _exc_components(f: ProjMap) -> tuple[ExcComponent, ...]:
         _, facs = factor_q(jac)
         for fac, mult in facs:
             img = curve_image(f, fac)
-            if img is not None:
-                comps.append(ExcComponent(fac, mult, img))
+            if img is None:
+                # every Jacobian factor of a birational map is contracted:
+                # this one is a Galois orbit of curves sent to conjugate points
+                raise IrrationalBaseLocus(
+                    f"{f} contracts the components of {fac} = 0 to points "
+                    "outside the rationals")
+            comps.append(ExcComponent(fac, mult, img))
     return tuple(comps)
+
+
+@functools.cache
+def _pullback(f: ProjMap, C: Poly) -> Poly | None:
+    """The strict transform of C under f: the one component of C(f) that f
+    does not contract.  None when f^-1 contracts C, so no curve maps onto it.
+    """
+    if any(c.curve == C for c in exc_components(f.inverse)):
+        return None
+    seeds = {c.curve for c in exc_components(f)}
+    candidates = [fac for fac, _m in factor_q(C.compose(f.entries))[1]
+                  if fac not in seeds]
+    if len(candidates) != 1:
+        raise ResolutionError(
+            f"pullback of {C} does not have a unique non-contracted component; "
+            "this indicates an internal inconsistency")
+    return candidates[0]
+
+
+def exc_curves(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS
+               ) -> tuple[tuple[Poly, ProjPoint], ...]:
+    """The (curve, image) pairs of the curves contracted by f^n.
+
+    Each curve C_0 contracted by f seeds a backward chain of strict
+    transforms C_0, C_1, ... (f maps C_{j+1} onto C_j); the chain ends when
+    f^-1 contracts a member.  f^n contracts C_j (j < n) onto f^(n-j-1) of
+    the seed's image while that point's forward orbit is defined; past that,
+    the reduced iterate is queried on the explicit curve.  For n >= 2 the
+    map's inverse is attached (computed if need be).
+    """
+    if n > 1:
+        inverse(f, cfg=cfg)
+    return _exc_curves(f, n, cfg.degree_cap)
+
+
+@functools.cache
+def _exc_curves(f: ProjMap, n: int, degree_cap: int
+                ) -> tuple[tuple[Poly, ProjPoint], ...]:
+    cfg = RunConfig(degree_cap=degree_cap)
+    pairs = []
+    for comp in exc_components(f):
+        orbit = [comp.image]  # orbit[k] = f^k(image), while defined
+        while len(orbit) < n:
+            nxt = f.apply(orbit[-1])
+            if nxt is None:
+                break
+            orbit.append(nxt)
+        C: Poly | None = comp.curve
+        for j in range(n):
+            if j:
+                C = _pullback(f, C)
+                if C is None:
+                    break
+            if n - j - 1 < len(orbit):
+                pairs.append((C, orbit[n - j - 1]))
+            else:
+                image = curve_image(iterate(f, n, cfg), C)
+                if image is not None:
+                    pairs.append((C, image))
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

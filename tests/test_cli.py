@@ -11,6 +11,8 @@ from blowcube.cli import main
 
 # the reports of ``classify <name> -n 4`` that the benchmark also checks
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+# the output of ``base-points <name>``: towers, charts and coordinates
+TOWERS = Path(__file__).resolve().parent / "data" / "base_points"
 PLANE_BUILTINS = ["hen2", "henon", "jonq1", "jonq2", "lox1", "sigma"]
 
 
@@ -61,6 +63,25 @@ def test_classify_bytes_match_the_recorded_reports(name, capsys):
     code, out, err = run(capsys, "classify", name, "-n", "4")
     assert (code, err) == (0, "")
     assert out == want
+
+
+@pytest.mark.parametrize("name", PLANE_BUILTINS)
+def test_base_points_bytes_match_the_recorded_towers(name, capsys):
+    with open(TOWERS / f"{name}.json", newline="") as fh:
+        want = fh.read()
+    code, out, err = run(capsys, "base-points", name)
+    assert (code, err) == (0, "")
+    assert out == want
+
+
+def test_classify_reports_an_irrational_base_locus_as_a_cap(capsys):
+    # y = 0 meets x^2 = 2*z^2 in a conjugate pair of base points
+    code, out, err = run(capsys, "classify", "P2:[x*y : y*z : x^2 - 2*z^2]",
+                         "-n", "4")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert "nu1: IrrationalBaseLocus" in data["caps_hit"]
+    assert data["nu_forward"] is None and data["nu_backward"] is None
 
 
 def test_mu_command(capsys):
@@ -279,6 +300,28 @@ def test_horizon_below_one_is_a_usage_error(argv, capsys):
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "at least 1" in captured.err
+
+
+def test_radius_below_zero_is_a_usage_error(capsys):
+    for r in ("-1", "-3"):
+        with pytest.raises(SystemExit) as info:
+            main(["ball", "sigma", "--radius", r])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 0" in captured.err
+
+
+def test_environment_radius_below_zero_exits_3(monkeypatch, capsys):
+    monkeypatch.setenv("BLOWCUBE_RADIUS", "-1")
+    code, out, err = run(capsys, "ball", "sigma")
+    assert code == 3 and out == ""
+    assert "BLOWCUBE_RADIUS" in err and "at least 0" in err
+
+
+def test_radius_zero_holds_the_center_and_the_marking(capsys):
+    code, out, _err = run(capsys, "ball", "sigma", "--radius", "0")
+    assert code == 0
+    assert json.loads(out)["vertices"] == ["id[]", "sigma[]"]
 
 
 @pytest.mark.parametrize("argv", HORIZON_COMMANDS, ids=lambda a: a[0])

@@ -19,6 +19,7 @@ from blowcube import (
     distance,
     exc_components,
     exc_count_sequence,
+    exc_curves,
     geodesics,
     hyperplanes,
     identity,
@@ -30,15 +31,16 @@ from blowcube import (
     nu1,
     parse_map,
     parse_poly,
+    poly_exact_div,
     transition,
     vertex_distance,
     vertex_equiv,
 )
 from blowcube import dynamics, resolve
 from blowcube.config import RunConfig
-from blowcube.errors import ComplexError, MapError, ResolutionError
+from blowcube.errors import (ComplexError, IrrationalBaseLocus, MapError,
+                             ResolutionError)
 from blowcube.maps import linear_map
-from blowcube.poly import poly_divides
 
 
 def sigma_ball():
@@ -127,6 +129,12 @@ def test_action_outside_the_ball_is_refused(figure_ball):
         action_on_ball(builtin("henon"), figure_ball)
 
 
+def test_negative_ball_radius_is_refused():
+    center = marked_vertex(identity(2))
+    with pytest.raises(ValueError, match="radius must be at least 0"):
+        ball(center, -1, universe=[], markings=[builtin("sigma")])
+
+
 # ---------------------------------------------------------------------------
 # growth invariants
 # ---------------------------------------------------------------------------
@@ -180,7 +188,7 @@ def test_exc_count_disagreement_with_direct_factorization_raises(monkeypatch):
 
 def _contracted_by_square(name):
     f2 = iterate(builtin(name), 2)
-    return f2, [(comp.curve, False) for comp in exc_components(f2)]
+    return f2, [(comp.curve, comp.image) for comp in exc_components(f2)]
 
 
 @pytest.mark.parametrize("name", ["jonq2", "henon"])
@@ -188,7 +196,7 @@ def test_exc_certificate_accepts_the_contracted_curves(name):
     f2, counted = _contracted_by_square(name)
     assert counted
     assert dynamics._exc_certificate(f2, counted)
-    assert dynamics._exc_certificate(f2, [(C, True) for C, _ in counted])
+    assert dynamics._exc_certificate(f2, exc_curves(builtin(name), 2))
 
 
 @pytest.mark.parametrize("name", ["jonq2", "henon"])
@@ -197,8 +205,12 @@ def test_exc_certificate_rejects_a_wrong_curve_list(name):
     assert not dynamics._exc_certificate(f2, counted[1:])  # one missing
     assert not dynamics._exc_certificate(f2, counted + counted[:1])  # twice
     line = parse_poly("x + 2*y + 3*z", f2.vars)
-    assert not poly_divides(line, jacobian_det(f2.entries))
-    assert not dynamics._exc_certificate(f2, counted + [(line, False)])
+    with pytest.raises(ValueError, match="not an exact division"):
+        poly_exact_div(jacobian_det(f2.entries), line)
+    assert not dynamics._exc_certificate(f2, counted + [(line, (1, 0, 0))])
+    # the right curves, one of them sent to the wrong point
+    (C, _image), *rest = counted
+    assert not dynamics._exc_certificate(f2, [(C, (1, 2, 3)), *rest])
 
 
 def test_exc_certificate_rejects_a_vanishing_jacobian():
@@ -214,7 +226,7 @@ def test_exc_certificate_rejects_a_vanishing_jacobian():
     signal.alarm(10)
     try:
         assert not dynamics._exc_certificate(
-            f, [(parse_poly("x", f.vars), False)])
+            f, [(parse_poly("x", f.vars), (1, 0, 0))])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -235,7 +247,9 @@ def test_nu1_counts_are_certified_without_factoring(monkeypatch):
         raise AssertionError(f"the certificate failed on f^{n} of {f}")
 
     dynamics._exc_counts.cache_clear()
-    resolve._exc_components.cache_clear()
+    for memo in (resolve._exc_components, resolve._exc_curves,
+                 resolve._pullback, resolve._base_points):
+        memo.cache_clear()
     monkeypatch.setattr(dynamics, "_direct_exc_count", refuse)
     rng = random.Random(1)
     for name in ("sigma", "henon", "jonq1", "jonq2", "hen2"):
@@ -243,6 +257,17 @@ def test_nu1_counts_are_certified_without_factoring(monkeypatch):
         nu1(f, N=4)
         for _ in range(3):
             nu1(conjugate(f, _dense_automorphism(rng)), N=2)
+
+
+# Each map contracts a Galois orbit of lines to conjugate points; counting
+# only the curves with a rational image would give (0, 0, 0) and (1, 0, 1, 0).
+@pytest.mark.parametrize("spec, N", [
+    ("P2:[y^2 - x*z : z^2 - 2*x*y : y*z - 2*x^2]", 3),  # three conjugate lines
+    ("P2:[x*z : y*z : y^2 - 2*x^2]", 4),  # z = 0 and the pair y = ±√2·x
+])
+def test_nu1_refuses_curves_contracted_to_irrational_points(spec, N):
+    with pytest.raises(IrrationalBaseLocus):
+        nu1(parse_map(spec), N=N)
 
 
 def test_nu_verdicts():

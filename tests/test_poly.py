@@ -29,13 +29,11 @@ from blowcube.poly import (
     WIDTH,
     _key_total,
     canonical_factor,
-    common_zero_over,
     content_gcd,
     linear_relations,
     pack,
     parse_ratfunc,
     primitive_tuple,
-    resultant,
     unpack,
 )
 
@@ -489,39 +487,6 @@ def test_primitive_tuple_strips_common_factor():
     assert stripped == (x * 2, y * 2, x - y)
 
 
-def test_resultant_eliminates_the_variable():
-    a = parse_poly("x^2 - y", XY)
-    b = parse_poly("x - y", XY)
-    r = resultant(a, b, "x")
-    assert r.degree_in("x") == 0
-    assert canonical_factor(r) == canonical_factor(parse_poly("y^2 - y", XY))
-
-
-def test_common_zero_over_a_planted_root():
-    # x = y^2 - 1 is a common zero of both members above each root of m
-    m = parse_poly("y^2 - 2", XY)
-    g = parse_poly("x - y^2 + 1", XY)
-    polys = [g * parse_poly("x + 3", XY), g * parse_poly("x*y - 1", XY) + m * 5]
-    assert common_zero_over(m, polys) is True
-    m = parse_poly("x^3 - 2", XY)
-    assert common_zero_over(m, [parse_poly("y^2 - x", XY) * parse_poly("y + 1", XY),
-                                parse_poly("y^2 - x", XY) * 7 / 2]) is True
-
-
-def test_common_zero_over_conflicting_members():
-    # above y = sqrt 2 the first member forces x = y, the second x = -y
-    m = parse_poly("y^2 - 2", XY)
-    assert common_zero_over(m, [parse_poly("x - y", XY), parse_poly("x + y", XY)]) is False
-    # a member that is a nonzero constant on the locus m = 0
-    assert common_zero_over(m, [parse_poly("x - y", XY), parse_poly("y^2 - 1", XY)]) is False
-
-
-def test_common_zero_over_rejects_a_positive_dimensional_locus():
-    m = parse_poly("y^2 - 2", XY)
-    with pytest.raises(ValueError):
-        common_zero_over(m, [m * parse_poly("x", XY), m * parse_poly("x + 1", XY)])
-
-
 def test_linear_relations_span_the_planted_relations():
     rng = random.Random(17)
     base = [(rand_poly(rng), rand_poly(rng)) for _ in range(3)]
@@ -633,37 +598,6 @@ def test_poly_exact_div_matches_the_expression_reference():
             poly_exact_div(off, b)
 
 
-def reference_resultant(a: Poly, b: Poly, name: str) -> Poly:
-    syms = sympy.symbols(a.vars)
-    r = sympy.resultant(to_sympy(a).as_expr(), to_sympy(b).as_expr(),
-                        sympy.Symbol(name))
-    return from_sympy(sympy.Poly(r, *syms, domain=sympy.QQ), a.vars)
-
-
-def test_resultant_is_the_exact_expression_resultant():
-    rng = random.Random(67)
-    for vars in (XY, XYZ):
-        for _ in range(8):
-            a, b = rand_rational(rng, vars, terms=3), rand_divisor(rng, vars)
-            name = rng.choice(vars)
-            assert resultant(a, b, name) == reference_resultant(a, b, name)
-    # the eliminated variable missing from one input
-    a = parse_poly("3/4*y^2 - 2/5*y*z + 1/3", XYZ)
-    b = parse_poly("2/3*x^2*y - 5/7*x + z", XYZ)
-    for pair in ((a, b), (b, a)):
-        assert resultant(*pair, "x") == reference_resultant(*pair, "x")
-    # a bivariate pair whose resultant is a constant
-    a = parse_poly("x/2 - y/2", XY)
-    b = parse_poly("2/3*x - 2/3*y + 1", XY)
-    r = resultant(a, b, "x")
-    assert r == reference_resultant(a, b, "x") == Poly.const(XY, Fraction(1, 2))
-    # one variable: sympy's resultant is a number, not a polynomial
-    X = ("x",)
-    a, b = parse_poly("x^2/2 - 3", X), parse_poly("2/3*x + 5/7", X)
-    assert resultant(a, b, "x") == reference_resultant(a, b, "x")
-    assert resultant(Poly.zero(X), b, "x").is_zero
-
-
 def test_bridge_makes_no_expression_round_trip(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the bridge went through a sympy expression")
@@ -680,7 +614,3 @@ def test_bridge_makes_no_expression_round_trip(monkeypatch):
     assert poly_exact_div(a, parse_poly("6/5*x + 6/5", XY)) == parse_poly("5/12*x^2 - 5/12*y", XY)
     with pytest.raises(ValueError, match="not an exact division"):
         poly_exact_div(a, parse_poly("6/5*x + 6/5*y", XY))
-    r = resultant(parse_poly("x^2/2 - y", XY), parse_poly("2/3*x - y", XY), "x")
-    assert r == parse_poly("y^2/2 - 4/9*y", XY)
-    assert common_zero_over(parse_poly("y^2 - 2", XY),
-                            [parse_poly("x^2/3 - y/3", XY)]) is True

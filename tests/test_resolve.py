@@ -11,6 +11,7 @@ from blowcube import (
     conjugate,
     curve_image,
     exc_components,
+    exc_curves,
     factor_q,
     indeterminacy_points,
     inverse,
@@ -135,6 +136,18 @@ def test_irrational_base_locus_is_reported_not_approximated():
         base_points(f)
 
 
+@pytest.mark.parametrize("spec", [
+    "P2:[x*z : y*z : y^2 - 2*x^2]",  # [1 : ±√2 : 0] and [0 : 0 : 1]
+    "P2:[x*y : y*z : x^2 - 2*z^2]",  # [±√2 : 0 : 1] and [0 : 1 : 0]
+    "P2:[y^2 - x*z : z^2 - 2*x*y : y*z - 2*x^2]",  # conjugate over Q(∛2)
+], ids=["pair-at-infinity", "pair-in-the-chart", "cube-root-triple"])
+def test_conjugate_base_points_are_reported_both_ways(spec):
+    f = parse_map(spec)
+    for g in (f, inverse(f)):
+        with pytest.raises(IrrationalBaseLocus):
+            base_points(g)
+
+
 # ---------------------------------------------------------------------------
 # contracted curves
 # ---------------------------------------------------------------------------
@@ -229,6 +242,58 @@ def test_curve_image_commutes_with_linear_conjugation(name):
             image = curve_image(f, C)
             want = None if image is None else a.inverse.apply(image)
             assert curve_image(g, C.compose(a.entries)) == want
+
+
+PLANE_BUILTINS = ["sigma", "henon", "hen2", "jonq1", "jonq2", "lox1"]
+
+
+def _maps_and_horizons(name):
+    """The built-in and its inverse to n = 3; except for lox1, two seeded
+    dense conjugates and their inverses to n = 2."""
+    f = builtin(name)
+    cases = [(f, 3), (inverse(f), 3)]
+    if name != "lox1":
+        rng = random.Random(f"chains {name}")
+        for _ in range(2):
+            g = conjugate(f, _dense_automorphism(rng))
+            cases += [(g, 2), (inverse(g), 2)]
+    return cases
+
+
+@pytest.mark.parametrize("name", PLANE_BUILTINS)
+def test_chains_give_the_contracted_curves_of_the_iterates(name):
+    for f, horizon in _maps_and_horizons(name):
+        for n in range(1, horizon + 1):
+            pairs = exc_curves(f, n)
+            direct = {(c.curve, c.image) for c in exc_components(iterate(f, n))}
+            assert len(set(pairs)) == len(pairs)
+            assert set(pairs) == direct, (name, str(f), n)
+
+
+@pytest.mark.parametrize("name", PLANE_BUILTINS)
+def test_towers_of_iterates_match_the_towers_of_the_composites(name):
+    # base_points(f, n=n) reads the chains of f^-1; base_points(f^n) factors
+    # the Jacobian of the composite (f^-1)^n
+    for f, horizon in _maps_and_horizons(name):
+        for n in range(2, horizon + 1):
+            want = base_points(iterate(f, n)).to_dict()
+            assert base_points(f, n=n).to_dict() == want, (name, str(f), n)
+
+
+@pytest.mark.parametrize("name", PLANE_BUILTINS)
+def test_conjugation_moves_the_base_points(name):
+    # g = a^-1 f a is undefined exactly at a^-1 of the base points of f
+    f = builtin(name)
+    tree = base_points(f)
+    roots = [r.point.root for r in tree.roots]
+    mults = sorted(tree.multiplicities().values())
+    rng = random.Random(f"towers {name}")
+    for _ in range(3):
+        a = _dense_automorphism(rng)
+        moved = base_points(conjugate(f, a))
+        assert ([r.point.root for r in moved.roots]
+                == sorted(a.inverse.apply(p) for p in roots))
+        assert sorted(moved.multiplicities().values()) == mults
 
 
 def test_jacobian_order_of_contracted_lines():
