@@ -66,10 +66,9 @@ def _config(args, parser: argparse.ArgumentParser) -> RunConfig:
 
 
 def _map_argument(args, parser: argparse.ArgumentParser):
-    text = getattr(args, "map_option", None) or getattr(args, "map", None)
-    if text is None:
+    if args.map is None:
         parser.error("a map is required (built-in name or spec string)")
-    return resolve_map_argument(text)
+    return resolve_map_argument(args.map)
 
 
 def _check_format(args, parser, allowed: tuple[str, ...]) -> str:
@@ -196,8 +195,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_map(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("map", nargs="?",
                      help="built-in name or map spec (P2:/ A2:/ MON: grammar)")
-    sub.add_argument("--map", dest="map_option", default=None,
-                     help="alternative way to pass the map")
 
 
 def build_parser() -> argparse.ArgumentParser:

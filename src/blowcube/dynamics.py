@@ -16,7 +16,6 @@ contracted-curve counting.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -31,7 +30,7 @@ from .maps import (ProjMap, ProjPoint, compose, degree_sequence, identity,
                    inverse, iterate, normalize_point)
 from .poly import Poly, jacobian_det, poly_exact_div
 from .resolve import (BubblePoint, base_points, bubble_transport,
-                      curve_image, exc_components, exc_curves, parent_closed)
+                      curve_image, exc_curves, parent_closed)
 
 _PROBE_UNIVERSE_CAP = 8  # fixed-vertex probes enumerate subsets of this many points
 
@@ -57,13 +56,10 @@ class MarkedVertex:
     def picard_rank(self) -> int:
         return 1 + len(self.blown)
 
-    def label(self) -> str:
+    def __str__(self):
         m = self.marking.name or str(self.marking)
         pts = ", ".join(str(p) for p in sorted(self.blown, key=BubblePoint.sort_key))
-        return f"({m}; {{{pts}}})"
-
-    def __str__(self):
-        return self.label()
+        return f"{m}[{pts}]"
 
 
 def marked_vertex(marking: ProjMap, blown: Iterable = (),
@@ -164,12 +160,6 @@ class BallResult:
         return None
 
 
-def _vertex_id(v: MarkedVertex) -> str:
-    m = v.marking.name or str(v.marking)
-    pts = ", ".join(str(p) for p in sorted(v.blown, key=BubblePoint.sort_key))
-    return f"{m}[{pts}]"
-
-
 def _closed_subsets(universe: Sequence[BubblePoint], radius: int):
     for size in range(min(radius, len(universe)) + 1):
         for combo in combinations(universe, size):
@@ -214,7 +204,7 @@ def ball(center: MarkedVertex, radius: int, universe: Iterable,
                 break
         if hit is None:
             canonical.append(pres)
-            ids.append(_vertex_id(pres))
+            ids.append(str(pres))
             hit = len(canonical) - 1
         index[(pres.marking.key(), pres.blown)] = ids[hit]
 
@@ -373,7 +363,7 @@ def mu(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> MuResu
     if slope == 0 or _tail_bounded(seq):
         witness = _probe_fixed_vertex(f, cfg)
         if witness is not None:
-            return MuResult(0, seq, N, fixed_vertex=_vertex_id(witness))
+            return MuResult(0, seq, N, fixed_vertex=str(witness))
     return MuResult(None, seq, N)
 
 
@@ -381,11 +371,7 @@ def mu(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> MuResu
 # nu1: growth rate of the contracted-curve count
 # ---------------------------------------------------------------------------
 
-DIRECT_DEG_CAP = 12  # cross-check |Exc^1(f^n)| against J(f^n) up to here
-
-
-def _direct_exc_count(f: ProjMap, n: int, cfg: RunConfig) -> int:
-    return len(exc_components(iterate(f, n, cfg)))
+CERTIFIED_DEG_CAP = 12  # certify |Exc^1(f^n)| against J(f^n) up to here
 
 
 def _exc_certificate(fn: ProjMap,
@@ -422,41 +408,30 @@ def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[in
     The contracted curves of f^n are read off the backward chains of
     ``resolve.exc_curves``, which the base points of f^-n share.
 
-    For 2 <= n while deg f^n <= DIRECT_DEG_CAP the count is certified by
+    For 2 <= n while deg f^n <= CERTIFIED_DEG_CAP the count is certified by
     exact division: the curves counted for f^n, each stripped from the
     Jacobian J(f^n) with all its powers, must leave a nonzero constant, and
     each must be contracted by f^n to its listed image.  The curves are
     Q-irreducible, so the contracted curves of f^n are then exactly the
-    counted ones.  Only when the certificate fails is J(f^n) factored
-    directly; a disagreement with that count raises ResolutionError.  n = 1
-    needs no check: every seed is counted there, so the count is |Exc^1(f)|
-    by construction.
+    counted ones; a failed certificate raises ResolutionError.  n = 1 needs
+    no check: every seed is counted there, so the count is |Exc^1(f)| by
+    construction.
     """
     N = _horizon(N, cfg)
     inverse(f, cfg=cfg)
-    return list(_exc_counts(f, N, cfg.degree_cap))
-
-
-@functools.cache
-def _exc_counts(f: ProjMap, N: int, degree_cap: int) -> tuple[int, ...]:
-    cfg = RunConfig(degree_cap=degree_cap)
     counted = [exc_curves(f, n, cfg) for n in range(1, N + 1)]
-    counts = tuple(len(pairs) for pairs in counted)
     for n in range(2, N + 1):
         try:
             fn = iterate(f, n, cfg)
         except DegreeCapExceeded:
             break
-        if fn.degree() > DIRECT_DEG_CAP:
+        if fn.degree() > CERTIFIED_DEG_CAP:
             break
-        if _exc_certificate(fn, counted[n - 1]):
-            continue
-        direct = _direct_exc_count(f, n, cfg)
-        if counts[n - 1] != direct:
+        if not _exc_certificate(fn, counted[n - 1]):
             raise ResolutionError(
-                f"|Exc^1(f^{n})| of {f}: the backward chains count "
-                f"{counts[n - 1]} curves, direct factorization {direct}")
-    return counts
+                f"|Exc^1(f^{n})| of {f}: the {len(counted[n - 1])} curves "
+                "counted by the backward chains fail the division certificate")
+    return [len(pairs) for pairs in counted]
 
 
 @dataclass(frozen=True)
@@ -688,9 +663,8 @@ def check_degree_bound(f: ProjMap, N: int = 8,
     if f.dim != 2:
         raise ResolutionError(
             "contracted-curve counting is only implemented for plane maps")
-    inverse(f, cfg=cfg)
-    counts = exc_count_sequence(f, N, cfg)
     nu_res = nu1(f, N, cfg)
+    counts = nu_res.seq_f
     vacuous = not (nu_res.nu_f or nu_res.nu_finv)
     rows = []
     for n in range(1, N + 1):

@@ -6,11 +6,11 @@ sign-normalized, so equal maps compare equal structurally).  Affine maps of
 the plane enter as pairs of rational functions and are homogenized; monomial
 maps enter as integer exponent matrices.
 
-Inverses are never guessed silently: ``inverse`` runs a short list of
-strategies (supplied candidate, linear matrix inverse, monomial matrix
-inverse, and for plane maps one linear solve for the inverse in the degree
-of the map) and every strategy's output is verified by composing both ways
-before it is attached to the map.
+Inverses are never guessed silently.  Linear and monomial maps carry the
+inverse read off their matrix from construction; any other plane map is
+inverted by one linear solve for the inverse in the degree of the map, and
+that solution, like a supplied candidate, is verified by composing both
+ways before it is attached to the map.
 Composites and iterates of maps with verified inverses inherit inverses
 without re-verification: ``compose(f, g)`` carries g^-1 after f^-1, and
 ``iterate(f, n)`` carries (f^-1)^n from the same store of iterates.
@@ -32,8 +32,6 @@ from blowcube.poly import (
     parse_poly,
     parse_ratfunc,
     linear_relations,
-    poly_gcd,
-    poly_exact_div,
     poly_str,
     primitive_tuple,
 )
@@ -99,8 +97,6 @@ class ProjMap:
         self.vars = vars
         self.name = name
         self._inverse: "ProjMap | None" = None
-        self._monomial_matrix: tuple[tuple[int, ...], ...] | None = None
-        self._key = tuple(p.key() for p in self.entries)
 
     # -- basics -------------------------------------------------------
 
@@ -112,7 +108,7 @@ class ProjMap:
         return self.entries[0].degree()
 
     def is_identity(self) -> bool:
-        return self.entries == identity(self.dim).entries
+        return self.entries == tuple(Poly.var(self.vars, v) for v in self.vars)
 
     def is_monomial(self) -> bool:
         return all(len(p.coeffs) == 1 for p in self.entries)
@@ -129,15 +125,15 @@ class ProjMap:
         return self._inverse is not None
 
     def key(self) -> tuple:
-        return self._key
+        return self.entries
 
     def __eq__(self, other):
         if not isinstance(other, ProjMap):
             return NotImplemented
-        return self._key == other._key
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.entries)
 
     def apply(self, pt: Sequence) -> ProjPoint | None:
         """Image of a point; None when the point is in the base locus."""
@@ -330,29 +326,19 @@ def monomial_map(matrix: Sequence[Sequence[int]]) -> ProjMap:
     if inv is None:
         raise MapError("monomial matrix is singular")
     f = ProjMap(_monomial_entries(rows))
-    f._monomial_matrix = tuple(rows)
     # an integer matrix has an integer inverse exactly when det = +-1
     if all(c.denominator == 1 for r in inv for c in r):
-        inv_rows = tuple(tuple(int(c) for c in r) for r in inv)
-        g = ProjMap(_monomial_entries(inv_rows))
-        g._monomial_matrix = inv_rows
-        _attach(f, g)
+        _attach(f, ProjMap(_monomial_entries([[int(c) for c in r] for r in inv])))
     return f
 
 
 def monomial_matrix_of(f: ProjMap) -> tuple[tuple[int, ...], ...]:
     """Recover the affine exponent matrix of a monomial projective map."""
-    if f._monomial_matrix is not None:
-        return f._monomial_matrix
     if not f.is_monomial():
         raise MapError("not a monomial map")
-    n = f.dim
     exps = [next(iter(p.terms()))[0] for p in f.entries]
-    rows = []
-    for i in range(1, n + 1):
-        rows.append(tuple(exps[i][j] - exps[0][j] for j in range(1, n + 1)))
-    f._monomial_matrix = tuple(rows)
-    return f._monomial_matrix
+    return tuple(tuple(e[j] - exps[0][j] for j in range(1, f.dim + 1))
+                 for e in exps[1:])
 
 
 def mat_mul(A, B):
@@ -386,41 +372,26 @@ A2_VARS = ("x", "y")
 RatFunc = tuple[Poly, Poly]
 
 
-def _reduce_ratfunc(n: Poly, d: Poly) -> RatFunc:
-    if d.is_zero:
-        raise MapError("zero denominator")
-    if n.is_zero:
-        return Poly.zero(n.vars), Poly.const(n.vars, 1)
-    g = poly_gcd(n, d)
-    if not g.is_constant:
-        n = poly_exact_div(n, g)
-        d = poly_exact_div(d, g)
-    if d.is_constant:
-        return n / d.constant_value(), Poly.const(n.vars, 1)
-    lead = d.leading()[1]
-    return n / lead, d / lead
-
-
 class AffineMap2:
     """Rational self-map of the affine plane, a pair of rational functions."""
 
     def __init__(self, fx: RatFunc, fy: RatFunc, name: str | None = None):
-        self.fx = _reduce_ratfunc(*fx)
-        self.fy = _reduce_ratfunc(*fy)
+        if fx[1].is_zero or fy[1].is_zero:
+            raise MapError("zero denominator")
+        self.fx = fx
+        self.fy = fy
         self.name = name
 
 
 def homogenize(aff: AffineMap2) -> ProjMap:
-    """Projective closure on [x : y : z], affine chart z = 1."""
+    """Projective closure on [x : y : z], affine chart z = 1.
+
+    The entries are built over the denominator d1*d2; ``ProjMap`` divides
+    out whatever factor they share."""
     (n1, d1), (n2, d2) = aff.fx, aff.fy
-    g = poly_gcd(d1, d2)
-    L = poly_exact_div(d1 * d2, g) if not g.is_constant else d1 * d2
-    e1 = n1 * poly_exact_div(L, d1)
-    e2 = n2 * poly_exact_div(L, d2)
-    deg = max(e1.degree(), e2.degree(), L.degree())
-    entries = [p.homogenize("z", deg) for p in (e1, e2, L)]
-    f = ProjMap(entries, name=aff.name)
-    return f
+    chart = (n1 * d2, n2 * d1, d1 * d2)
+    deg = max(p.degree() for p in chart)
+    return ProjMap([p.homogenize("z", deg) for p in chart], name=aff.name)
 
 
 def dehomogenize(f: ProjMap) -> AffineMap2:
@@ -452,48 +423,26 @@ def inverse(f: ProjMap, candidate: ProjMap | None = None,
             cfg: RunConfig = DEFAULTS) -> ProjMap:
     """Verified inverse of f, or raise InverseUnavailable.
 
-    Strategies, in order: supplied candidate, linear matrix inverse,
-    monomial matrix inverse, and for plane maps the linear solve of
-    ``_plane_inverse``.  Whatever a strategy produces is verified by
-    composing both ways before being accepted.
+    A supplied candidate is verified and attached, or rejected with a
+    MapError.  Without one, the inverse attached at construction is
+    returned (linear and monomial maps carry theirs, and composites and
+    iterates inherit them); otherwise a plane map is inverted by the linear
+    solve of ``_plane_inverse``, verified by composing both ways.
     """
-    if f._inverse is not None and candidate is None:
-        return f._inverse
-    tried = []
     if candidate is not None:
         if verify_inverse(f, candidate, cfg):
             _attach(f, candidate)
             return candidate
         raise MapError(f"candidate inverse rejected: {candidate} does not invert {f}")
-    if f.degree() == 1:
-        tried.append("linear")
-        matrix = [[p.coefficient([int(j == i) for i in range(len(f.vars))])
-                   for j in range(len(f.vars))] for p in f.entries]
-        try:
-            g = linear_map(matrix).inverse
-        except MapError:
-            g = None
-        if g is not None and verify_inverse(f, g, cfg):
-            _attach(f, g)
-            return g
-    if f.is_monomial():
-        tried.append("monomial")
-        try:
-            g = monomial_map(monomial_matrix_of(f)).inverse
-        except MapError:  # singular, or det != +-1
-            g = None
-        if g is not None and verify_inverse(f, g, cfg):
-            _attach(f, g)
-            return g
-    if f.dim == 2:
-        tried.append("plane nullspace")
-        g = _plane_inverse(f)
-        if g is not None and verify_inverse(f, g, cfg):
-            _attach(f, g)
-            return g
-    raise InverseUnavailable(
-        f"no inverse strategy applies to {f} "
-        f"(tried: {', '.join(tried) or 'none'})")
+    if f._inverse is not None:
+        return f._inverse
+    g = _plane_inverse(f) if f.dim == 2 else None
+    if g is None or not verify_inverse(f, g, cfg):
+        tried = "plane nullspace" if f.dim == 2 else "none"
+        raise InverseUnavailable(
+            f"no inverse strategy applies to {f} (tried: {tried})")
+    _attach(f, g)
+    return g
 
 
 def _plane_inverse(f: ProjMap) -> ProjMap | None:

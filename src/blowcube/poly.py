@@ -260,10 +260,6 @@ class Poly:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def key(self) -> tuple:
-        """Hashable canonical key (useful for caches and sorting)."""
-        return (self.vars, self.den, tuple(sorted(self.coeffs.items())))
-
     # -- calculus / evaluation ---------------------------------------
 
     def derivative(self, name: str) -> "Poly":

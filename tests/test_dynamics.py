@@ -174,15 +174,12 @@ def test_exc_count_sequence_returns_a_fresh_list():
     assert exc_count_sequence(jonq2, 4) == [2, 3, 4, 5]
 
 
-def test_exc_count_disagreement_with_direct_factorization_raises(monkeypatch):
-    # a wrong chain count fails the division certificate, and the direct
-    # factorization it falls back to then disagrees; both are forced here
-    dynamics._exc_counts.cache_clear()
-    real = dynamics._direct_exc_count
+def test_failed_exc_certificate_raises(monkeypatch):
+    # a wrong chain count fails the division certificate, which is never
+    # patched over; the failure is forced here at n = 2, where jonq2 counts 3
     monkeypatch.setattr(dynamics, "_exc_certificate", lambda fn, counted: False)
-    monkeypatch.setattr(dynamics, "_direct_exc_count",
-                        lambda f, n, cfg: real(f, n, cfg) + 1)
-    with pytest.raises(ResolutionError, match="direct factorization"):
+    with pytest.raises(ResolutionError,
+                       match=r"\|Exc\^1\(f\^2\)\| .*: the 3 curves counted .* fail"):
         exc_count_sequence(builtin("jonq2"), 3)
 
 
@@ -243,20 +240,26 @@ def _dense_automorphism(rng):
 
 
 def test_nu1_counts_are_certified_without_factoring(monkeypatch):
-    def refuse(f, n, cfg):
-        raise AssertionError(f"the certificate failed on f^{n} of {f}")
+    # a failed certificate raises ResolutionError; the spy shows that the
+    # certificates ran and held
+    real = dynamics._exc_certificate
+    verdicts = []
 
-    dynamics._exc_counts.cache_clear()
+    def spy(fn, counted):
+        verdicts.append(real(fn, counted))
+        return verdicts[-1]
+
     for memo in (resolve._exc_components, resolve._exc_curves,
                  resolve._pullback, resolve._base_points):
         memo.cache_clear()
-    monkeypatch.setattr(dynamics, "_direct_exc_count", refuse)
+    monkeypatch.setattr(dynamics, "_exc_certificate", spy)
     rng = random.Random(1)
     for name in ("sigma", "henon", "jonq1", "jonq2", "hen2"):
         f = builtin(name)
         nu1(f, N=4)
         for _ in range(3):
             nu1(conjugate(f, _dense_automorphism(rng)), N=2)
+    assert verdicts and all(verdicts)
 
 
 # Each map contracts a Galois orbit of lines to conjugate points; counting

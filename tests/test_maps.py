@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from blowcube import (
+    AffineMap2,
     ProjMap,
     builtin,
     builtin_names,
@@ -105,6 +106,23 @@ def test_homogenize_dehomogenize_roundtrip():
     for name in ("sigma", "henon", "jonq1", "jonq2", "lox1"):
         f = builtin(name)
         assert homogenize(dehomogenize(f)).key() == f.key()
+
+
+@pytest.mark.parametrize("spec, same_as", [
+    ("A2:(x*(y - 1)/(y*(y - 1)), y^2/y)", "A2:(x/y, y)"),
+    ("A2:(x/(x + y), y/(x + y))", "P2:[x : y : x + y]"),
+])
+def test_affine_entries_are_reduced_by_the_map(spec, same_as):
+    # a factor shared inside one fraction, and a denominator shared by both
+    assert parse_map(spec).key() == parse_map(same_as).key()
+
+
+def test_affine_zero_denominator_is_refused():
+    x, one, zero = (parse_poly(p, ("x", "y")) for p in ("x", "1", "0"))
+    with pytest.raises(MapError, match="zero denominator"):
+        AffineMap2((x, one), (x, zero))
+    with pytest.raises(MapError, match="zero denominator"):
+        AffineMap2((x, zero), (x, one))
 
 
 def test_affine_and_projective_routes_agree():
@@ -270,6 +288,25 @@ def test_plane_inverse_of_dense_conjugate_specs(name):
         spec = parse_map(f"P2:{g}")
         assert not spec.has_inverse
         assert inverse(spec).key() == g.inverse.key()
+
+
+@pytest.mark.parametrize("spec", [
+    "P2:[y*z : x*z : x*y]", "MON:2:[[0,1],[1,0]]", "MON:2:[[1,1],[0,1]]"])
+def test_plane_solve_agrees_with_the_inverse_of_a_monomial_map(spec):
+    g = monomial_map(monomial_matrix_of(parse_map(spec)))
+    assert g.key() == parse_map(spec).key() and g.has_inverse
+    fresh = ProjMap(g.entries)
+    assert not fresh.has_inverse
+    assert inverse(fresh).key() == g.inverse.key()
+
+
+def test_plane_solve_agrees_with_the_inverse_of_a_linear_map():
+    rng = random.Random("linear")
+    for _ in range(3):
+        a = _dense_automorphism(rng)
+        fresh = ProjMap(a.entries)
+        assert not fresh.has_inverse
+        assert inverse(fresh).key() == a.inverse.key()
 
 
 def test_plane_inverse_of_a_shear_conjugate_spec():
