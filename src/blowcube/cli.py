@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .config import RunConfig, _env_int, from_environment
+from .config import ENV_PREFIX, RunConfig, _env_int, from_environment
 from .cubes import (check_gromov, complex_from_dict, complex_to_dict,
                     complex_to_dot)
 from .dynamics import (ball, check_degree_bound, classify, marked_vertex, mu,
@@ -44,25 +44,28 @@ def _json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+# the least value of each setting: (RunConfig field, flag, bound)
+_LOWER_BOUNDS = (("iters", "-n/--iters", 1), ("radius", "--radius", 0),
+                 ("height_cap", "--height-cap", 0),
+                 ("degree_cap", "--degree-cap", 1))
+
+
 def _config(args, parser: argparse.ArgumentParser) -> RunConfig:
-    """The run configuration; an iterate horizon below 1 and a ball radius
-    below 0 are refused."""
-    radius = getattr(args, "radius", None)
-    if args.iters is not None and args.iters < 1:
-        parser.error(f"argument -n/--iters: must be at least 1, got {args.iters}")
-    if radius is not None and radius < 0:
-        parser.error(f"argument --radius: must be at least 0, got {radius}")
+    """The run configuration.  A setting below its bound is refused: as a
+    usage error when it comes from a flag, as a ParseError when it comes
+    from a ``BLOWCUBE_*`` variable."""
+    flags = {name: getattr(args, name, None) for name, _f, _b in _LOWER_BOUNDS}
+    for name, flag, bound in _LOWER_BOUNDS:
+        if flags[name] is not None and flags[name] < bound:
+            parser.error(
+                f"argument {flag}: must be at least {bound}, got {flags[name]}")
     env = from_environment()
-    if env.iters < 1:
-        raise ParseError(f"BLOWCUBE_ITERS must be at least 1, got {env.iters}")
-    if env.radius < 0:
-        raise ParseError(f"BLOWCUBE_RADIUS must be at least 0, got {env.radius}")
-    return env.with_overrides(
-        iters=args.iters,
-        degree_cap=args.degree_cap,
-        height_cap=args.height_cap,
-        radius=radius,
-    )
+    for name, _flag, bound in _LOWER_BOUNDS:
+        value = getattr(env, name)
+        if value < bound:
+            raise ParseError(f"{ENV_PREFIX}{name.upper()} must be at least "
+                             f"{bound}, got {value}")
+    return env.with_overrides(**flags)
 
 
 def _map_argument(args, parser: argparse.ArgumentParser):

@@ -303,7 +303,13 @@ class Poly:
     # -- substitutions -----------------------------------------------
 
     def compose(self, entries: Sequence["Poly"]) -> "Poly":
-        """Substitute entries[i] for vars[i]; entries share one variable set."""
+        """Substitute entries[i] for vars[i]; entries share one variable set.
+
+        Each term c * prod entries[i]^e_i is an integer dict over the scale
+        den * prod den(entries[i]^e_i).  The terms are summed into one
+        integer dict over the lcm of those scales, and one Poly is built at
+        the end.
+        """
         if len(entries) != len(self.vars):
             raise ValueError("need one entry per variable")
         if not entries:
@@ -313,7 +319,6 @@ class Poly:
             if e.vars != out_vars:
                 raise ValueError("substitution entries must share variables")
         powers: list[dict[int, Poly]] = [dict() for _ in entries]
-        one = Poly.const(out_vars, 1)
 
         def power(i: int, e: int) -> Poly:
             cache = powers[i]
@@ -323,14 +328,27 @@ class Poly:
                 cache[e] = got
             return got
 
-        result = Poly.zero(out_vars)
-        for exps, q in self.terms():
-            t = one * q
-            for i, e in enumerate(exps):
+        shifts = [WIDTH * i for i in range(len(entries))]
+        terms = []  # (numerator, factor dicts, scale) per term
+        for k, c in self.coeffs.items():
+            factors, scale = [], self.den
+            for i, s in enumerate(shifts):
+                e = (k >> s) & MASK
                 if e:
-                    t = t * power(i, e)
-            result = result + t
-        return result
+                    p = power(i, e)
+                    factors.append(p.coeffs)
+                    scale *= p.den
+            terms.append((c, factors, scale))
+        L = math.lcm(*(scale for _c, _f, scale in terms))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for c, factors, scale in terms:
+            t = {0: c * (L // scale)}
+            for f in factors:
+                t = mul_packed(t, f)
+            for k, v in t.items():
+                acc[k] = get(k, 0) + v
+        return Poly(out_vars, L, acc)
 
     def translate(self, shifts: Sequence) -> "Poly":
         """p(x0 + s0, x1 + s1, ...) for rational shifts (zero entries skipped)."""
@@ -409,6 +427,14 @@ class Poly:
     def truncate_total(self, bound: int) -> "Poly":
         """Drop every term of total degree above ``bound``."""
         kept = {k: c for k, c in self.coeffs.items() if _key_total(k) <= bound}
+        if len(kept) == len(self.coeffs):
+            return self
+        return Poly(self.vars, self.den, kept)
+
+    def truncate_in(self, name: str, bound: int) -> "Poly":
+        """Drop every term whose degree in ``name`` is above ``bound``."""
+        shift = WIDTH * self.vars.index(name)
+        kept = {k: c for k, c in self.coeffs.items() if (k >> shift) & MASK <= bound}
         if len(kept) == len(self.coeffs):
             return self
         return Poly(self.vars, self.den, kept)

@@ -220,9 +220,21 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
     point sits at the origin (all entries vanish there).  ``budget`` bounds
     the multiplicities still to be consumed on any chain through this node;
     terms of higher total degree cannot reach the lowest form of any
-    descendant (each blow-up lowers residual degree by exactly the local
+    descendant (each blow-up lowers a term's order by exactly the local
     multiplicity), so they are dropped.  This keeps the carried systems
     small on long chains where the raw transforms grow without bound.
+
+    A child's budget is also at most ``mult * (height_cap - height)``:
+    multiplicities never increase along a chain of infinitely near points
+    (the proximity inequalities; Alberich-Carramiñana, Geometry of the
+    Plane Cremona Maps, LNM 1769, ch. 1), and a chain below this node has
+    at most ``height_cap - height`` members before the cap stops it.  The
+    child's own multiplicity, at most ``mult``, stays within that budget,
+    and a node at the cap keeps its whole lowest form, so HeightCapExceeded
+    is raised where the untruncated tower would raise it.  The slope
+    children only translate t, so the terms of the strict transform whose
+    u-degree is above the child's budget are dropped before the
+    translation.
     """
     system = [p.truncate_total(budget) for p in system]
     mult = _order_at_origin(system)
@@ -257,18 +269,21 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
             raise HeightCapExceeded(
                 f"tower over {point_str(bubble.root)} exceeds height cap "
                 f"{height_cap}")
+    child_budget = min(budget - mult, mult * (height_cap - bubble.height))
+    if slopes:
+        alpha = [p.truncate_in("u", child_budget) for p in alpha]
     for t0 in slopes:
         child_system = [p.translate((Fraction(0), t0)) for p in alpha]
         child = _resolve_node(child_system,
                               BubblePoint(bubble.root, bubble.steps + (BubbleStep("s", t0),)),
                               blown + "#0", (Fraction(0), t0), height_cap,
-                              budget - mult)
+                              child_budget)
         children.append(child)
     if vertical:
         child = _resolve_node(beta,
                               BubblePoint(bubble.root, bubble.steps + (BubbleStep("v"),)),
                               blown + "#1", (Fraction(0), Fraction(0)), height_cap,
-                              budget - mult)
+                              child_budget)
         children.append(child)
     return BaseNode(bubble, chart, coords, mult, tuple(children))
 

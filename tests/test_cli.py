@@ -318,6 +318,35 @@ def test_environment_radius_below_zero_exits_3(monkeypatch, capsys):
     assert "BLOWCUBE_RADIUS" in err and "at least 0" in err
 
 
+@pytest.mark.parametrize("flag,value,bound", [("--height-cap", "-1", "at least 0"),
+                                              ("--degree-cap", "0", "at least 1")])
+def test_cap_below_its_bound_is_a_usage_error(flag, value, bound, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "henon", "-n", "2", flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{flag}: must be {bound}" in captured.err
+
+
+@pytest.mark.parametrize("name,value,bound", [("BLOWCUBE_HEIGHT_CAP", "-1", "at least 0"),
+                                              ("BLOWCUBE_DEGREE_CAP", "0", "at least 1")])
+def test_environment_cap_below_its_bound_exits_3(name, value, bound, monkeypatch,
+                                                 capsys):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "base-points", "sigma")
+    assert code == 3 and out == ""
+    assert name in err and bound in err
+
+
+def test_height_cap_zero_holds_proper_base_points_only(capsys):
+    code, out, _err = run(capsys, "base-points", "sigma", "--height-cap", "0")
+    assert code == 0
+    assert out == (TOWERS / "sigma.json").read_text()
+    code, out, err = run(capsys, "base-points", "henon", "--height-cap", "0")
+    assert code == 5 and out == ""
+    assert "exceeds height cap 0" in err
+
+
 def test_radius_zero_holds_the_center_and_the_marking(capsys):
     code, out, _err = run(capsys, "ball", "sigma", "--radius", "0")
     assert code == 0

@@ -218,6 +218,46 @@ def test_evaluate_and_compose_match_sympy():
         assert to_sympy(comp).as_expr() - scomp == 0
 
 
+def termwise_compose(p: Poly, entries) -> Poly:
+    """The term-by-term loop that compose's one integer accumulator
+    replaces: a Poly for every term, partial product and partial sum."""
+    out_vars = entries[0].vars
+    one = Poly.const(out_vars, 1)
+    result = Poly.zero(out_vars)
+    for exps, q in p.terms():
+        t = one * q
+        for entry, e in zip(entries, exps):
+            if e:
+                t = t * entry ** e
+        result = result + t
+    return result
+
+
+@pytest.mark.parametrize("vars", [XY, XYZ], ids=["into 2 vars", "into 3 vars"])
+def test_compose_matches_the_termwise_loop(vars):
+    rng = random.Random(f"compose into {len(vars)}")
+    distinct_dens = 0
+    for _ in range(40):
+        p = rand_poly(rng, steps=5, terms=6)
+        entries = [rand_poly(rng, vars, steps=3, terms=3) for _ in XYZ]
+        distinct_dens += len({e.den for e in entries if e.den > 1}) > 1
+        assert p.compose(entries) == termwise_compose(p, entries), (p, entries)
+    assert distinct_dens >= 10
+    # a zero and a constant outer polynomial land in the entries' variables
+    entries = [rand_poly(rng, vars, steps=3, terms=3) for _ in XYZ]
+    for p in (Poly.zero(XYZ), Poly.const(XYZ, Fraction(-7, 3))):
+        got = p.compose(entries)
+        assert got.vars == vars
+        assert got == termwise_compose(p, entries)
+    # x^2 - y*z at (a*b, a^2, b^2): every term cancels, or all but the 5/2
+    a = parse_poly("x/2 - 3*y/5 + 1", XY)
+    b = parse_poly("2*x*y/3 - 7", XY)
+    for tail, want in ((0, Poly.zero(XY)), (Fraction(5, 2), Poly.const(XY, Fraction(5, 2)))):
+        p = parse_poly("x^2 - y*z", XYZ) + tail
+        assert p.compose([a * b, a ** 2, b ** 2]) == want
+        assert termwise_compose(p, [a * b, a ** 2, b ** 2]) == want
+
+
 def fraction_evaluate(p: Poly, point) -> Fraction:
     """The term-by-term Fraction loop that evaluate's integer sum replaces."""
     point = [Fraction(v) for v in point]

@@ -1,6 +1,7 @@
 """Base-point towers, contracted curves, transport, stability."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,7 @@ from blowcube import (
     parse_poly,
 )
 from blowcube import poly, resolve
-from blowcube.config import RunConfig
+from blowcube.config import DEFAULTS, RunConfig
 from blowcube.errors import (
     HeightCapExceeded,
     IrrationalBaseLocus,
@@ -294,6 +295,75 @@ def test_conjugation_moves_the_base_points(name):
         assert ([r.point.root for r in moved.roots]
                 == sorted(a.inverse.apply(p) for p in roots))
         assert sorted(moved.multiplicities().values()) == mults
+
+
+def untruncated_node(system, bubble, chart, coords, height_cap, budget):
+    """_resolve_node with the child budget budget - mult and no u-filter:
+    the reference that the chain bound's truncation must agree with."""
+    system = [p.truncate_total(budget) for p in system]
+    mult = resolve._order_at_origin(system)
+    assert 1 <= mult <= budget
+    alpha = [p.subs_monomial(((1, 0), (1, 1))) for p in system]
+    alpha, _k0 = resolve._strip_common_power(alpha, "u")
+    nz = [q for q in (p.set_var("u", 0) for p in alpha) if not q.is_zero]
+    g = poly.content_gcd(nz)
+    slopes = [] if g.is_constant else resolve._slope_roots(g, bubble)
+    beta = [p.subs_monomial(((1, 1), (0, 1))) for p in system]
+    beta, _k1 = resolve._strip_common_power(beta, "t")
+    vertical = all(p.coefficient((0, 0)) == 0 for p in beta)
+    if (slopes or vertical) and bubble.height + 1 > height_cap:
+        raise HeightCapExceeded(f"over {bubble}")
+    blown = f"{chart}; bl({coords[0]},{coords[1]})"
+    children = []
+    for t0 in slopes:
+        step = resolve.BubbleStep("s", t0)
+        children.append(untruncated_node(
+            [p.translate((Fraction(0), t0)) for p in alpha],
+            BubblePoint(bubble.root, bubble.steps + (step,)), blown + "#0",
+            (Fraction(0), t0), height_cap, budget - mult))
+    if vertical:
+        step = resolve.BubbleStep("v")
+        children.append(untruncated_node(
+            beta, BubblePoint(bubble.root, bubble.steps + (step,)),
+            blown + "#1", (Fraction(0), Fraction(0)), height_cap,
+            budget - mult))
+    return resolve.BaseNode(bubble, chart, coords, mult, tuple(children))
+
+
+def untruncated_tower(f, cfg, n, monkeypatch):
+    """base_points(f, cfg, n) built by untruncated_node, past the cache."""
+    with monkeypatch.context() as m:
+        m.setattr(resolve, "_resolve_node", untruncated_node)
+        m.setattr(resolve, "_base_points", resolve._base_points.__wrapped__)
+        return base_points(f, cfg, n)
+
+
+@pytest.mark.parametrize("name", PLANE_BUILTINS)
+def test_chain_bound_keeps_the_untruncated_tower(name, monkeypatch):
+    f = builtin(name)
+    rng = random.Random(f"chain bound {name}")
+    horizon = 1 if name == "lox1" else 2
+    for g in [f] + [conjugate(f, _dense_automorphism(rng)) for _ in range(2)]:
+        for n in range(1, horizon + 1):
+            want = untruncated_tower(g, DEFAULTS, n, monkeypatch).to_dict()
+            assert base_points(g, n=n).to_dict() == want, (name, str(g), n)
+
+
+@pytest.mark.parametrize("n,top", [(5, 14), (6, 17)])
+def test_height_cap_is_met_exactly(n, top, monkeypatch):
+    # the tower of henon^n is one chain of height 3n - 1: at cap 3n - 1 the
+    # chain bound leaves its top node the whole lowest form, one below it
+    # both towers stop
+    f = builtin("henon")
+    cfg = RunConfig(height_cap=top)
+    tree = base_points(f, cfg, n)
+    assert (tree.max_height, tree.count) == (top, top + 1)
+    assert tree.to_dict() == untruncated_tower(f, cfg, n, monkeypatch).to_dict()
+    below = RunConfig(height_cap=top - 1)
+    with pytest.raises(HeightCapExceeded, match=f"exceeds height cap {top - 1}"):
+        base_points(f, below, n)
+    with pytest.raises(HeightCapExceeded):
+        untruncated_tower(f, below, n, monkeypatch)
 
 
 def test_jacobian_order_of_contracted_lines():
