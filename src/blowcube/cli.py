@@ -6,7 +6,8 @@ deterministic JSON, CSV or DOT artifacts.  Configuration comes from the
 ``BLOWCUBE_*`` environment variables first, then per-invocation flags.
 
 Exit codes: 0 success (for the ``check-*`` verdicts: property holds),
-1 verdict failure, 2 usage error (argparse), and the structured codes from
+1 verdict failure, 2 usage error (printed under the subcommand's usage,
+including a flag below its bound), and the structured codes from
 :mod:`blowcube.errors` (3 parse, including a malformed ``BLOWCUBE_*``
 value, 4 map, 5 resolution, 6 complex, 8 input/output).
 """
@@ -18,7 +19,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .config import ENV_PREFIX, RunConfig, _env_int, from_environment
+from .config import BOUNDS, RunConfig, below_bound, from_environment
 from .cubes import (check_gromov, complex_from_dict, complex_to_dict,
                     complex_to_dot)
 from .dynamics import (ball, check_degree_bound, classify, marked_vertex, mu,
@@ -44,92 +45,74 @@ def _json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-# the least value of each setting: (RunConfig field, flag, bound)
-_LOWER_BOUNDS = (("iters", "-n/--iters", 1), ("radius", "--radius", 0),
-                 ("height_cap", "--height-cap", 0),
-                 ("degree_cap", "--degree-cap", 1))
+def _config(args) -> RunConfig:
+    """The subcommand's base configuration, then ``BLOWCUBE_*``, then flags.
+    The flags' bounds were checked by argparse, the variables' by
+    ``from_environment``."""
+    flags = {name: getattr(args, name, None) for name in BOUNDS}
+    return from_environment(args.base).with_overrides(**flags)
 
 
-def _config(args, parser: argparse.ArgumentParser) -> RunConfig:
-    """The run configuration.  A setting below its bound is refused: as a
-    usage error when it comes from a flag, as a ParseError when it comes
-    from a ``BLOWCUBE_*`` variable."""
-    flags = {name: getattr(args, name, None) for name, _f, _b in _LOWER_BOUNDS}
-    for name, flag, bound in _LOWER_BOUNDS:
-        if flags[name] is not None and flags[name] < bound:
-            parser.error(
-                f"argument {flag}: must be at least {bound}, got {flags[name]}")
-    env = from_environment()
-    for name, _flag, bound in _LOWER_BOUNDS:
-        value = getattr(env, name)
-        if value < bound:
-            raise ParseError(f"{ENV_PREFIX}{name.upper()} must be at least "
-                             f"{bound}, got {value}")
-    return env.with_overrides(**flags)
-
-
-def _map_argument(args, parser: argparse.ArgumentParser):
+def _map_argument(args):
     if args.map is None:
-        parser.error("a map is required (built-in name or spec string)")
+        args.parser.error("a map is required (built-in name or spec string)")
     return resolve_map_argument(args.map)
 
 
-def _check_format(args, parser, allowed: tuple[str, ...]) -> str:
+def _check_format(args, allowed: tuple[str, ...]) -> str:
     fmt = args.format or allowed[0]
     if fmt not in allowed:
-        parser.error(f"format {fmt!r} not supported here (choose from: "
-                     + ", ".join(allowed) + ")")
+        args.parser.error(f"format {fmt!r} not supported here (choose from: "
+                          + ", ".join(allowed) + ")")
     return fmt
 
 
-def _cmd_classify(args, parser) -> int:
-    cfg = _config(args, parser)
-    _check_format(args, parser, ("json",))
+def _cmd_classify(args) -> int:
+    cfg = _config(args)
+    _check_format(args, ("json",))
     if args.all_builtins:
         out = {}
         for name in builtin_names():
             f = builtin(name)
             if f.dim != 2:
                 continue
-            out[name] = classify(f, args.iters, cfg).to_dict()
+            out[name] = classify(f, cfg=cfg).to_dict()
         _emit(_json(out), args.output)
         return 0
-    f = _map_argument(args, parser)
-    rep = classify(f, args.iters, cfg)
+    rep = classify(_map_argument(args), cfg=cfg)
     _emit(_json(rep.to_dict()), args.output)
     return 0
 
 
-def _cmd_mu(args, parser) -> int:
-    cfg = _config(args, parser)
-    _check_format(args, parser, ("json",))
-    rep = mu(_map_argument(args, parser), args.iters, cfg)
+def _cmd_mu(args) -> int:
+    cfg = _config(args)
+    _check_format(args, ("json",))
+    rep = mu(_map_argument(args), cfg=cfg)
     _emit(_json(rep.to_dict()), args.output)
     return 0
 
 
-def _cmd_nu(args, parser) -> int:
-    cfg = _config(args, parser)
-    _check_format(args, parser, ("json",))
-    rep = nu1(_map_argument(args, parser), args.iters, cfg)
+def _cmd_nu(args) -> int:
+    cfg = _config(args)
+    _check_format(args, ("json",))
+    rep = nu1(_map_argument(args), cfg=cfg)
     _emit(_json(rep.to_dict()), args.output)
     return 0
 
 
-def _cmd_base_points(args, parser) -> int:
-    cfg = _config(args, parser)
-    _check_format(args, parser, ("json",))
-    tree = base_points(_map_argument(args, parser), cfg)
+def _cmd_base_points(args) -> int:
+    cfg = _config(args)
+    _check_format(args, ("json",))
+    tree = base_points(_map_argument(args), cfg)
     _emit(_json(tree.to_dict()), args.output)
     return 0
 
 
-def _cmd_degseq(args, parser) -> int:
-    cfg = _config(args, parser)
-    fmt = _check_format(args, parser, ("csv", "json"))
-    f = _map_argument(args, parser)
-    n = args.iters if args.iters is not None else cfg.iters
-    degs = degree_sequence(f, n, cfg)
+def _cmd_degseq(args) -> int:
+    cfg = _config(args)
+    fmt = _check_format(args, ("csv", "json"))
+    f = _map_argument(args)
+    degs = degree_sequence(f, cfg.iters, cfg)
     if fmt == "json":
         _emit(_json({"map": f.name or str(f), "degrees": degs}), args.output)
     else:
@@ -138,11 +121,10 @@ def _cmd_degseq(args, parser) -> int:
     return 0
 
 
-def _cmd_ball(args, parser) -> int:
-    cfg = _config(args, parser)
-    fmt = _check_format(args, parser, ("json", "dot"))
-    f = _map_argument(args, parser)
-    inverse(f, cfg=cfg)
+def _cmd_ball(args) -> int:
+    cfg = _config(args)
+    fmt = _check_format(args, ("json", "dot"))
+    f = _map_argument(args)
     universe = (base_points(f, cfg).all_points()
                 | base_points(inverse(f, cfg=cfg), cfg).all_points())
     result = ball(marked_vertex(identity(2), cfg=cfg), cfg.radius,
@@ -154,9 +136,9 @@ def _cmd_ball(args, parser) -> int:
     return 0
 
 
-def _cmd_check_cat0(args, parser) -> int:
-    _config(args, parser)  # reads no setting, but refuses bad ones alike
-    _check_format(args, parser, ("json",))
+def _cmd_check_cat0(args) -> int:
+    _config(args)  # reads no setting, but refuses bad ones alike
+    _check_format(args, ("json",))
     try:
         with open(args.file) as fh:
             raw = fh.read()
@@ -172,27 +154,41 @@ def _cmd_check_cat0(args, parser) -> int:
     return 0 if rep.flag else 1
 
 
-def _cmd_check_bound(args, parser) -> int:
-    cfg = _config(args, parser)
-    _check_format(args, parser, ("json",))
-    f = _map_argument(args, parser)
-    n = args.iters or _env_int("ITERS") or 8  # both are >= 1 when set
-    rep = check_degree_bound(f, n, cfg)
+def _cmd_check_bound(args) -> int:
+    cfg = _config(args)
+    _check_format(args, ("json",))
+    rep = check_degree_bound(_map_argument(args), cfg.iters, cfg)
     _emit(_json(rep.to_dict()), args.output)
     return 0 if rep.holds else 1
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-n", "--iters", type=int, default=None,
+def _setting(name: str):
+    """The argparse type of the flag of a setting: an int not below the
+    setting's bound."""
+    def checked(text: str) -> int:
+        value = int(text)
+        if why := below_bound(name, value):
+            raise argparse.ArgumentTypeError(why)
+        return value
+    checked.__name__ = "int"  # a non-integer reads "invalid int value"
+    return checked
+
+
+def _add_common(sub: argparse.ArgumentParser, func,
+                base: Optional[RunConfig] = None) -> None:
+    """The flags every subcommand takes; ``func`` runs it, from the settings
+    of ``base`` (the defaults when None)."""
+    sub.add_argument("-n", "--iters", type=_setting("iters"), default=None,
                      help="iterate horizon N")
-    sub.add_argument("--degree-cap", type=int, default=None,
+    sub.add_argument("--degree-cap", type=_setting("degree_cap"), default=None,
                      help="refuse composites above this degree")
-    sub.add_argument("--height-cap", type=int, default=None,
+    sub.add_argument("--height-cap", type=_setting("height_cap"), default=None,
                      help="refuse towers of infinitely-near points above this")
     sub.add_argument("--format", choices=("json", "dot", "csv"), default=None,
                      help="output format (subcommands accept a subset)")
     sub.add_argument("-o", "--output", default=None,
                      help="write the artifact here instead of stdout")
+    sub.set_defaults(func=func, parser=sub, base=base)
 
 
 def _add_map(sub: argparse.ArgumentParser) -> None:
@@ -211,61 +207,52 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map(p)
     p.add_argument("--all-builtins", action="store_true",
                    help="classify every bundled plane map")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
+    _add_common(p, _cmd_classify)
 
     p = subs.add_parser("mu", help="base-point growth rate (JSON)")
     _add_map(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_mu)
+    _add_common(p, _cmd_mu)
 
     p = subs.add_parser("nu", help="contracted-curve growth rates (JSON)")
     _add_map(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_nu)
+    _add_common(p, _cmd_nu)
 
     p = subs.add_parser("base-points",
                         help="tower of base points with multiplicities (JSON)")
     _add_map(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_base_points)
+    _add_common(p, _cmd_base_points)
 
     p = subs.add_parser("degseq", help="degrees of the iterates (CSV)")
     _add_map(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_degseq)
+    _add_common(p, _cmd_degseq)
 
     p = subs.add_parser("ball",
                         help="ball of marked vertices around the identity "
                              "(JSON or DOT)")
     _add_map(p)
-    p.add_argument("--radius", type=int, default=None,
+    p.add_argument("--radius", type=_setting("radius"), default=None,
                    help="points blown up per marking")
-    _add_common(p)
-    p.set_defaults(func=_cmd_ball)
+    _add_common(p, _cmd_ball)
 
     p = subs.add_parser("check-cat0",
                         help="validate a complex file and check the flag "
                              "condition (exit 0 pass, 1 fail)")
     p.add_argument("file", help="complex JSON produced by this tool")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check_cat0)
+    _add_common(p, _cmd_check_cat0)
 
     p = subs.add_parser("check-bound",
                         help="degree lower bound from contracted curves "
                              "(exit 0 holds, 1 violated)")
     _add_map(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_check_bound)
+    _add_common(p, _cmd_check_bound, base=RunConfig(iters=8))
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except BlowcubeError as exc:
         print(f"blowcube: error: {exc}", file=sys.stderr)
         return exc.exit_code

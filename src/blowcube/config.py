@@ -2,6 +2,8 @@
 
 Defaults can be overridden per call, and by environment variables with the
 ``BLOWCUBE_`` prefix (the CLI reads those; library callers pass a RunConfig).
+Every setting has a least value in ``BOUNDS``; a RunConfig, a ``BLOWCUBE_*``
+variable and a command line flag below it are all refused by that one table.
 """
 
 from __future__ import annotations
@@ -18,6 +20,22 @@ ENV_PREFIX = "BLOWCUBE_"
 # the decision window.  Chosen once, documented, never tuned per map.
 RATIO_MARGIN = Fraction(1, 10)
 
+# the least value of each setting
+BOUNDS = {"iters": 1, "radius": 0, "height_cap": 0, "degree_cap": 1}
+
+
+def below_bound(name: str, value: int) -> str | None:
+    """Why ``value`` is refused for the setting ``name``, or None."""
+    bound = BOUNDS[name]
+    return f"must be at least {bound}, got {value}" if value < bound else None
+
+
+def check_horizon(n: int) -> int:
+    """The iterate horizon n, refused with a ValueError below its bound."""
+    if why := below_bound("iters", n):
+        raise ValueError(f"the iterate horizon {why}")
+    return n
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -26,30 +44,34 @@ class RunConfig:
     height_cap: int = 16      # refuse towers of infinitely-near points above this
     radius: int = 3           # ball radius (points blown up per marking)
 
+    def __post_init__(self):
+        for name in BOUNDS:
+            if why := below_bound(name, getattr(self, name)):
+                raise ValueError(f"{name} {why}")
+
     def with_overrides(self, **kw) -> "RunConfig":
         kw = {k: v for k, v in kw.items() if v is not None}
         return replace(self, **kw) if kw else self
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(
-            f"{ENV_PREFIX}{name} must be an integer, got {raw!r}") from None
-
-
-def from_environment() -> RunConfig:
-    """RunConfig with any BLOWCUBE_* environment overrides applied."""
-    return RunConfig().with_overrides(
-        iters=_env_int("ITERS"),
-        degree_cap=_env_int("DEGREE_CAP"),
-        height_cap=_env_int("HEIGHT_CAP"),
-        radius=_env_int("RADIUS"),
-    )
-
-
 DEFAULTS = RunConfig()
+
+
+def from_environment(base: RunConfig | None = None) -> RunConfig:
+    """``base`` (the defaults when None) with any BLOWCUBE_* environment
+    overrides applied; a malformed value, or one below its bound, raises
+    ParseError."""
+    values = {}
+    for name in BOUNDS:
+        var = ENV_PREFIX + name.upper()
+        raw = os.environ.get(var)
+        if raw is None or raw == "":
+            continue
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ParseError(f"{var} must be an integer, got {raw!r}") from None
+        if why := below_bound(name, value):
+            raise ParseError(f"{var} {why}")
+        values[name] = value
+    return (base or DEFAULTS).with_overrides(**values)

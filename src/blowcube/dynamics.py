@@ -21,7 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .config import DEFAULTS, RATIO_MARGIN, RunConfig
+from .config import (DEFAULTS, RATIO_MARGIN, RunConfig, below_bound,
+                     check_horizon)
 from .cubes import CubeComplex, VertexIsometry, build_complex
 from .errors import (ComplexError, DegreeCapExceeded, HeightCapExceeded,
                      IrrationalBaseLocus, MapError, ResolutionError,
@@ -80,8 +81,7 @@ def transition(v1: MarkedVertex, v2: MarkedVertex,
                cfg: RunConfig = DEFAULTS) -> ProjMap:
     """The plane map under the transition from v1 to v2 (g2^-1 after g1)."""
     h = compose(inverse(v2.marking, cfg=cfg), v1.marking, cfg)
-    if not h.has_inverse:
-        inverse(h, cfg=cfg)
+    inverse(h, cfg=cfg)
     return h
 
 
@@ -93,12 +93,8 @@ def _lift_base_count(h: ProjMap, B1: frozenset, B2: frozenset,
     provide, plus the preimages of the points of B2 that neither appear as
     base points of h^-1 nor are reached by transporting B1 through h.
     """
-    if h.degree() == 1:
-        bs_h: frozenset = frozenset()
-        bs_hinv: frozenset = frozenset()
-    else:
-        bs_h = base_points(h, cfg).all_points()
-        bs_hinv = base_points(inverse(h, cfg=cfg), cfg).all_points()
+    bs_h = base_points(h, cfg).all_points()
+    bs_hinv = base_points(inverse(h, cfg=cfg), cfg).all_points()
     count = len(bs_h - B1)
     rest = B2 - bs_hinv
     if not rest:
@@ -155,7 +151,7 @@ class BallResult:
         """The ball vertex equivalent to the given presentation, if any."""
         for vid in sorted(self.vertices):
             w = self.vertices[vid]
-            if w.picard_rank == v.picard_rank and vertex_equiv(w, v, self.cfg):
+            if vertex_equiv(w, v, self.cfg):
                 return vid
         return None
 
@@ -178,8 +174,8 @@ def ball(center: MarkedVertex, radius: int, universe: Iterable,
     the lower; cubes are the intervals [B0, B1] whose difference blows up
     independently (each extra point proper or rooted inside B0).
     """
-    if radius < 0:
-        raise ValueError(f"the ball radius must be at least 0, got {radius}")
+    if why := below_bound("radius", radius):
+        raise ValueError(f"the ball radius {why}")
     pts = sorted({_as_bubble(p) for p in universe}, key=BubblePoint.sort_key)
     marks: list[ProjMap] = [center.marking]
     for m in markings:
@@ -199,7 +195,7 @@ def ball(center: MarkedVertex, radius: int, universe: Iterable,
     for pres in presentations:
         hit = None
         for i, rep in enumerate(canonical):
-            if rep.picard_rank == pres.picard_rank and vertex_equiv(rep, pres, cfg):
+            if vertex_equiv(rep, pres, cfg):
                 hit = i
                 break
         if hit is None:
@@ -271,11 +267,7 @@ def action_on_ball(f: ProjMap, result: BallResult,
 
 def _horizon(N: Optional[int], cfg: RunConfig) -> int:
     """The iterate horizon: N, or ``cfg.iters`` when N is None; at least 1."""
-    if N is None:
-        N = cfg.iters
-    if N < 1:
-        raise ValueError(f"the iterate horizon must be at least 1, got {N}")
-    return N
+    return cfg.iters if N is None else check_horizon(N)
 
 
 def _tail_window(n: int) -> int:
@@ -325,13 +317,9 @@ class MuResult:
 def _probe_fixed_vertex(f: ProjMap, cfg: RunConfig) -> Optional[MarkedVertex]:
     """A vertex (id, S) fixed by the action of f, searched over parent-closed
     subsets of the base points of f and f^-1."""
-    finv = inverse(f, cfg=cfg)
-    if f.degree() == 1:
-        universe: list[BubblePoint] = []
-    else:
-        universe = sorted(base_points(f, cfg).all_points()
-                          | base_points(finv, cfg).all_points(),
-                          key=BubblePoint.sort_key)
+    universe = sorted(base_points(f, cfg).all_points()
+                      | base_points(inverse(f, cfg=cfg), cfg).all_points(),
+                      key=BubblePoint.sort_key)
     if len(universe) > _PROBE_UNIVERSE_CAP:
         return None
     one = identity(2)
@@ -355,7 +343,6 @@ def mu(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> MuResu
     certificate; anything else is undecided.
     """
     N = _horizon(N, cfg)
-    inverse(f, cfg=cfg)
     seq = tuple(base_points(f, cfg, n).count for n in range(1, N + 1))
     slope = _tail_slope(seq)
     if slope is not None and slope > 0:

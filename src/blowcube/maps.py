@@ -6,11 +6,12 @@ sign-normalized, so equal maps compare equal structurally).  Affine maps of
 the plane enter as pairs of rational functions and are homogenized; monomial
 maps enter as integer exponent matrices.
 
-Inverses are never guessed silently.  Linear and monomial maps carry the
-inverse read off their matrix from construction; any other plane map is
-inverted by one linear solve for the inverse in the degree of the map, and
-that solution, like a supplied candidate, is verified by composing both
-ways before it is attached to the map.
+Inverses are never guessed silently, and ``inverse(f)`` is the only way to
+one.  Linear and monomial maps carry the inverse read off their matrix from
+construction; any other plane map is inverted by one linear solve for the
+inverse in the degree of the map, and that solution, like a supplied
+candidate, is verified by composing both ways before it is attached to the
+map, so each map is solved for at most once.
 Composites and iterates of maps with verified inverses inherit inverses
 without re-verification: ``compose(f, g)`` carries g^-1 after f^-1, and
 ``iterate(f, n)`` carries (f^-1)^n from the same store of iterates.
@@ -24,7 +25,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from blowcube.config import DEFAULTS, RunConfig
+from blowcube.config import DEFAULTS, RunConfig, check_horizon
 from blowcube.errors import DegreeCapExceeded, InverseUnavailable, MapError, ParseError
 from blowcube.poly import (
     Poly,
@@ -112,17 +113,6 @@ class ProjMap:
 
     def is_monomial(self) -> bool:
         return all(len(p.coeffs) == 1 for p in self.entries)
-
-    @property
-    def inverse(self) -> "ProjMap":
-        if self._inverse is None:
-            raise InverseUnavailable(
-                f"map {self} has no verified inverse attached; call inverse()")
-        return self._inverse
-
-    @property
-    def has_inverse(self) -> bool:
-        return self._inverse is not None
 
     def key(self) -> tuple:
         return self.entries
@@ -254,7 +244,7 @@ def iterate(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> ProjMap:
 
     When f carries a verified inverse, f^n carries (f^-1)^n as its inverse,
     taken from the same cache and not re-verified, so that
-    ``iterate(f, n).inverse is iterate(f.inverse, n)``.  When (f^-1)^n
+    ``inverse(iterate(f, n)) is iterate(inverse(f), n)``.  When (f^-1)^n
     exceeds the degree cap, f^n is returned without an inverse.
     """
     if n < 1:
@@ -277,6 +267,7 @@ def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
     raised DegreeCapExceeded as ``.partial``, and their count as
     ``.completed``.
     """
+    check_horizon(n)
     degs: list[int] = []
     for k in range(1, n + 1):
         try:
@@ -289,8 +280,8 @@ def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
 
 
 def conjugate(f: ProjMap, a: ProjMap, cfg: RunConfig = DEFAULTS) -> ProjMap:
-    """a^-1 after f after a (a must carry a verified inverse)."""
-    return compose(compose(a.inverse, f, cfg), a, cfg)
+    """a^-1 after f after a."""
+    return compose(compose(inverse(a, cfg=cfg), f, cfg), a, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +351,7 @@ def mat_pow(M, n: int):
 
 def monomial_degree_sequence(matrix: Sequence[Sequence[int]], n: int) -> list[int]:
     """Degrees of the reduced iterates computed through integer matrix powers."""
+    check_horizon(n)
     return [monomial_map(mat_pow(matrix, k)).degree() for k in range(1, n + 1)]
 
 

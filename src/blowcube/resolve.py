@@ -417,7 +417,7 @@ def _pullback(f: ProjMap, C: Poly) -> Poly | None:
     """The strict transform of C under f: the one component of C(f) that f
     does not contract.  None when f^-1 contracts C, so no curve maps onto it.
     """
-    if any(c.curve == C for c in exc_components(f.inverse)):
+    if any(c.curve == C for c in exc_components(inverse(f))):
         return None
     seeds = {c.curve for c in exc_components(f)}
     candidates = [fac for fac, _m in factor_q(C.compose(f.entries))[1]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from blowcube.cli import main
+from blowcube.config import BOUNDS, RunConfig
 
 # the reports of ``classify <name> -n 4`` that the benchmark also checks
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
@@ -361,13 +362,42 @@ def test_environment_horizon_below_one_exits_3(argv, monkeypatch, capsys):
     assert "BLOWCUBE_ITERS" in err and "at least 1" in err
 
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as info:
-        main(["degseq"])  # missing the map argument
-    assert info.value.code == 2
+def test_usage_errors_exit_2(capsys):
+    # a usage error of a subcommand is printed under that subcommand's usage
+    for argv in (["degseq"],  # missing the map argument
+                 ["classify", "henon", "--format", "dot"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: blowcube {argv[0]} ")
+        assert f"blowcube {argv[0]}: error: " in err
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("name,bound", sorted(BOUNDS.items()))
+def test_each_setting_is_refused_below_its_bound_everywhere(name, bound,
+                                                           monkeypatch, capsys):
+    low = bound - 1
+    with pytest.raises(ValueError, match=f"{name} must be at least {bound}"):
+        RunConfig(**{name: low})
+    argv = ["ball", "sigma"] if name == "radius" else ["base-points", "sigma"]
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(SystemExit) as info:
+        main([*argv, flag, str(low)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: blowcube {argv[0]} ")
+    assert f"{flag}: must be at least {bound}, got {low}" in err
+    with pytest.raises(SystemExit):
+        main([*argv, flag, "abc"])
+    assert f"{flag}: invalid int value: 'abc'" in capsys.readouterr().err
+    monkeypatch.setenv(f"BLOWCUBE_{name.upper()}", str(low))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"BLOWCUBE_{name.upper()} must be at least {bound}, got {low}" in err
 
 
 def test_module_entry_point():
@@ -379,14 +409,26 @@ def test_module_entry_point():
 
 def test_classify_does_not_depend_on_cache_state_or_optimization():
     # each plane map alone in a fresh interpreter under -O must give the
-    # report that one warm process gives after classifying the others
+    # report that one warm process gives after classifying the others; the
+    # seven interpreters run side by side
     cmd = ["-m", "blowcube", "classify"]
-    warm = subprocess.run([sys.executable, *cmd, "--all-builtins", "-n", "3"],
-                          capture_output=True, text=True)
-    assert warm.returncode == 0
-    reports = json.loads(warm.stdout)
-    for name, report in reports.items():
-        cold = subprocess.run([sys.executable, "-O", *cmd, name, "-n", "3"],
-                              capture_output=True, text=True)
-        assert cold.returncode == 0, cold.stderr
-        assert json.loads(cold.stdout) == report, name
+
+    def start(*argv):
+        return subprocess.Popen([sys.executable, *argv], text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    warm = start(*cmd, "--all-builtins", "-n", "3")
+    cold = {name: start("-O", *cmd, name, "-n", "3") for name in PLANE_BUILTINS}
+    try:
+        out, err = warm.communicate()
+        assert warm.returncode == 0, err
+        reports = json.loads(out)
+        assert sorted(reports) == PLANE_BUILTINS
+        for name, proc in cold.items():
+            out, err = proc.communicate()
+            assert proc.returncode == 0, err
+            assert json.loads(out) == reports[name], name
+    finally:
+        for proc in [warm, *cold.values()]:
+            proc.kill()
+            proc.communicate()

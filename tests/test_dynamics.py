@@ -16,6 +16,7 @@ from blowcube import (
     classify_isometry,
     conjugate,
     degree_growth_class,
+    degree_sequence,
     distance,
     exc_components,
     exc_count_sequence,
@@ -24,9 +25,11 @@ from blowcube import (
     hyperplanes,
     identity,
     inverse,
+    is_algebraically_stable,
     iterate,
     jacobian_det,
     marked_vertex,
+    monomial_degree_sequence,
     mu,
     nu1,
     parse_map,
@@ -352,9 +355,12 @@ def test_degree_bound_for_the_linear_fibration():
 
 @pytest.mark.parametrize("invariant", [
     lambda f, N: classify(f, N).to_dict(), mu, nu1, degree_growth_class,
-    exc_count_sequence, check_degree_bound,
+    exc_count_sequence, check_degree_bound, degree_sequence,
+    lambda f, N: monomial_degree_sequence([[1, 1], [1, 0]], N),
+    is_algebraically_stable,
 ], ids=["classify", "mu", "nu1", "degree_growth_class", "exc_count_sequence",
-        "check_degree_bound"])
+        "check_degree_bound", "degree_sequence", "monomial_degree_sequence",
+        "is_algebraically_stable"])
 @pytest.mark.parametrize("N", [0, -1])
 def test_horizon_below_one_is_refused(invariant, N):
     with pytest.raises(ValueError, match="horizon must be at least 1"):

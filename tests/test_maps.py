@@ -1,6 +1,9 @@
 """Map layer: parsing, composition, iteration, inverse strategies."""
 
 import random
+import subprocess
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as Fr
 
 import pytest
@@ -37,6 +40,32 @@ from blowcube.maps import linear_map, mat_pow, monomial_matrix_of, normalize_poi
 P2 = ("x", "y", "z")
 
 
+@contextmanager
+def plane_solves():
+    """The maps handed to the plane nullspace solve inside the block."""
+    calls = []
+    real = maps._plane_inverse
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "_plane_inverse", lambda f: calls.append(f) or real(f))
+        yield calls
+
+
+def attached_inverse(f):
+    """inverse(f), which f must carry already: no plane solve may run."""
+    with plane_solves() as solved:
+        g = inverse(f)
+    assert solved == [], f"{f} carries no inverse"
+    return g
+
+
+def solved_inverse(f):
+    """inverse(f), which f must not carry: one plane solve, of f, runs."""
+    with plane_solves() as solved:
+        g = inverse(f)
+    assert len(solved) == 1 and solved[0] is f
+    return g
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -60,11 +89,11 @@ def test_parse_monomial_form():
     f = parse_map("MON:2:[[0,1],[1,0]]")
     assert f.dim == 2 and f.is_monomial()
     assert monomial_matrix_of(f) == ((0, 1), (1, 0))
-    assert f.has_inverse  # determinant -1 inverts over the integers
+    attached_inverse(f)  # determinant -1 inverts over the integers
     g = parse_map("MON:2:[[2,0],[0,1]]")  # determinant 2: not birational
-    assert not g.has_inverse
-    with pytest.raises(InverseUnavailable):
+    with plane_solves() as solved, pytest.raises(InverseUnavailable):
         inverse(g)
+    assert len(solved) == 1 and solved[0] is g  # nothing was attached
 
 
 def test_parse_map_rejections():
@@ -188,7 +217,7 @@ def test_degree_cap_verdict_ignores_earlier_iterates(monkeypatch, uncapped_first
 def test_iterate_carries_the_iterate_of_the_inverse(name):
     f = builtin(name)
     for n in (2, 3, 4):
-        assert iterate(f, n).inverse is iterate(f.inverse, n)
+        assert attached_inverse(iterate(f, n)) is iterate(inverse(f), n)
 
 
 def test_a_map_and_its_inverse_share_one_iterate_chain(monkeypatch):
@@ -218,8 +247,7 @@ def test_degree_sequence_builds_only_the_forward_chain(monkeypatch):
 def test_composition_of_inverses_attaches_inverse():
     henon = builtin("henon")
     sq = compose(henon, henon)
-    assert sq.has_inverse
-    assert verify_inverse(sq, sq.inverse)
+    assert verify_inverse(sq, attached_inverse(sq))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +256,7 @@ def test_composition_of_inverses_attaches_inverse():
 
 def test_linear_inverse():
     a = linear_map([[1, 2, 0], [0, 1, 0], [3, 0, 1]])
-    assert a.has_inverse
-    assert compose(a, a.inverse).is_identity()
+    assert compose(a, attached_inverse(a)).is_identity()
     with pytest.raises(MapError):
         linear_map([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
@@ -237,7 +264,7 @@ def test_linear_inverse():
 def test_monomial_inverse_is_matrix_inverse():
     f = builtin("mon3")
     M = monomial_matrix_of(f)
-    Minv = monomial_matrix_of(f.inverse)
+    Minv = monomial_matrix_of(inverse(f))  # P^3: nothing to solve, so attached
     n = len(M)
     assert mat_pow([list(r) for r in M], 1) == [list(r) for r in M]
     prod = [[sum(M[i][k] * Minv[k][j] for k in range(n)) for j in range(n)]
@@ -247,15 +274,15 @@ def test_monomial_inverse_is_matrix_inverse():
 
 def test_plane_inverse_for_fibered_maps():
     jonq2 = builtin("jonq2")
-    assert verify_inverse(jonq2, jonq2.inverse)
-    assert jonq2.inverse.key() == parse_map("A2:(x/(y - 1), y - 1)").key()
+    assert verify_inverse(jonq2, inverse(jonq2))
+    assert inverse(jonq2).key() == parse_map("A2:(x/(y - 1), y - 1)").key()
 
 
 def test_candidate_inverse_accepted_and_rejected():
     f = parse_map("A2:(x^2*y, x*y + 1)")
     good = parse_map("A2:(x/(y - 1), (y - 1)^2/x)")
     g = inverse(f, candidate=good)
-    assert f.has_inverse and verify_inverse(f, g)
+    assert attached_inverse(f) is g and verify_inverse(f, g)
     f2 = parse_map("A2:(x^2*y, x*y + 1)")
     with pytest.raises(MapError):
         inverse(f2, candidate=parse_map("A2:(x, y)"))
@@ -286,18 +313,16 @@ def test_plane_inverse_of_dense_conjugate_specs(name):
     for _ in range(3):
         g = conjugate(builtin(name), _dense_automorphism(rng))
         spec = parse_map(f"P2:{g}")
-        assert not spec.has_inverse
-        assert inverse(spec).key() == g.inverse.key()
+        assert solved_inverse(spec).key() == attached_inverse(g).key()
 
 
 @pytest.mark.parametrize("spec", [
     "P2:[y*z : x*z : x*y]", "MON:2:[[0,1],[1,0]]", "MON:2:[[1,1],[0,1]]"])
 def test_plane_solve_agrees_with_the_inverse_of_a_monomial_map(spec):
     g = monomial_map(monomial_matrix_of(parse_map(spec)))
-    assert g.key() == parse_map(spec).key() and g.has_inverse
+    assert g.key() == parse_map(spec).key()
     fresh = ProjMap(g.entries)
-    assert not fresh.has_inverse
-    assert inverse(fresh).key() == g.inverse.key()
+    assert solved_inverse(fresh).key() == attached_inverse(g).key()
 
 
 def test_plane_solve_agrees_with_the_inverse_of_a_linear_map():
@@ -305,8 +330,7 @@ def test_plane_solve_agrees_with_the_inverse_of_a_linear_map():
     for _ in range(3):
         a = _dense_automorphism(rng)
         fresh = ProjMap(a.entries)
-        assert not fresh.has_inverse
-        assert inverse(fresh).key() == a.inverse.key()
+        assert solved_inverse(fresh).key() == attached_inverse(a).key()
 
 
 def test_plane_inverse_of_a_shear_conjugate_spec():
@@ -323,7 +347,8 @@ def test_non_plane_maps_beyond_linear_and_monomial_need_a_candidate():
     fresh = ProjMap(g.entries)
     with pytest.raises(InverseUnavailable, match="tried: none"):
         inverse(fresh)
-    assert inverse(fresh, candidate=g.inverse) is g.inverse
+    ginv = inverse(g)  # P^3: nothing to solve, so attached
+    assert inverse(fresh, candidate=ginv) is ginv
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +373,21 @@ def test_conjugation_by_linear_maps():
     assert conjugate(henon, identity(2)).key() == henon.key()
 
 
+def test_conjugate_does_not_depend_on_an_earlier_inverse_call():
+    # the conjugator is parsed fresh, so it carries no inverse until
+    # conjugate asks for one; a fresh interpreter holds no earlier result
+    script = ("from blowcube import builtin, conjugate, parse_map\n"
+              "print(conjugate(builtin('henon'), parse_map('P2:[x+y : y : z]')))")
+    fresh = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0, fresh.stderr
+    a = parse_map("P2:[x+y : y : z]")
+    inverse(a)
+    want = str(conjugate(builtin("henon"), a))
+    assert fresh.stdout == want + "\n"
+    assert want == "[x*z + y^2 : -x*z - y^2 - y*z : -z^2]"
+
+
 # ---------------------------------------------------------------------------
 # monomial degree bookkeeping
 # ---------------------------------------------------------------------------
@@ -364,7 +404,7 @@ def test_builtin_registry():
     for name in builtin_names():
         f = builtin(name)
         assert f.name == name
-        assert f.has_inverse
+        attached_inverse(f)  # for mon3 in P^3, that inverse() succeeds
         assert builtin(name) is f
     with pytest.raises(MapError):
         builtin("nope")
