@@ -67,44 +67,24 @@ def _check_format(args, allowed: tuple[str, ...]) -> str:
     return fmt
 
 
-def _cmd_classify(args) -> int:
-    cfg = _config(args)
-    _check_format(args, ("json",))
-    if args.all_builtins:
-        out = {}
-        for name in builtin_names():
-            f = builtin(name)
-            if f.dim != 2:
-                continue
-            out[name] = classify(f, cfg=cfg).to_dict()
-        _emit(_json(out), args.output)
+def _report(compute):
+    """A subcommand writing the JSON report ``compute(map, cfg=cfg)``."""
+    def command(args) -> int:
+        cfg = _config(args)
+        _check_format(args, ("json",))
+        _emit(_json(compute(_map_argument(args), cfg=cfg).to_dict()), args.output)
         return 0
-    rep = classify(_map_argument(args), cfg=cfg)
-    _emit(_json(rep.to_dict()), args.output)
-    return 0
+    return command
 
 
-def _cmd_mu(args) -> int:
+def _cmd_classify(args) -> int:
+    if not args.all_builtins:
+        return _report(classify)(args)
     cfg = _config(args)
     _check_format(args, ("json",))
-    rep = mu(_map_argument(args), cfg=cfg)
-    _emit(_json(rep.to_dict()), args.output)
-    return 0
-
-
-def _cmd_nu(args) -> int:
-    cfg = _config(args)
-    _check_format(args, ("json",))
-    rep = nu1(_map_argument(args), cfg=cfg)
-    _emit(_json(rep.to_dict()), args.output)
-    return 0
-
-
-def _cmd_base_points(args) -> int:
-    cfg = _config(args)
-    _check_format(args, ("json",))
-    tree = base_points(_map_argument(args), cfg)
-    _emit(_json(tree.to_dict()), args.output)
+    out = {name: classify(builtin(name), cfg=cfg).to_dict()
+           for name in builtin_names() if builtin(name).dim == 2}
+    _emit(_json(out), args.output)
     return 0
 
 
@@ -126,8 +106,8 @@ def _cmd_ball(args) -> int:
     fmt = _check_format(args, ("json", "dot"))
     f = _map_argument(args)
     universe = (base_points(f, cfg).all_points()
-                | base_points(inverse(f, cfg=cfg), cfg).all_points())
-    result = ball(marked_vertex(identity(2), cfg=cfg), cfg.radius,
+                | base_points(inverse(f), cfg).all_points())
+    result = ball(marked_vertex(identity(2)), cfg.radius,
                   universe=universe, markings=[f], cfg=cfg)
     if fmt == "dot":
         _emit(complex_to_dot(result.complex), args.output)
@@ -157,7 +137,7 @@ def _cmd_check_cat0(args) -> int:
 def _cmd_check_bound(args) -> int:
     cfg = _config(args)
     _check_format(args, ("json",))
-    rep = check_degree_bound(_map_argument(args), cfg.iters, cfg)
+    rep = check_degree_bound(_map_argument(args), cfg=cfg)
     _emit(_json(rep.to_dict()), args.output)
     return 0 if rep.holds else 1
 
@@ -211,16 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mu", help="base-point growth rate (JSON)")
     _add_map(p)
-    _add_common(p, _cmd_mu)
+    _add_common(p, _report(mu))
 
     p = subs.add_parser("nu", help="contracted-curve growth rates (JSON)")
     _add_map(p)
-    _add_common(p, _cmd_nu)
+    _add_common(p, _report(nu1))
 
     p = subs.add_parser("base-points",
                         help="tower of base points with multiplicities (JSON)")
     _add_map(p)
-    _add_common(p, _cmd_base_points)
+    _add_common(p, _report(base_points))
 
     p = subs.add_parser("degseq", help="degrees of the iterates (CSV)")
     _add_map(p)

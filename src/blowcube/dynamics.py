@@ -63,12 +63,11 @@ class MarkedVertex:
         return f"{m}[{pts}]"
 
 
-def marked_vertex(marking: ProjMap, blown: Iterable = (),
-                  cfg: RunConfig = DEFAULTS) -> MarkedVertex:
+def marked_vertex(marking: ProjMap, blown: Iterable = ()) -> MarkedVertex:
     """Validated vertex presentation; attaches the marking's inverse."""
     if marking.dim != 2:
         raise MapError("marked vertices live over the plane")
-    inverse(marking, cfg=cfg)
+    inverse(marking)
     pts = frozenset(_as_bubble(p) for p in blown)
     if not parent_closed(pts):
         raise ComplexError(
@@ -80,9 +79,7 @@ def marked_vertex(marking: ProjMap, blown: Iterable = (),
 def transition(v1: MarkedVertex, v2: MarkedVertex,
                cfg: RunConfig = DEFAULTS) -> ProjMap:
     """The plane map under the transition from v1 to v2 (g2^-1 after g1)."""
-    h = compose(inverse(v2.marking, cfg=cfg), v1.marking, cfg)
-    inverse(h, cfg=cfg)
-    return h
+    return compose(inverse(v2.marking), v1.marking, cfg)
 
 
 def _lift_base_count(h: ProjMap, B1: frozenset, B2: frozenset,
@@ -94,7 +91,7 @@ def _lift_base_count(h: ProjMap, B1: frozenset, B2: frozenset,
     base points of h^-1 nor are reached by transporting B1 through h.
     """
     bs_h = base_points(h, cfg).all_points()
-    bs_hinv = base_points(inverse(h, cfg=cfg), cfg).all_points()
+    bs_hinv = base_points(inverse(h), cfg).all_points()
     count = len(bs_h - B1)
     rest = B2 - bs_hinv
     if not rest:
@@ -123,7 +120,7 @@ def vertex_distance(v1: MarkedVertex, v2: MarkedVertex,
                     cfg: RunConfig = DEFAULTS) -> int:
     """Combinatorial distance: base points of the lifted transition both ways."""
     h = transition(v1, v2, cfg)
-    hinv = inverse(h, cfg=cfg)
+    hinv = inverse(h)
     return (_lift_base_count(h, v1.blown, v2.blown, cfg)
             + _lift_base_count(hinv, v2.blown, v1.blown, cfg))
 
@@ -180,7 +177,7 @@ def ball(center: MarkedVertex, radius: int, universe: Iterable,
     marks: list[ProjMap] = [center.marking]
     for m in markings:
         if all(m.key() != g.key() for g in marks):
-            inverse(m, cfg=cfg)
+            inverse(m)
             marks.append(m)
 
     presentations = [MarkedVertex(m, B) for m in marks
@@ -248,7 +245,7 @@ def action_on_ball(f: ProjMap, result: BallResult,
     Every image must land back in the ball (up to equivalence), otherwise
     the ball is too small and a ComplexError says so.
     """
-    inverse(f, cfg=cfg)
+    inverse(f)
     mapping = {}
     for vid in sorted(result.vertices):
         v = result.vertices[vid]
@@ -318,7 +315,7 @@ def _probe_fixed_vertex(f: ProjMap, cfg: RunConfig) -> Optional[MarkedVertex]:
     """A vertex (id, S) fixed by the action of f, searched over parent-closed
     subsets of the base points of f and f^-1."""
     universe = sorted(base_points(f, cfg).all_points()
-                      | base_points(inverse(f, cfg=cfg), cfg).all_points(),
+                      | base_points(inverse(f), cfg).all_points(),
                       key=BubblePoint.sort_key)
     if len(universe) > _PROBE_UNIVERSE_CAP:
         return None
@@ -405,7 +402,7 @@ def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[in
     construction.
     """
     N = _horizon(N, cfg)
-    inverse(f, cfg=cfg)
+    inverse(f)
     counted = [exc_curves(f, n, cfg) for n in range(1, N + 1)]
     for n in range(2, N + 1):
         try:
@@ -452,7 +449,7 @@ def _nu_from_counts(seq: Sequence[int]) -> Optional[int]:
 def nu1(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> NuResult:
     """Growth rates of |Exc^1(f^n)| and |Exc^1(f^-n)|."""
     N = _horizon(N, cfg)
-    finv = inverse(f, cfg=cfg)
+    finv = inverse(f)
     seq_f = tuple(exc_count_sequence(f, N, cfg))
     seq_finv = tuple(exc_count_sequence(finv, N, cfg))
     return NuResult(_nu_from_counts(seq_f), _nu_from_counts(seq_finv),
@@ -566,7 +563,6 @@ def classify(f: ProjMap, N: Optional[int] = None,
     undecided and are reported.
     """
     N = _horizon(N, cfg)
-    inverse(f, cfg=cfg)
     caps: list[str] = []
 
     try:
@@ -634,9 +630,10 @@ class DegreeBoundReport:
                          for n, d, e, ok in self.rows]}
 
 
-def check_degree_bound(f: ProjMap, N: int = 8,
+def check_degree_bound(f: ProjMap, N: Optional[int] = None,
                        cfg: RunConfig = DEFAULTS) -> DegreeBoundReport:
-    """Verify deg(f^n) >= |Exc^1(f^n)| / (dim + 1) for n <= N.
+    """Verify deg(f^n) >= |Exc^1(f^n)| / (dim + 1) for n <= N
+    (``cfg.iters`` when N is None).
 
     The bound has content only for maps with nu1 > 0 in some direction;
     otherwise the report is marked vacuous (it still lists both sides when

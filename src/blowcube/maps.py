@@ -7,14 +7,16 @@ the plane enter as pairs of rational functions and are homogenized; monomial
 maps enter as integer exponent matrices.
 
 Inverses are never guessed silently, and ``inverse(f)`` is the only way to
-one.  Linear and monomial maps carry the inverse read off their matrix from
+one.  The inverse is a fact about the map alone, so it takes no settings.
+Linear and monomial maps carry the inverse read off their matrix from
 construction; any other plane map is inverted by one linear solve for the
 inverse in the degree of the map, and that solution, like a supplied
 candidate, is verified by composing both ways before it is attached to the
-map, so each map is solved for at most once.
+map, so each map object is solved for at most once.
 Composites and iterates of maps with verified inverses inherit inverses
 without re-verification: ``compose(f, g)`` carries g^-1 after f^-1, and
-``iterate(f, n)`` carries (f^-1)^n from the same store of iterates.
+``iterate(f, n)`` carries (f^-1)^n from the same store of iterates.  The
+degree cap bounds only those composites and iterates.
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
 
 def conjugate(f: ProjMap, a: ProjMap, cfg: RunConfig = DEFAULTS) -> ProjMap:
     """a^-1 after f after a."""
-    return compose(compose(inverse(a, cfg=cfg), f, cfg), a, cfg)
+    return compose(compose(inverse(a), f, cfg), a, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -404,32 +406,33 @@ def dehomogenize(f: ProjMap) -> AffineMap2:
 # inverse strategies
 # ---------------------------------------------------------------------------
 
-def verify_inverse(f: ProjMap, g: ProjMap, cfg: RunConfig = DEFAULTS) -> bool:
+def verify_inverse(f: ProjMap, g: ProjMap) -> bool:
+    """Whether f after g and g after f both reduce to the identity."""
     if f.vars != g.vars:
         return False
-    return (_compose_raw(f, g, cfg).is_identity()
-            and _compose_raw(g, f, cfg).is_identity())
+    return all(ProjMap(compose_tuple(a.entries, b.entries)).is_identity()
+               for a, b in ((f, g), (g, f)))
 
 
-def inverse(f: ProjMap, candidate: ProjMap | None = None,
-            cfg: RunConfig = DEFAULTS) -> ProjMap:
+def inverse(f: ProjMap, candidate: ProjMap | None = None) -> ProjMap:
     """Verified inverse of f, or raise InverseUnavailable.
 
     A supplied candidate is verified and attached, or rejected with a
     MapError.  Without one, the inverse attached at construction is
     returned (linear and monomial maps carry theirs, and composites and
     iterates inherit them); otherwise a plane map is inverted by the linear
-    solve of ``_plane_inverse``, verified by composing both ways.
+    solve of ``_plane_inverse``, verified by composing both ways.  The
+    answer depends on f alone: no degree cap applies.
     """
     if candidate is not None:
-        if verify_inverse(f, candidate, cfg):
+        if verify_inverse(f, candidate):
             _attach(f, candidate)
             return candidate
         raise MapError(f"candidate inverse rejected: {candidate} does not invert {f}")
     if f._inverse is not None:
         return f._inverse
     g = _plane_inverse(f) if f.dim == 2 else None
-    if g is None or not verify_inverse(f, g, cfg):
+    if g is None or not verify_inverse(f, g):
         tried = "plane nullspace" if f.dim == 2 else "none"
         raise InverseUnavailable(
             f"no inverse strategy applies to {f} (tried: {tried})")

@@ -299,7 +299,7 @@ def base_points(f: ProjMap, cfg: RunConfig = DEFAULTS, n: int = 1) -> BasePointT
     """
     if f.dim != 2:
         raise ResolutionError("base-point towers are only computed for plane maps")
-    finv = inverse(f, cfg=cfg)
+    finv = inverse(f)
     fn = iterate(f, n, cfg)
     if fn.degree() == 1:
         return BasePointTree(1, ())
@@ -437,11 +437,8 @@ def exc_curves(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS
     transforms C_0, C_1, ... (f maps C_{j+1} onto C_j); the chain ends when
     f^-1 contracts a member.  f^n contracts C_j (j < n) onto f^(n-j-1) of
     the seed's image while that point's forward orbit is defined; past that,
-    the reduced iterate is queried on the explicit curve.  For n >= 2 the
-    map's inverse is attached (computed if need be).
+    the reduced iterate is queried on the explicit curve.
     """
-    if n > 1:
-        inverse(f, cfg=cfg)
     return _exc_curves(f, n, cfg.degree_cap)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from blowcube.cli import main
 from blowcube.config import BOUNDS, RunConfig
+from blowcube.maps import builtin
 
 # the reports of ``classify <name> -n 4`` that the benchmark also checks
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
@@ -100,6 +101,23 @@ def test_mu_of_a_map_spec_solves_for_its_inverse(capsys):
     _code, want, _err = run(capsys, "mu", "henon")
     assert out == want
     assert json.loads(out)["mu"] == 3
+
+
+@pytest.mark.parametrize("argv", [["base-points"], ["classify", "-n", "2"]],
+                         ids=["base-points", "classify"])
+@pytest.mark.parametrize("name", PLANE_BUILTINS)
+def test_a_spec_reports_like_its_builtin_under_a_low_degree_cap(name, argv, capsys):
+    # the spec's inverse is solved here, the built-in's was solved before:
+    # neither may depend on the run's degree cap
+    spec = f"P2:{builtin(name)}"
+    reports = []
+    for arg in (name, spec):
+        code, out, err = run(capsys, *argv, arg, "--degree-cap", "3")
+        data = json.loads(out) if out else {}
+        data.pop("map", None)
+        reports.append((code, err, data))
+    assert reports[0] == reports[1]
+    assert reports[0][:2] == (0, "")
 
 
 def test_nu_command(capsys):

@@ -353,6 +353,11 @@ def test_degree_bound_for_the_linear_fibration():
         (n, n + 1, n + 1) for n in range(1, 9)]
 
 
+def test_degree_bound_horizon_defaults_to_the_config():
+    rep = check_degree_bound(builtin("jonq2"), cfg=RunConfig(iters=3))
+    assert [n for n, _d, _e, _ok in rep.rows] == [1, 2, 3]
+
+
 @pytest.mark.parametrize("invariant", [
     lambda f, N: classify(f, N).to_dict(), mu, nu1, degree_growth_class,
     exc_count_sequence, check_degree_bound, degree_sequence,
