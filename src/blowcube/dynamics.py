@@ -29,7 +29,7 @@ from .errors import (ComplexError, DegreeCapExceeded, HeightCapExceeded,
                      TransportUnsupported)
 from .maps import (ProjMap, ProjPoint, compose, degree_sequence, identity,
                    inverse, iterate, normalize_point)
-from .poly import Poly, jacobian_det, poly_exact_div
+from .poly import Poly, jacobian_det, strip_factor
 from .resolve import (BubblePoint, base_points, bubble_transport,
                       curve_image, exc_curves, parent_closed)
 
@@ -372,14 +372,8 @@ def _exc_certificate(fn: ProjMap,
     if jac.is_zero:
         return False  # exact division of 0 never stops
     for C, _image in counted:
-        divided = False
-        while True:
-            try:
-                jac = poly_exact_div(jac, C)
-            except ValueError:
-                break
-            divided = True
-        if not divided:
+        jac, k = strip_factor(jac, C)
+        if not k:
             return False
     if not jac.is_constant:
         return False

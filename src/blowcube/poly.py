@@ -904,6 +904,19 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
     return _from_zz(q, a.vars, a.den * int(content)) * b.den
 
 
+def strip_factor(a: Poly, b: Poly) -> tuple[Poly, int]:
+    """(a / b^k, k) for the largest k such that b^k divides a exactly."""
+    if a.is_zero or b.is_constant:
+        raise ValueError("every power divides: a is zero or b is constant")
+    k = 0
+    while True:
+        try:
+            a = poly_exact_div(a, b)
+        except ValueError:
+            return a, k
+        k += 1
+
+
 def poly_mod(a: Poly, b: Poly) -> Poly:
     """Normal form of a modulo b: no term of the result is divisible by the
     graded-lex leading term of b, and a - result is a multiple of b.

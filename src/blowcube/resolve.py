@@ -20,7 +20,11 @@ to a point.  That is decided by one exact test, normal forms modulo the
 curve (``poly_mod``), for every curve: no rational point of the curve is
 needed and nothing is factored or divided.  The curves contracted by f^n
 come from backward chains of strict transforms under f, one chain per curve
-that f contracts, so no iterate's Jacobian is factored.
+that f contracts, so no iterate's Jacobian is factored.  Each strict
+transform is the pullback with the contracted curves over it divided out
+exactly, and nothing is factored there either.  A chain member C_j is
+mapped onto its seed C_0 by f^j, so where its image under f^n is not read
+off the seed's point orbit it is the image of C_0 under f^(n-j).
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from .errors import (HeightCapExceeded, IrrationalBaseLocus, MapError,
                      ResolutionError, TransportUnsupported)
 from .maps import (ProjMap, ProjPoint, degree_sequence, inverse, iterate,
                    normalize_point, point_str)
-from .poly import WIDTH, Poly, content_gcd, factor_q, jacobian_det, poly_mod
+from .poly import (WIDTH, Poly, canonical_factor, content_gcd, factor_q,
+                   jacobian_det, poly_mod, strip_factor)
 
 CHART_VARS = ("u", "t")
 
@@ -416,17 +421,25 @@ def _exc_components(f: ProjMap) -> tuple[ExcComponent, ...]:
 def _pullback(f: ProjMap, C: Poly) -> Poly | None:
     """The strict transform of C under f: the one component of C(f) that f
     does not contract.  None when f^-1 contracts C, so no curve maps onto it.
+
+    For a birational f and a Q-irreducible C, the pullback C(f) is the
+    strict transform, once, times curves that f contracts
+    (Alberich-Carramiñana, Geometry of the Plane Cremona Maps, LNM 1769).
+    A contracted curve E divides C(f) exactly when f(E) lies on C, so those
+    curves are divided out with all their powers and nothing is factored;
+    what remains is the strict transform up to a constant.
     """
     if any(c.curve == C for c in exc_components(inverse(f))):
         return None
-    seeds = {c.curve for c in exc_components(f)}
-    candidates = [fac for fac, _m in factor_q(C.compose(f.entries))[1]
-                  if fac not in seeds]
-    if len(candidates) != 1:
+    rest = C.compose(f.entries)
+    for comp in exc_components(f):
+        if C.evaluate(comp.image) == 0:
+            rest, _k = strip_factor(rest, comp.curve)
+    if rest.is_constant:
         raise ResolutionError(
-            f"pullback of {C} does not have a unique non-contracted component; "
+            f"pullback of {C} under {f} is all contracted curves; "
             "this indicates an internal inconsistency")
-    return candidates[0]
+    return canonical_factor(rest)
 
 
 def exc_curves(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS
@@ -435,9 +448,12 @@ def exc_curves(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS
 
     Each curve C_0 contracted by f seeds a backward chain of strict
     transforms C_0, C_1, ... (f maps C_{j+1} onto C_j); the chain ends when
-    f^-1 contracts a member.  f^n contracts C_j (j < n) onto f^(n-j-1) of
-    the seed's image while that point's forward orbit is defined; past that,
-    the reduced iterate is queried on the explicit curve.
+    f^-1 contracts a member.  Each C_{j+1} is C_j(f) with the curves that f
+    contracts into C_j divided out exactly; nothing is factored.  f^n
+    contracts C_j (j < n) onto f^(n-j-1) of the seed's image while that
+    point's forward orbit is defined.  Past that, f^j maps C_j onto C_0, so
+    f^n(C_j) = f^(n-j)(C_0): the seed is queried under the reduced iterate
+    f^(n-j), not the deep curve under f^n.
     """
     return _exc_curves(f, n, cfg.degree_cap)
 
@@ -463,7 +479,8 @@ def _exc_curves(f: ProjMap, n: int, degree_cap: int
             if n - j - 1 < len(orbit):
                 pairs.append((C, orbit[n - j - 1]))
             else:
-                image = curve_image(iterate(f, n, cfg), C)
+                # f^j maps C onto the seed, so f^n(C) = f^(n-j)(seed)
+                image = curve_image(iterate(f, n - j, cfg), comp.curve)
                 if image is not None:
                     pairs.append((C, image))
     return tuple(pairs)

@@ -249,6 +249,22 @@ def test_degree_cap_flag_is_honored(capsys):
     assert "cap" in err
 
 
+def test_degree_cap_exits_4_standalone_but_is_undecided_in_classify(capsys):
+    # the cap is checked on deg f * deg g before the composite is reduced,
+    # so sigma^2 = id is refused at cap 3; classify reports the refusal
+    for command in ("mu", "nu"):
+        code, out, err = run(capsys, command, "-n", "2", "sigma",
+                             "--degree-cap", "3")
+        assert (code, out) == (4, "")
+        assert "composition degree bound 4 exceeds cap 3" in err
+    code, out, _err = run(capsys, "classify", "-n", "2", "sigma",
+                          "--degree-cap", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert "degree cap at iterate 2" in data["caps_hit"]
+    assert data["mu"] is None and data["degree_class"] == "undecided"
+
+
 # ---------------------------------------------------------------------------
 # failure exit codes
 # ---------------------------------------------------------------------------

@@ -265,6 +265,37 @@ def test_nu1_counts_are_certified_without_factoring(monkeypatch):
     assert verdicts and all(verdicts)
 
 
+def test_mu_and_nu1_factor_only_jacobians_and_slope_polynomials(monkeypatch):
+    # the backward chains divide instead of factoring: the only polynomials
+    # factored are J(f), J(f^-1) and the (u, t) slope polynomials of towers
+    real = resolve.factor_q
+    inputs = []
+
+    def spy(p):
+        inputs.append(p)
+        return real(p)
+
+    for memo in (resolve._exc_components, resolve._exc_curves,
+                 resolve._pullback, resolve._base_points):
+        memo.cache_clear()
+    monkeypatch.setattr(resolve, "factor_q", spy)
+    rng = random.Random(2)
+    cases = [(builtin(name), 4) for name in
+             ("sigma", "henon", "hen2", "jonq1", "jonq2", "lox1")]
+    cases += [(conjugate(builtin(name), _dense_automorphism(rng)), 2)
+              for name in ("henon", "jonq2")]
+    factored = 0
+    for f, N in cases:
+        del inputs[:]
+        mu(f, N=N)
+        nu1(f, N=N)
+        jacobians = {jacobian_det(f.entries), jacobian_det(inverse(f).entries)}
+        for p in inputs:
+            assert p in jacobians or p.vars == resolve.CHART_VARS, (str(f), str(p))
+        factored += len(inputs)
+    assert factored
+
+
 # Each map contracts a Galois orbit of lines to conjugate points; counting
 # only the curves with a rational image would give (0, 0, 0) and (1, 0, 1, 0).
 @pytest.mark.parametrize("spec, N", [

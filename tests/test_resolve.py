@@ -29,10 +29,11 @@ from blowcube.errors import (
     HeightCapExceeded,
     IrrationalBaseLocus,
     MapError,
+    ResolutionError,
     TransportUnsupported,
 )
 from blowcube.maps import ProjMap, linear_map
-from blowcube.resolve import BubblePoint
+from blowcube.resolve import BubblePoint, ExcComponent
 
 P2 = ("x", "y", "z")
 
@@ -269,6 +270,62 @@ def test_chains_give_the_contracted_curves_of_the_iterates(name):
             direct = {(c.curve, c.image) for c in exc_components(iterate(f, n))}
             assert len(set(pairs)) == len(pairs)
             assert set(pairs) == direct, (name, str(f), n)
+
+
+def factored_pullback(f, C):
+    """The strict transform of C under f by factoring C(f): the factors that
+    f does not contract, of which there must be exactly one."""
+    if any(c.curve == C for c in exc_components(inverse(f))):
+        return None
+    seeds = {c.curve for c in exc_components(f)}
+    candidates = [fac for fac, _m in factor_q(C.compose(f.entries))[1]
+                  if fac not in seeds]
+    assert len(candidates) == 1, (str(f), str(C))
+    return candidates[0]
+
+
+@pytest.mark.parametrize("name", PLANE_BUILTINS)
+def test_strict_transforms_by_division_match_factoring(name):
+    # every step of every chain that exc_curves walks to the horizon
+    for f, horizon in _maps_and_horizons(name):
+        walked = set()
+        for comp in exc_components(f):
+            C = comp.curve
+            walked.add(C)
+            for _j in range(1, horizon):
+                C_next = resolve._pullback(f, C)
+                assert C_next == factored_pullback(f, C), (name, str(f), str(C))
+                if C_next is None:
+                    break
+                C = C_next
+                walked.add(C)
+        assert {C for C, _image in exc_curves(f, horizon)} <= walked
+
+
+def test_a_pullback_with_nothing_left_raises(monkeypatch):
+    # list the true strict transform as contracted onto a rational point of
+    # C: the division then strips every factor of C(f), and _pullback must
+    # refuse rather than return a constant or a contracted curve
+    f = builtin("jonq1")  # C(f) = y*(x - z), and f contracts y = 0 into C
+    C = parse_poly("x - y", P2)
+    strict = resolve._pullback(f, C)
+    assert strict == parse_poly("x - z", P2)
+    assert C.evaluate((1, 1, 0)) == 0
+    real = resolve.exc_components
+
+    def with_fake(g):
+        comps = real(g)
+        if g == f:
+            comps += (ExcComponent(strict, 1, (1, 1, 0)),)
+        return comps
+
+    resolve._pullback.cache_clear()
+    monkeypatch.setattr(resolve, "exc_components", with_fake)
+    try:
+        with pytest.raises(ResolutionError, match="contracted curves"):
+            resolve._pullback(f, C)
+    finally:
+        resolve._pullback.cache_clear()
 
 
 @pytest.mark.parametrize("name", PLANE_BUILTINS)
