@@ -27,6 +27,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
+from blowcube import memo
 from blowcube.config import DEFAULTS, RunConfig, check_horizon
 from blowcube.errors import DegreeCapExceeded, InverseUnavailable, MapError, ParseError
 from blowcube.poly import (
@@ -203,13 +204,16 @@ def _mat_inverse_frac(m: Sequence[Sequence]) -> list[list[Fraction]] | None:
 # composition and iteration
 # ---------------------------------------------------------------------------
 
-def _compose_raw(f: ProjMap, g: ProjMap, cfg: RunConfig) -> ProjMap:
-    if f.vars != g.vars:
-        raise MapError("cannot compose maps of different spaces")
-    bound = f.degree() * g.degree()
+def _check_degree_bound(bound: int, cfg: RunConfig) -> None:
     if bound > cfg.degree_cap:
         raise DegreeCapExceeded(
             f"composition degree bound {bound} exceeds cap {cfg.degree_cap}")
+
+
+def _compose_raw(f: ProjMap, g: ProjMap, cfg: RunConfig) -> ProjMap:
+    if f.vars != g.vars:
+        raise MapError("cannot compose maps of different spaces")
+    _check_degree_bound(f.degree() * g.degree(), cfg)
     return ProjMap(compose_tuple(f.entries, g.entries))
 
 
@@ -229,23 +233,27 @@ def compose(f: ProjMap, g: ProjMap, cfg: RunConfig = DEFAULTS) -> ProjMap:
     return h
 
 
-_ITERATES: dict[tuple, list[ProjMap]] = {}
-
-
 def _powers(f: ProjMap, n: int, cfg: RunConfig) -> list[ProjMap]:
-    """The cached chain [f, f^2, ...] of at least n members, f^k built as
-    f^(k-1) after f."""
-    chain = _ITERATES.setdefault((f.key(), cfg.degree_cap), [f])
-    while len(chain) < n:
-        chain.append(_compose_raw(chain[-1], f, cfg))
+    """The stored chain [f, f^2, ...] of at least n members, f^k built as
+    f^(k-1) after f.  Each member keeps the least degree cap that builds it
+    (the running maximum of deg f^(j-1) * deg f, j <= k), so a run refuses
+    where a fresh process would."""
+    chain, needs = memo.iterates.setdefault(f.key(), ([f], [1]))
+    for k in range(1, n):
+        if k < len(chain):
+            _check_degree_bound(needs[k], cfg)
+        else:
+            need = max(needs[-1], chain[-1].degree() * f.degree())
+            chain.append(_compose_raw(chain[-1], f, cfg))
+            needs.append(need)
     return chain
 
 
 def iterate(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> ProjMap:
-    """f^n (n >= 1), cached across calls per map and degree cap.
+    """f^n (n >= 1), stored in ``memo.iterates`` across calls.
 
     When f carries a verified inverse, f^n carries (f^-1)^n as its inverse,
-    taken from the same cache and not re-verified, so that
+    taken from the same store and not re-verified, so that
     ``inverse(iterate(f, n)) is iterate(inverse(f), n)``.  When (f^-1)^n
     exceeds the degree cap, f^n is returned without an inverse.
     """

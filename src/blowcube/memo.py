@@ -1,0 +1,30 @@
+"""The one process-wide store of facts derived from maps.
+
+Every key is map data only, never a cap or a ``RunConfig``.  A run's caps
+decide only whether it may use an entry, and the caller checks them against
+what the entry needed, so a refusal reads as in a fresh process.
+
+Kept elsewhere: ``maps._builtin`` and ``poly._symbols`` intern objects
+(``builtin(name) is builtin(name)`` is a contract that clearing would
+break), and ``ProjMap._inverse`` and ``CubeComplex._hyperplanes`` belong to
+their object.
+"""
+
+iterates: dict = {}  # f.key() -> ([f, f^2, ...], least degree cap of each)
+components: dict = {}  # f.key() -> the curves f contracts
+pullbacks: dict = {}  # (f.key(), C) -> the strict transform of C, or None
+curves: dict = {}  # (f.key(), n) -> (curves f^n contracts, f^n queried?)
+towers: dict = {}  # (f^n.key(), proper base points) -> the base-point tree
+
+_TABLES = {"iterates": iterates, "components": components,
+           "pullbacks": pullbacks, "curves": curves, "towers": towers}
+
+
+def clear() -> None:
+    for table in _TABLES.values():
+        table.clear()
+
+
+def sizes() -> dict[str, int]:
+    """The number of entries of each table, by name."""
+    return {name: len(table) for name, table in _TABLES.items()}

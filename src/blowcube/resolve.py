@@ -25,15 +25,18 @@ transform is the pullback with the contracted curves over it divided out
 exactly, and nothing is factored there either.  A chain member C_j is
 mapped onto its seed C_0 by f^j, so where its image under f^n is not read
 off the seed's point orbit it is the image of C_0 under f^(n-j).
+
+All of these are stored in ``memo`` by map data only; the degree cap is
+checked by ``iterate`` and the height cap by ``base_points``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from . import memo
 from .config import DEFAULTS, RunConfig
 from .errors import (HeightCapExceeded, IrrationalBaseLocus, MapError,
                      ResolutionError, TransportUnsupported)
@@ -301,45 +304,52 @@ def base_points(f: ProjMap, cfg: RunConfig = DEFAULTS, n: int = 1) -> BasePointT
     points are the images of the curves that f^-n contracts.  Raises
     IrrationalBaseLocus when the base locus has non-rational members and
     HeightCapExceeded when a tower climbs past ``cfg.height_cap``.
+    The chain bound leaves a tower unchanged under any cap it fits, so a
+    stored tree is checked against ``cfg.height_cap`` here, with the
+    refusal of ``_resolve_node``.
     """
     if f.dim != 2:
         raise ResolutionError("base-point towers are only computed for plane maps")
     finv = inverse(f)
     fn = iterate(f, n, cfg)
-    if fn.degree() == 1:
+    d = fn.degree()
+    if d == 1:
         return BasePointTree(1, ())
-    points = sorted({image for _C, image in exc_curves(finv, n, cfg)})
-    return _base_points(fn, tuple(points), cfg.height_cap)
-
-
-@functools.cache
-def _base_points(f: ProjMap, points: tuple[ProjPoint, ...],
-                 height_cap: int) -> BasePointTree:
-    d = f.degree()
+    points = tuple(sorted({image for _C, image in exc_curves(finv, n, cfg)}))
+    key = (fn.key(), points)
+    if key in memo.towers:
+        tree = memo.towers[key]
+        for root in tree.roots:
+            if any(node.point.height > cfg.height_cap for node in root.walk()):
+                raise HeightCapExceeded(
+                    f"tower over {point_str(root.point.root)} exceeds height "
+                    f"cap {cfg.height_cap}")
+        return tree
     roots = []
     for P in points:
         i = next(j for j, c in enumerate(P) if c != 0)
         sub, chart = standard_chart(i)
         rest = [j for j in range(3) if j != i]
         center = (Fraction(P[rest[0]], P[i]), Fraction(P[rest[1]], P[i]))
-        local = [e.compose(sub).translate(center) for e in f.entries]
+        local = [e.compose(sub).translate(center) for e in fn.entries]
         roots.append(_resolve_node(local, BubblePoint(P), chart, center,
-                                   height_cap, 3 * (d - 1)))
+                                   cfg.height_cap, 3 * (d - 1)))
 
     tree = BasePointTree(d, tuple(roots))
-    mults = [n.multiplicity for n in tree.nodes()]
+    mults = [node.multiplicity for node in tree.nodes()]
     got1, got2 = sum(mults), sum(m * m for m in mults)
     want1, want2 = 3 * (d - 1), d * d - 1
     if got1 < want1 or got2 < want2:
         raise IrrationalBaseLocus(
-            f"rational towers of {f} account for multiplicity sum {got1} of "
+            f"rational towers of {fn} account for multiplicity sum {got1} of "
             f"{want1} and square sum {got2} of {want2}: the remaining base "
             "points are not defined over the rationals")
     if got1 > want1 or got2 > want2:
         raise ResolutionError(
-            f"multiplicity accounting for {f} exceeds the birational bounds "
+            f"multiplicity accounting for {fn} exceeds the birational bounds "
             f"({got1} vs {want1}, {got2} vs {want2}); this indicates an "
             "internal inconsistency")
+    memo.towers[key] = tree
     return tree
 
 
@@ -394,11 +404,8 @@ def exc_components(f: ProjMap) -> tuple[ExcComponent, ...]:
     and image points."""
     if f.dim != 2:
         raise ResolutionError("contracted curves are only computed for plane maps")
-    return _exc_components(f)
-
-
-@functools.cache
-def _exc_components(f: ProjMap) -> tuple[ExcComponent, ...]:
+    if f.key() in memo.components:
+        return memo.components[f.key()]
     jac = jacobian_det(f.entries)
     if jac.is_zero:
         raise MapError(f"{f} is not dominant: its Jacobian vanishes identically")
@@ -414,10 +421,10 @@ def _exc_components(f: ProjMap) -> tuple[ExcComponent, ...]:
                     f"{f} contracts the components of {fac} = 0 to points "
                     "outside the rationals")
             comps.append(ExcComponent(fac, mult, img))
-    return tuple(comps)
+    memo.components[f.key()] = tuple(comps)
+    return memo.components[f.key()]
 
 
-@functools.cache
 def _pullback(f: ProjMap, C: Poly) -> Poly | None:
     """The strict transform of C under f: the one component of C(f) that f
     does not contract.  None when f^-1 contracts C, so no curve maps onto it.
@@ -429,17 +436,22 @@ def _pullback(f: ProjMap, C: Poly) -> Poly | None:
     curves are divided out with all their powers and nothing is factored;
     what remains is the strict transform up to a constant.
     """
-    if any(c.curve == C for c in exc_components(inverse(f))):
-        return None
-    rest = C.compose(f.entries)
-    for comp in exc_components(f):
-        if C.evaluate(comp.image) == 0:
-            rest, _k = strip_factor(rest, comp.curve)
-    if rest.is_constant:
-        raise ResolutionError(
-            f"pullback of {C} under {f} is all contracted curves; "
-            "this indicates an internal inconsistency")
-    return canonical_factor(rest)
+    key = (f.key(), C)
+    if key in memo.pullbacks:
+        return memo.pullbacks[key]
+    strict = None
+    if not any(c.curve == C for c in exc_components(inverse(f))):
+        rest = C.compose(f.entries)
+        for comp in exc_components(f):
+            if C.evaluate(comp.image) == 0:
+                rest, _k = strip_factor(rest, comp.curve)
+        if rest.is_constant:
+            raise ResolutionError(
+                f"pullback of {C} under {f} is all contracted curves; "
+                "this indicates an internal inconsistency")
+        strict = canonical_factor(rest)
+    memo.pullbacks[key] = strict
+    return strict
 
 
 def exc_curves(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS
@@ -454,15 +466,15 @@ def exc_curves(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS
     point's forward orbit is defined.  Past that, f^j maps C_j onto C_0, so
     f^n(C_j) = f^(n-j)(C_0): the seed is queried under the reduced iterate
     f^(n-j), not the deep curve under f^n.
+    The first iterate a walk queries is f^n (j = 0) and the rest are lower,
+    so a stored walk that queried f^n queries it again for the degree cap.
     """
-    return _exc_curves(f, n, cfg.degree_cap)
-
-
-@functools.cache
-def _exc_curves(f: ProjMap, n: int, degree_cap: int
-                ) -> tuple[tuple[Poly, ProjPoint], ...]:
-    cfg = RunConfig(degree_cap=degree_cap)
-    pairs = []
+    if (f.key(), n) in memo.curves:
+        pairs, deep = memo.curves[f.key(), n]
+        if deep:
+            iterate(f, n, cfg)
+        return pairs
+    pairs, deep = [], False
     for comp in exc_components(f):
         orbit = [comp.image]  # orbit[k] = f^k(image), while defined
         while len(orbit) < n:
@@ -480,10 +492,12 @@ def _exc_curves(f: ProjMap, n: int, degree_cap: int
                 pairs.append((C, orbit[n - j - 1]))
             else:
                 # f^j maps C onto the seed, so f^n(C) = f^(n-j)(seed)
+                deep = True
                 image = curve_image(iterate(f, n - j, cfg), comp.curve)
                 if image is not None:
                     pairs.append((C, image))
-    return tuple(pairs)
+    memo.curves[f.key(), n] = (tuple(pairs), deep)
+    return memo.curves[f.key(), n][0]
 
 
 # ---------------------------------------------------------------------------

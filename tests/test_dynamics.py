@@ -39,8 +39,8 @@ from blowcube import (
     vertex_distance,
     vertex_equiv,
 )
-from blowcube import dynamics, resolve
-from blowcube.config import RunConfig
+from blowcube import dynamics, memo, resolve
+from blowcube.config import DEFAULTS, RunConfig
 from blowcube.errors import (ComplexError, IrrationalBaseLocus, MapError,
                              ResolutionError)
 from blowcube.maps import linear_map
@@ -252,9 +252,7 @@ def test_nu1_counts_are_certified_without_factoring(monkeypatch):
         verdicts.append(real(fn, counted))
         return verdicts[-1]
 
-    for memo in (resolve._exc_components, resolve._exc_curves,
-                 resolve._pullback, resolve._base_points):
-        memo.cache_clear()
+    memo.clear()
     monkeypatch.setattr(dynamics, "_exc_certificate", spy)
     rng = random.Random(1)
     for name in ("sigma", "henon", "jonq1", "jonq2", "hen2"):
@@ -275,9 +273,7 @@ def test_mu_and_nu1_factor_only_jacobians_and_slope_polynomials(monkeypatch):
         inputs.append(p)
         return real(p)
 
-    for memo in (resolve._exc_components, resolve._exc_curves,
-                 resolve._pullback, resolve._base_points):
-        memo.cache_clear()
+    memo.clear()
     monkeypatch.setattr(resolve, "factor_q", spy)
     rng = random.Random(2)
     cases = [(builtin(name), 4) for name in
@@ -362,6 +358,30 @@ def test_classification_report_dict_shape():
     assert data["isometries"] == {"hyperbolic_space": "elliptic",
                                   "blowup_complex": "elliptic",
                                   "restricted_complex": "elliptic"}
+
+
+@pytest.mark.parametrize("capped", [RunConfig(degree_cap=20),
+                                    RunConfig(height_cap=9)],
+                         ids=["degree_cap", "height_cap"])
+def test_classify_does_not_depend_on_the_caps_of_earlier_runs(capped):
+    # the memo tables hold no cap, so a run after a run under another cap
+    # must report what a run after memo.clear() reports, and reuse the
+    # first run's iterate chains; lox1 stops at N = 4 to keep this fast
+    def classify_all(cfg):
+        return [classify(builtin(name), 4 if name == "lox1" else 5, cfg).to_dict()
+                for name in ("sigma", "henon", "jonq1", "jonq2", "hen2", "lox1")]
+
+    runs = []
+    for first, second in ((DEFAULTS, capped), (capped, DEFAULTS)):
+        memo.clear()
+        runs.append(classify_all(first))
+        chains = memo.sizes()["iterates"]
+        runs.append(classify_all(second))
+        assert memo.sizes()["iterates"] == chains
+    fresh_default, capped_after, fresh_capped, default_after = runs
+    assert any(report["caps_hit"] for report in fresh_capped)
+    assert capped_after == fresh_capped
+    assert default_after == fresh_default
 
 
 def test_caps_leave_invariants_undecided_but_reported():

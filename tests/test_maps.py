@@ -1,12 +1,16 @@
 """Map layer: parsing, composition, iteration, inverse strategies."""
 
+import ast
+import functools
 import random
 import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
+import sympy
 
 from blowcube import (
     AffineMap2,
@@ -27,7 +31,8 @@ from blowcube import (
     parse_poly,
     verify_inverse,
 )
-from blowcube import maps
+import blowcube
+from blowcube import maps, memo
 from blowcube.config import RunConfig
 from blowcube.errors import (
     DegreeCapExceeded,
@@ -203,12 +208,12 @@ def test_degree_cap_reports_partial_progress():
 
 
 @pytest.mark.parametrize("uncapped_first", [False, True])
-def test_degree_cap_verdict_ignores_earlier_iterates(monkeypatch, uncapped_first):
-    monkeypatch.setattr(maps, "_ITERATES", {})
+def test_degree_cap_verdict_ignores_earlier_iterates(uncapped_first):
+    memo.clear()
     henon = builtin("henon")
     if uncapped_first:
         assert degree_sequence(henon, 6) == [2, 4, 8, 16, 32, 64]
-    with pytest.raises(DegreeCapExceeded) as info:
+    with pytest.raises(DegreeCapExceeded, match="bound 32 exceeds cap 16$") as info:
         degree_sequence(henon, 6, RunConfig(degree_cap=16))
     assert info.value.completed == 4
 
@@ -221,7 +226,7 @@ def test_iterate_carries_the_iterate_of_the_inverse(name):
 
 
 def test_a_map_and_its_inverse_share_one_iterate_chain(monkeypatch):
-    monkeypatch.setattr(maps, "_ITERATES", {})
+    memo.clear()
     lox1 = builtin("lox1")
     calls = []
     real = maps._compose_raw
@@ -237,11 +242,49 @@ def test_a_map_and_its_inverse_share_one_iterate_chain(monkeypatch):
     assert len(calls) == 6
 
 
-def test_degree_sequence_builds_only_the_forward_chain(monkeypatch):
-    monkeypatch.setattr(maps, "_ITERATES", {})
+def test_degree_sequence_builds_only_the_forward_chain():
+    memo.clear()
     lox1 = builtin("lox1")
     assert degree_sequence(lox1, 4) == [3, 8, 21, 55]
-    assert len(maps._ITERATES) == 1
+    assert memo.sizes()["iterates"] == 1
+
+
+def _mutable_store(value) -> bool:
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, (ast.List, ast.Set)):
+        return not value.elts
+    return (isinstance(value, ast.Call) and ast.unparse(value.func).split(".")[-1]
+            in {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter",
+                "deque", "WeakKeyDictionary", "WeakValueDictionary"})
+
+
+def test_memo_is_the_one_process_wide_store():
+    # a store outside memo would survive memo.clear(); the two interning
+    # caches keep object identity (builtin(n) is builtin(n)), not map facts
+    stores = set()
+    for path in sorted(Path(blowcube.__file__).parent.glob("*.py")):
+        if path.name == "memo.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                stores |= {(path.name, a.name) for a in node.names
+                           if a.name in ("cache", "lru_cache")}
+            elif isinstance(node, ast.Global):
+                stores |= {(path.name, name) for name in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if ast.unparse(dec) in ("functools.cache", "functools.lru_cache"):
+                        stores.add((path.name, node.name))
+        for node in tree.body:
+            if (isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and _mutable_store(node.value)):
+                target = node.target if isinstance(node, ast.AnnAssign) \
+                    else node.targets[0]
+                stores.add((path.name, ast.unparse(target)))
+    assert stores == {("maps.py", "_builtin"), ("poly.py", "_symbols")}
 
 
 def test_composition_of_inverses_attaches_inverse():
@@ -305,6 +348,55 @@ def _dense_automorphism(rng):
                                for _ in range(3)])
         except MapError:
             continue
+
+
+def sympy_entries(f):
+    syms = sympy.symbols(f.vars)
+    return [sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                  for e, c in p.terms()}, *syms, domain=sympy.QQ)
+            for p in f.entries]
+
+
+def sympy_compose(F, G):
+    """F after G on sympy entries: G substituted into each term of F in
+    sympy's arithmetic, then the gcd of the entries divided out."""
+    zero = sympy.Poly(0, *F[0].gens, domain=sympy.QQ)
+    entries = []
+    for p in F:
+        total = zero
+        for exps, c in p.terms():
+            term = zero + c
+            for g, e in zip(G, exps):
+                term *= g ** e
+            total += term
+        entries.append(total)
+    common = functools.reduce(sympy.gcd, entries)
+    return [p.exquo(common) for p in entries]
+
+
+def assert_proportional(f, want):
+    # ProjMap.entries are the primitive, sign-normalized multiple of want
+    got = sympy_entries(f)
+    scale = got[0].LC() / want[0].LC()
+    assert all(g == w * scale for g, w in zip(got, want)), str(f)
+
+
+def test_compose_and_iterate_match_a_sympy_reference():
+    # f^n is built here as f after f^(n-1), the reverse of the iterate chain
+    rng = random.Random("sympy reference")
+    fs = [builtin(name) for name in
+          ("sigma", "henon", "jonq1", "jonq2", "hen2", "lox1")]
+    fs += [conjugate(builtin(name), _dense_automorphism(rng))
+           for name in ("henon", "jonq2")]
+    for f, g in zip(fs, fs[1:] + fs[:1]):
+        assert_proportional(compose(f, g), sympy_compose(sympy_entries(f),
+                                                         sympy_entries(g)))
+    for f in fs:
+        want = sympy_entries(f)
+        for n in (1, 2, 3):
+            if n > 1:
+                want = sympy_compose(sympy_entries(f), want)
+            assert_proportional(iterate(f, n), want)
 
 
 @pytest.mark.parametrize("name", ["henon", "jonq2", "lox1", "sigma"])

@@ -23,9 +23,10 @@ from blowcube import (
     parse_map,
     parse_poly,
 )
-from blowcube import poly, resolve
+from blowcube import memo, poly, resolve
 from blowcube.config import DEFAULTS, RunConfig
 from blowcube.errors import (
+    BlowcubeError,
     HeightCapExceeded,
     IrrationalBaseLocus,
     MapError,
@@ -319,13 +320,13 @@ def test_a_pullback_with_nothing_left_raises(monkeypatch):
             comps += (ExcComponent(strict, 1, (1, 1, 0)),)
         return comps
 
-    resolve._pullback.cache_clear()
+    memo.clear()
     monkeypatch.setattr(resolve, "exc_components", with_fake)
     try:
         with pytest.raises(ResolutionError, match="contracted curves"):
             resolve._pullback(f, C)
     finally:
-        resolve._pullback.cache_clear()
+        memo.clear()
 
 
 @pytest.mark.parametrize("name", PLANE_BUILTINS)
@@ -388,11 +389,15 @@ def untruncated_node(system, bubble, chart, coords, height_cap, budget):
 
 
 def untruncated_tower(f, cfg, n, monkeypatch):
-    """base_points(f, cfg, n) built by untruncated_node, past the cache."""
-    with monkeypatch.context() as m:
-        m.setattr(resolve, "_resolve_node", untruncated_node)
-        m.setattr(resolve, "_base_points", resolve._base_points.__wrapped__)
-        return base_points(f, cfg, n)
+    """base_points(f, cfg, n) built by untruncated_node, with the memo tables
+    emptied before and after, so that neither tower is read from the other."""
+    memo.clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(resolve, "_resolve_node", untruncated_node)
+            return base_points(f, cfg, n)
+    finally:
+        memo.clear()
 
 
 @pytest.mark.parametrize("name", PLANE_BUILTINS)
@@ -421,6 +426,26 @@ def test_height_cap_is_met_exactly(n, top, monkeypatch):
         base_points(f, below, n)
     with pytest.raises(HeightCapExceeded):
         untruncated_tower(f, below, n, monkeypatch)
+
+
+@pytest.mark.parametrize("name,n,capped,call", [
+    # lox1's walk queries lox1^4, refused by the degree cap
+    ("lox1", 4, RunConfig(degree_cap=20), lambda f, cfg, n: exc_curves(f, n, cfg)),
+    # henon^5 has one chain of height 14 above [1 : 0 : 0]
+    ("henon", 5, RunConfig(height_cap=9), base_points),
+])
+def test_a_stored_walk_or_tower_refuses_a_cap_as_a_fresh_one_does(name, n, capped,
+                                                                  call):
+    f = builtin(name)
+    refusals = []
+    for warm in (False, True):
+        memo.clear()
+        if warm:
+            call(f, DEFAULTS, n)
+        with pytest.raises(BlowcubeError) as info:
+            call(f, capped, n)
+        refusals.append((type(info.value), str(info.value)))
+    assert refusals[0] == refusals[1]
 
 
 def test_jacobian_order_of_contracted_lines():
