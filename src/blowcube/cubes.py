@@ -9,9 +9,17 @@ must point the same way; hyperplane half-spaces inherit that orientation
 (the ``plus`` side is the tail side).
 
 A cube record is recognised by the bit labels a breadth-first search gives
-its vertices; cubes are validated in increasing dimension, so face closure
-is checked facet by facet.  Hyperplanes are found once per complex, for
-every connected component; distances and geodesics use their component's.
+its vertices, and kept as its corner tuple: the vertices indexed by their
+labels, so the corner across bit i from corner k is at index k ^ (1 << i).
+Cubes are validated in increasing dimension, so face closure is checked
+facet by facet; the orientation test, the opposite-edge relation and the
+link condition all read the corner tuples.
+
+Hyperplanes are found once per complex, for every connected component, and
+stored with the map from each vertex to the hyperplane of each of its edges;
+distances and geodesics use their component's.  A hyperplane's two sides
+are found by one breadth-first search that may not cross its edges: the cut
+is given as a map from each vertex to its blocked neighbours.
 
 The validator certifies the local (flag) part of the CAT(0) condition only;
 simple connectivity of user-supplied complexes is not checked.  The bundled
@@ -24,6 +32,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import ComplexError, OutputError
@@ -58,7 +68,7 @@ class CubeComplex:
         self._adj: dict[object, tuple] = {}
         self._rank: dict = {}
         self._orient: dict[frozenset, tuple] = {}
-        self._cube_labels: dict[frozenset, dict] = {}
+        self._corners: dict[frozenset, tuple] = {}
         self._hyperplanes: Optional[tuple] = None
 
     @property
@@ -80,26 +90,27 @@ def _desc(S) -> str:
     return "{" + ", ".join(repr(v) for v in sorted(S, key=_vkey)) + "}"
 
 
-def _reach(adj: Mapping, start, cut=frozenset()) -> dict:
+def _reach(adj: Mapping, start, cut: Mapping = MappingProxyType({})) -> dict:
     """Breadth-first depths of the vertices reachable from ``start`` without
-    crossing an edge whose vertex pair is in ``cut``."""
+    crossing an edge from a vertex x to one of ``cut[x]``."""
     depth = {start: 0}
     queue = deque([start])
     while queue:
         x = queue.popleft()
+        blocked = cut.get(x, ())
+        d = depth[x] + 1
         for w in adj[x]:
-            if w not in depth and not (cut and _pair(x, w) in cut):
-                depth[w] = depth[x] + 1
+            if w not in depth and w not in blocked:
+                depth[w] = d
                 queue.append(w)
     return depth
 
 
-def _opposite_edges(C: CubeComplex, S: frozenset) -> list:
-    """(bit flipped, edge at the base, edge at the top) for both pairs of
-    opposite edges of the square S."""
-    at = {lab: v for v, lab in C._cube_labels[S].items()}
-    return [(1, _pair(at[0], at[1]), _pair(at[2], at[3])),
-            (2, _pair(at[0], at[2]), _pair(at[1], at[3]))]
+def _opposite_edges(C: CubeComplex, S: frozenset) -> tuple:
+    """The two pairs of opposite edges of the square S, flipping bit 1 and
+    then bit 2; each edge is (its end without the bit, its end with it)."""
+    c = C._corners[S]
+    return (((c[0], c[1]), (c[2], c[3])), ((c[0], c[2]), (c[1], c[3])))
 
 
 def _hypercube_labels(S: frozenset, adj_in: dict, key: Callable) -> dict:
@@ -107,8 +118,9 @@ def _hypercube_labels(S: frozenset, adj_in: dict, key: Callable) -> dict:
 
     ``adj_in`` maps each vertex of S to its neighbors inside S, and ``key``
     orders the vertices.  Raises ComplexError unless the induced graph is
-    the n-dimensional hypercube.  The base vertex is labelled 0, its neighbors get one bit each, and every
-    other vertex gets the OR of its neighbors one step closer to the base.
+    the n-dimensional hypercube.  The base vertex is labelled 0, its
+    neighbors get one bit each, and every other vertex gets the OR of its
+    neighbors one step closer to the base.
     With 2^n vertices and n 2^(n-1) edges, the graph is the n-cube exactly
     when all of it is reached, the base has n neighbors, the labels are
     distinct and every edge flips one bit.
@@ -175,27 +187,27 @@ def _validate(C: CubeComplex) -> None:
     def cube_key(S):
         return sorted(map(rank.get, S))
 
-    for n in sorted(C.cubes):
+    ordered = {n: sorted(cs, key=cube_key) for n, cs in sorted(C.cubes.items())}
+    for n, cs in ordered.items():
         if n < 2:
             raise ComplexError("cube records start at dimension 2")
-        for S in sorted(C.cubes[n], key=cube_key):
-            labels = _hypercube_labels(
-                S, {v: [w for w in adj[v] if w in S] for v in S}, rank.get)
-            C._cube_labels[S] = labels
-            for i in range(n if n > 2 else 0):
-                for side in (0, 1 << i):
-                    facet = frozenset(v for v, lab in labels.items()
-                                      if lab & (1 << i) == side)
-                    if facet not in C.cubes.get(n - 1, ()):
-                        raise ComplexError(
-                            f"face-closure violation: a {n - 1}-face of a "
-                            f"{n}-cube is not recorded")
+        # the corner indices of each facet: bit i clear, then bit i set
+        facets = [itemgetter(*(k for k in range(1 << n) if k & (1 << i) == side))
+                  for i in range(n if n > 2 else 0) for side in (0, 1 << i)]
+        faces = C.cubes.get(n - 1, ())
+        for S in cs:
+            labels = _hypercube_labels(S, {v: adj[v] & S for v in S}, rank.get)
+            corners = C._corners[S] = tuple(sorted(S, key=labels.get))
+            for facet in facets:
+                if frozenset(facet(corners)) not in faces:
+                    raise ComplexError(
+                        f"face-closure violation: a {n - 1}-face of a "
+                        f"{n}-cube is not recorded")
 
-    for S in sorted(C.cubes.get(2, ()), key=cube_key):
-        labels = C._cube_labels[S]
-        for bit, a, b in _opposite_edges(C, S):
-            (t0, h0), (t1, h1) = C._orient[a], C._orient[b]
-            if (labels[t0] & bit) != (labels[t1] & bit):
+    for S in ordered.get(2, ()):
+        for base, top in _opposite_edges(C, S):
+            (t0, h0), (t1, h1) = C._orient[_pair(*base)], C._orient[_pair(*top)]
+            if (t0 == base[1]) != (t1 == top[1]):
                 raise ComplexError(
                     "orientation violation: opposite edges of a square "
                     f"({t0!r}->{h0!r} vs {t1!r}->{h1!r}) disagree")
@@ -249,13 +261,16 @@ class Hyperplane:
 
 def _split(C: CubeComplex, comp: frozenset, start, pairs, index) -> Hyperplane:
     """The hyperplane of one class of parallel edges in the component comp."""
-    cut = frozenset(pairs)
+    members = frozenset(C._orient[p] for p in pairs)
+    cut: dict = {}
+    for a, b in members:
+        cut.setdefault(a, set()).add(b)
+        cut.setdefault(b, set()).add(a)
     near = frozenset(_reach(C._adj, start, cut))
     far = comp - near
     if not far or _reach(C._adj, min(far, key=C._rank.get), cut).keys() != far:
         raise ComplexError(
             "hyperplane class does not cut the complex into two sides")
-    members = frozenset(C._orient[p] for p in pairs)
     tails = {t for t, _h in members}
     plus, minus = (near, far) if tails <= near else (far, near)
     if not (tails <= plus and {h for _t, h in members} <= minus):
@@ -264,9 +279,12 @@ def _split(C: CubeComplex, comp: frozenset, start, pairs, index) -> Hyperplane:
     return Hyperplane(index, members, plus, minus)
 
 
-def _hyperplanes(C: CubeComplex) -> tuple[dict, list]:
-    """The component number of every vertex and the hyperplanes of each
-    component (or the ComplexError refusing them), cached on C.
+def _hyperplanes(C: CubeComplex) -> tuple[dict, list, dict]:
+    """The component number of every vertex, the hyperplanes of each
+    component (or the ComplexError refusing them) and the map from each
+    vertex x to ``{w: hyperplane of the edge x w}`` over x's neighbors in
+    adjacency order (the vertices of refused components left out), cached
+    on C.
 
     Components are numbered by their least vertex.  The opposite-edge
     relation is closed by union-find over the recorded squares; classes are
@@ -292,26 +310,34 @@ def _hyperplanes(C: CubeComplex) -> tuple[dict, list]:
         return x
 
     for S in C.cubes.get(2, ()):
-        for _bit, a, b in _opposite_edges(C, S):
-            parent[find(a)] = find(b)
+        for base, top in _opposite_edges(C, S):
+            parent[find(_pair(*base))] = find(_pair(*top))
 
     classes: list[dict] = [{} for _ in comps]  # per component: root -> pairs
     for pair in C._orient:
         classes[comp_of[next(iter(pair))]].setdefault(find(pair), []).append(pair)
 
     planes: list = []
+    plane_at: dict = {}
     index = 0
     for (start, comp), roots in zip(comps, classes):
         group = sorted(roots.values(),
                        key=lambda pairs: min(sorted(map(rank.get, p))
                                              for p in pairs))
         try:
-            planes.append(tuple(_split(C, comp, start, pairs, index + i)
-                                for i, pairs in enumerate(group)))
+            hps = tuple(_split(C, comp, start, pairs, index + i)
+                        for i, pairs in enumerate(group))
         except ComplexError as exc:
             planes.append(exc)
+        else:
+            planes.append(hps)
+            at = {v: dict.fromkeys(C._adj[v]) for v in comp}
+            for h in hps:
+                for a, b in h.members:
+                    at[a][b] = at[b][a] = h
+            plane_at.update(at)
         index += len(group)
-    C._hyperplanes = (comp_of, planes)
+    C._hyperplanes = (comp_of, planes, plane_at)
     return C._hyperplanes
 
 
@@ -335,7 +361,7 @@ def hyperplanes(C: CubeComplex) -> tuple[Hyperplane, ...]:
 
 def _planes_between(C: CubeComplex, u, v) -> tuple[Hyperplane, ...]:
     """The hyperplanes of u's component, which must contain v."""
-    comp_of, planes = _hyperplanes(C)
+    comp_of, planes, _plane_at = _hyperplanes(C)
     if u not in comp_of:
         raise ComplexError(f"unknown vertex {u!r}")
     if comp_of.get(v) != comp_of[u]:
@@ -362,37 +388,43 @@ class GeodesicResult:
         return len(self.paths)
 
 
+_DONE = object()
+
+
 def geodesics(C: CubeComplex, u, v, limit: int = 10000) -> GeodesicResult:
     """All geodesic vertex paths from u to v, up to ``limit`` of them.
 
     Every geodesic crosses each separating hyperplane exactly once and no
     other hyperplane, so the search only ever steps across a hyperplane
-    toward v: that one separates x from v and is not crossed yet.
+    toward v: that one separates x from v and is not crossed yet.  The
+    depth-first search keeps its own stack, one iterator over the onward
+    steps per vertex of the trail, and yields the paths in adjacency order.
     """
     hps = _planes_between(C, u, v)
-    hp_of = {_pair(*e): h for h in hps for e in h.members}
+    plane_at = _hyperplanes(C)[2]
     want = sum(1 for h in hps if h.separates(u, v))
 
     paths = []
-    complete = True
-
-    def walk(x, trail):
-        nonlocal complete
-        if len(trail) - 1 == want:
-            if x == v:
-                if len(paths) >= limit:
-                    complete = False
-                    return False
-                paths.append(tuple(trail))
-            return True
-        for w in C._adj[x]:
-            h = hp_of[_pair(x, w)]
-            if h.side(w) == h.side(v) and not walk(w, trail + [w]):
-                return False  # the limit is hit
-        return True
-
-    walk(u, [u])
-    return GeodesicResult(tuple(paths), complete)
+    trail: list = []
+    onward = [iter((u,))]  # one more than the trail: the steps from its end
+    while onward:
+        x = next(onward[-1], _DONE)
+        if x is _DONE:
+            onward.pop()
+            if trail:  # empty only when the search is over
+                trail.pop()
+            continue
+        trail.append(x)
+        if len(trail) - 1 < want:
+            onward.append(iter([w for w, h in plane_at[x].items()
+                                if (w in h.plus) == (v in h.plus)]))
+            continue
+        if x == v:
+            if len(paths) >= limit:
+                return GeodesicResult(tuple(paths), False)
+            paths.append(tuple(trail))
+        trail.pop()
+    return GeodesicResult(tuple(paths), True)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +454,13 @@ def check_gromov(C: CubeComplex) -> GromovReport:
     vertex (in deterministic order) is returned with the offending clique.
     Simple connectivity is not checked.
     """
+    # per dimension and corner label, the getter of the corner's neighbors
+    links = {n: [itemgetter(*(k ^ (1 << i) for i in range(n)))
+                 for k in range(1 << n)] for n in C.cubes}
     corners: dict = {v: set() for v in C.vertices}
-    for S, labels in C._cube_labels.items():
-        by_label = {lab: v for v, lab in labels.items()}
-        dim = len(S).bit_length() - 1
-        for x in S:
-            nbset = frozenset(by_label[labels[x] ^ (1 << i)] for i in range(dim))
-            corners[x].add(nbset)
+    for c in C._corners.values():
+        for x, neighbors in zip(c, links[len(c).bit_length() - 1]):
+            corners[x].add(frozenset(neighbors(c)))
 
     for v in sorted(C.vertices, key=C._rank.get):
         order = C._adj[v]  # sorted by rank
@@ -565,13 +597,21 @@ def complex_to_json(C: CubeComplex) -> str:
 
 
 def complex_from_dict(data: Mapping) -> CubeComplex:
+    """The complex of a ``complex_to_dict`` description; one that is not
+    lists of hashable ids, with two ids per edge, raises ComplexError."""
     try:
         vertices = data["vertices"]
         edges = [tuple(e) for e in data["edges"]]
         cubes = [S for _n, bucket in sorted(data.get("cubes", {}).items())
                  for S in bucket]
-    except (KeyError, TypeError) as exc:
+        for ids in (vertices, *edges, *cubes):
+            frozenset(ids)  # raises TypeError on an unhashable id
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ComplexError(f"malformed complex description: {exc}") from None
+    for e in edges:
+        if len(e) != 2:
+            raise ComplexError(f"malformed complex description: edge {list(e)!r} "
+                               "does not join two vertex ids")
     return build_complex(vertices, edges, cubes)
 
 
@@ -581,11 +621,12 @@ _DOT_PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e",
 
 def complex_to_dot(C: CubeComplex) -> str:
     """1-skeleton in DOT, edges colored by hyperplane class."""
-    color = {e: _DOT_PALETTE[h.index % len(_DOT_PALETTE)]
-             for planes in _hyperplanes(C)[1] for h in _checked(planes)
-             for e in h.members}
+    _comp_of, planes, plane_at = _hyperplanes(C)
+    for hps in planes:
+        _checked(hps)
     lines = ["digraph cubes {"]
     lines += [f'  "{v}";' for v in sorted(C.vertices, key=C._rank.get)]
-    lines += [f'  "{a}" -> "{b}" [color="{color[(a, b)]}"];'
-              for a, b in sorted(C.edges, key=lambda e: (C._rank[e[0]], C._rank[e[1]]))]
+    for a, b in sorted(C.edges, key=lambda e: (C._rank[e[0]], C._rank[e[1]])):
+        color = _DOT_PALETTE[plane_at[a][b].index % len(_DOT_PALETTE)]
+        lines.append(f'  "{a}" -> "{b}" [color="{color}"];')
     return "\n".join(lines) + "\n}\n"

@@ -299,6 +299,21 @@ def test_complex_failures_exit_6(tmp_path, capsys):
     assert code == 6 and "edge" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"vertices": ["a"], "edges": [], "cubes": []},
+     "'list' object has no attribute 'items'"),
+    ({"vertices": [[0], 1], "edges": []}, "unhashable type: 'list'"),
+    ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]},
+     "edge ['a', 'b', 'c'] does not join two vertex ids"),
+], ids=["cubes-list", "unhashable-id", "three-id-edge"])
+def test_malformed_complex_files_exit_6(tmp_path, capsys, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check-cat0", str(bad))
+    assert (code, out) == (6, "")
+    assert err == f"blowcube: error: malformed complex description: {message}\n"
+
+
 def test_io_failures_exit_8(tmp_path, capsys):
     code, _out, _err = run(capsys, "check-cat0", str(tmp_path / "missing.json"))
     assert code == 8

@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -119,23 +120,51 @@ def test_single_square_is_valid():
 
 def test_validation_catches_defects():
     verts = ["00", "01", "10", "11"]
-    with pytest.raises(ComplexError):  # both orientations of one edge
+    square = re.escape("{'00', '01', '10', '11'}")
+    # both orientations of one edge; which of the two is named depends on
+    # the order of the edge set
+    with pytest.raises(ComplexError, match=r"^edge \{'0[01]', '0[01]'\} recorded "
+                       r"twice \(or with both orientations\)$"):
         build_complex(verts, SQUARE_EDGES + [("00", "01")], [SQUARE])
-    with pytest.raises(ComplexError):  # opposite edges oriented oppositely
+    with pytest.raises(ComplexError, match=re.escape(  # opposite edges oriented oppositely
+            "orientation violation: opposite edges of a square "
+            "('01'->'00' vs '10'->'11') disagree")):
         bad = [("01", "00"), ("10", "11"), ("10", "00"), ("11", "01")]
         build_complex(verts, bad, [SQUARE])
-    with pytest.raises(ComplexError):  # four vertices on a path, not a square
+    with pytest.raises(ComplexError,  # four vertices on a path, not a square
+                       match=f"^face-closure violation: cube {square} is missing edges$"):
         build_complex(verts, [("01", "00"), ("10", "01"), ("11", "10")], [SQUARE])
-    with pytest.raises(ComplexError):  # cube recorded twice
+    with pytest.raises(ComplexError, match=f"^duplicate cube {square}$"):
         build_complex(verts, SQUARE_EDGES, [SQUARE, SQUARE])
-    with pytest.raises(ComplexError):  # stray vertex inside a cube
+    with pytest.raises(ComplexError,  # stray vertex inside a cube
+                       match="^cube uses unknown vertex '11'$"):
         build_complex(verts[:3], SQUARE_EDGES[2:3], [SQUARE])
-    with pytest.raises(ComplexError):  # no vertices at all
+    with pytest.raises(ComplexError, match="^a complex needs at least one vertex$"):
         build_complex([], [], [])
 
 
+@pytest.mark.parametrize("flipped, message", [
+    (("11", "10"), "('01'->'00' vs '10'->'11')"),  # the pair across bit 1
+    (("11", "01"), "('10'->'00' vs '01'->'11')"),  # the pair across bit 2
+])
+def test_each_pair_of_opposite_edges_is_checked(flipped, message):
+    verts = ["00", "01", "10", "11"]
+    edges = [e[::-1] if e == flipped else e for e in SQUARE_EDGES]
+    with pytest.raises(ComplexError, match=re.escape(
+            f"orientation violation: opposite edges of a square {message} disagree")):
+        build_complex(verts, edges, [SQUARE])
+    # reversing both edges of the pair keeps the square consistent
+    partner = {("11", "10"): ("01", "00"), ("11", "01"): ("10", "00")}[flipped]
+    edges = [e[::-1] if e in (flipped, partner) else e for e in SQUARE_EDGES]
+    assert len(hyperplanes(build_complex(verts, edges, [SQUARE]))) == 2
+
+
 HASH_SEED_PROBE = """
-from blowcube import ComplexError, build_complex
+import json
+import sys
+
+from blowcube import (ComplexError, build_complex, complex_to_dot,
+                      geodesics, hyperplanes)
 
 def bad_square(p):
     verts = [p + s for s in ("00", "01", "10", "11")]
@@ -151,23 +180,45 @@ for vertices, edges, cubes in cases:
         build_complex(vertices, edges, cubes)
     except ComplexError as exc:
         print(exc)
+
+# one complex given as JSON in argv[1]: hyperplanes in index order with
+# their members and plus sides, the geodesics between its first and last
+# vertices both ways, and its DOT export
+vertices, edges, cubes = json.loads(sys.argv[1])
+C = build_complex(vertices, [tuple(e) for e in edges], cubes)
+for h in hyperplanes(C):
+    print(h.index, sorted(h.members), sorted(h.plus))
+for u, v in ((vertices[0], vertices[-1]), (vertices[-1], vertices[0])):
+    print(geodesics(C, u, v).paths)
+print(complex_to_dot(C), end="")
 """
 
 
 def test_validation_errors_do_not_depend_on_the_hash_seed():
     # two stray vertices in one cube, six squares with bad orientations:
-    # the error must name the least offender whatever the set order is
+    # the error must name the least offender whatever the set order is;
+    # then the hyperplanes, the geodesic paths and the DOT export of a box
+    # on string ids must come out in one order
+    vertices, edges, cubes = grid_data((2, 1, 1))
+    tag = {v: f"p{i}" for i, v in enumerate(random.Random(7).sample(vertices, 12))}
+    box = json.dumps([[tag[v] for v in vertices], [[tag[a], tag[b]] for a, b in edges],
+                      [[tag[v] for v in S] for S in cubes]])
     outputs = set()
     for seed in range(4):
         env = {**os.environ, "PYTHONHASHSEED": str(seed)}
-        run = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE],
+        run = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE, box],
                              capture_output=True, text=True, env=env)
         assert run.returncode == 0, run.stderr
         outputs.add(run.stdout)
-    assert outputs == {
-        "cube uses unknown vertex 'x'\n"
+    assert len(outputs) == 1
+    lines = outputs.pop().splitlines()
+    assert lines[:2] == [
+        "cube uses unknown vertex 'x'",
         "orientation violation: opposite edges of a square "
-        "('a01'->'a00' vs 'a10'->'a11') disagree\n"}
+        "('a01'->'a00' vs 'a10'->'a11') disagree"]
+    assert [line.split()[0] for line in lines[2:6]] == ["0", "1", "2", "3"]
+    assert lines[6].count("), (") == 11  # 12 geodesics each way
+    assert lines[8] == "digraph cubes {" and len(lines) == 9 + 12 + 20 + 1
 
 
 def test_face_closure_is_required():
@@ -372,6 +423,9 @@ def test_geodesic_count_in_a_box():
     for path in res.paths:
         assert path[0] == (0, 0, 0) and path[-1] == (2, 1, 1)
         assert len(path) == 5
+    # the search steps to neighbors in vertex order, so the paths come out
+    # in lexicographic order
+    assert list(res.paths) == sorted(res.paths)
 
 
 def test_geodesics_match_bfs_enumeration():
@@ -388,6 +442,91 @@ def test_geodesic_limit_marks_incomplete():
     res = geodesics(C, (0, 0, 0), (2, 1, 1), limit=5)
     assert not res.complete
     assert len(res) == 5
+
+
+def test_geodesics_are_not_bounded_by_the_recursion_limit():
+    C = build_complex(range(1500), [(v + 1, v) for v in range(1499)])
+    assert distance(C, 0, 1499) == 1499
+    res = geodesics(C, 0, 1499)
+    assert res.complete
+    assert res.paths == (tuple(range(1500)),)
+
+
+# ---------------------------------------------------------------------------
+# differential: seeded products of trees and polyominoes against networkx
+# ---------------------------------------------------------------------------
+
+def random_tree(rng, m):
+    """Cells of a random recursive tree on m vertices, edges parent -> child."""
+    return [(v,) for v in range(m)], [(rng.randrange(i), i) for i in range(1, m)], []
+
+
+def random_polyomino(rng, columns):
+    """Cells of a column-convex polyomino: columns of two cells, each one row
+    up or down from the last, so that the square complex is CAT(0)."""
+    lo, squares = 0, []
+    for x in range(columns):
+        squares += [((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
+                    for y in (lo, lo + 1)]
+        lo += rng.choice((-1, 1))
+    edges = {e for a, b, c, d in squares for e in ((a, b), (c, d), (a, c), (b, d))}
+    return sorted({(p,) for sq in squares for p in sq}), sorted(edges), squares
+
+
+def product_data(factors):
+    """Vertices, oriented edges and cubes of a product of cell lists; a cell
+    is a tuple of corners, its dimension the log2 of their number."""
+    edges, cubes = [], []
+    cells = [[c for cs in f for c in cs] for f in factors]
+    for combo in itertools.product(*cells):
+        dim = sum(len(c).bit_length() - 1 for c in combo)
+        if dim == 1:
+            i = next(i for i, c in enumerate(combo) if len(c) == 2)
+            ends = [[c[0]] * 2 if j != i else c for j, c in enumerate(combo)]
+            edges.append(tuple(zip(*ends)))
+        elif dim >= 2:
+            cubes.append(list(itertools.product(*combo)))
+    vertices = list(itertools.product(*[[c[0] for c in f[0]] for f in factors]))
+    return vertices, edges, cubes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_products_match_networkx(seed):
+    rng = random.Random(seed)
+    shape = [("T5", "T4", "T3"), ("T6", "P3"), ("P2", "P2")][seed % 3]
+    vertices, edges, cubes = product_data(
+        [random_tree(rng, int(s[1:])) if s[0] == "T" else random_polyomino(rng, int(s[1:]))
+         for s in shape])
+    removed = None
+    if seed % 3 == 0:  # one complex in three loses a top cube
+        top = max(map(len, cubes))
+        removed = cubes.pop(rng.choice([i for i, S in enumerate(cubes) if len(S) == top]))
+    ids = [f"v{i}" for i in range(len(vertices))]
+    rng.shuffle(ids)
+    tag = dict(zip(vertices, ids))
+    C = build_complex([tag[v] for v in vertices], [(tag[a], tag[b]) for a, b in edges],
+                      [[tag[v] for v in S] for S in cubes])
+
+    members = [e for h in hyperplanes(C) for e in h.members]
+    assert len(members) == len(set(members)) == len(C.edges)
+    assert set(members) == C.edges
+
+    rep = check_gromov(C)
+    if removed is None:
+        assert rep.flag
+    else:
+        assert not rep.flag
+        inside = {tag[v] for v in removed}
+        assert rep.witness_vertex in inside and set(rep.witness_clique) <= inside
+
+    G = skeleton(C)
+    for u in rng.sample(sorted(C.vertices), 6):
+        lengths = nx.single_source_shortest_path_length(G, u)
+        for v in rng.sample(sorted(C.vertices), 6):
+            assert distance(C, u, v) == lengths[v]
+            res = geodesics(C, u, v)
+            assert res.complete
+            assert len(res) == sum(1 for _ in nx.all_shortest_paths(G, u, v))
 
 
 # ---------------------------------------------------------------------------
