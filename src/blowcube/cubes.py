@@ -156,16 +156,17 @@ def _hypercube_labels(S: frozenset, adj_in: dict, key: Callable) -> dict:
     return labels
 
 
-def _validate(C: CubeComplex) -> None:
+def _validate(C: CubeComplex, edges: list) -> None:
     """Check the records and label every cube, in increasing dimension: so
-    an n-cube (n >= 3) only needs its 2n facets recorded.
+    an n-cube (n >= 3) only needs its 2n facets recorded.  The edge records
+    are walked in the order given, so an edge error names the first bad one.
 
     Every deterministic order on the vertices reads ``C._rank``, the
     position of each vertex in the ``_vkey`` order, computed here once."""
     if not C.vertices:
         raise ComplexError("a complex needs at least one vertex")
     adj = {v: set() for v in C.vertices}
-    for a, b in C.edges:
+    for a, b in edges:
         if a == b:
             raise ComplexError(f"self-loop at {a!r}")
         if a not in C.vertices or b not in C.vertices:
@@ -228,8 +229,9 @@ def build_complex(vertices: Iterable = (), edges: Iterable = (),
             raise ComplexError(f"duplicate cube {_desc(S)}")
         seen.add(S)
         cube_list.append(S)
+    edges = [tuple(e) for e in edges]
     C = CubeComplex(vertices, edges, cube_list)
-    _validate(C)
+    _validate(C, edges)
     return C
 
 

@@ -400,11 +400,7 @@ def dehomogenize(f: ProjMap) -> AffineMap2:
     """Restriction of a plane map to the chart z = 1 as rational functions."""
     if f.dim != 2:
         raise MapError("dehomogenize expects a plane map")
-    chart = []
-    for p in f.entries:
-        q = p.set_var("z", 1).drop_var("z")
-        chart.append(q)
-    e0, e1, e2 = chart
+    e0, e1, e2 = (p.dehomogenize() for p in f.entries)
     if e2.is_zero:
         raise MapError("map contracts the affine chart to the line at infinity")
     return AffineMap2((e0, e2), (e1, e2), name=f.name)

@@ -23,7 +23,10 @@ delegated to sympy; everything else is native.  This module is the only one
 that imports sympy.  Polynomials cross to sympy as integer polynomials on
 ZZ: the bridge hands over ``den * p`` built straight from the integer
 numerators and reads the integer result back, while ``den`` and the
-rational scale of each answer stay on this side.
+rational scale of each answer stay on this side.  The gcd and the exact
+division of homogeneous polynomials go to sympy in the chart where the last
+variable is 1 (``dehomogenize``, the one passage to an affine chart) and
+come back through ``homogenize``.
 """
 
 from __future__ import annotations
@@ -155,13 +158,6 @@ class Poly:
         if not self.coeffs:
             return -1
         return max(_key_total(k) for k in self.coeffs)
-
-    def degree_in(self, name: str) -> int:
-        i = self.vars.index(name)
-        if not self.coeffs:
-            return -1
-        shift = WIDTH * i
-        return max((k >> shift) & MASK for k in self.coeffs)
 
     def is_homogeneous(self) -> bool:
         if not self.coeffs:
@@ -439,55 +435,6 @@ class Poly:
             return self
         return Poly(self.vars, self.den, kept)
 
-    def strip_power(self, name: str) -> tuple["Poly", int]:
-        """Divide out the largest power of a variable; returns (quotient, power)."""
-        if self.is_zero:
-            return self, 0
-        m = self.min_exponent(name)
-        if m == 0:
-            return self, 0
-        i = self.vars.index(name)
-        step = m << (WIDTH * i)
-        return Poly(self.vars, self.den, {k - step: c for k, c in self.coeffs.items()}), m
-
-    def set_var(self, name: str, value) -> "Poly":
-        """Substitute a rational constant for one variable."""
-        i = self.vars.index(name)
-        value = Fraction(value)
-        shift = WIDTH * i
-        if not self.coeffs:
-            return self
-        if value == 0:
-            out = {k: c for k, c in self.coeffs.items() if not ((k >> shift) & MASK)}
-            return Poly(self.vars, self.den, out)
-        vn, vd = value.numerator, value.denominator
-        E = max((k >> shift) & MASK for k in self.coeffs)
-        if E == 0:
-            return self
-        vn_pow = [1] * (E + 1)
-        vd_pow = [1] * (E + 1)
-        for j in range(1, E + 1):
-            vn_pow[j] = vn_pow[j - 1] * vn
-            vd_pow[j] = vd_pow[j - 1] * vd
-        out: dict[int, int] = {}
-        for k, c in self.coeffs.items():
-            e = (k >> shift) & MASK
-            base = k - (e << shift)
-            out[base] = out.get(base, 0) + c * vn_pow[e] * vd_pow[E - e]
-        return Poly(self.vars, self.den * vd_pow[E], out)
-
-    def drop_var(self, name: str) -> "Poly":
-        """Remove an unused variable from the variable tuple."""
-        i = self.vars.index(name)
-        if self.degree_in(name) > 0:
-            raise ValueError(f"variable {name} still occurs")
-        lo = (1 << (WIDTH * i)) - 1
-        out = {}
-        for k, c in self.coeffs.items():
-            out[(k & lo) | ((k >> WIDTH) & ~lo)] = c
-        new_vars = self.vars[:i] + self.vars[i + 1:]
-        return Poly(new_vars, self.den, out)
-
     def homogenize(self, name: str, degree: int | None = None) -> "Poly":
         """Insert ``name`` (appended to the variables) to reach equal term degree."""
         if name in self.vars:
@@ -501,6 +448,16 @@ class Poly:
         for k, c in self.coeffs.items():
             out[k | ((d - _key_total(k)) << (WIDTH * j))] = c
         return Poly(vars, self.den, out)
+
+    def dehomogenize(self) -> "Poly":
+        """Set the last variable to 1 and remove it: the inverse of
+        ``homogenize``.  Terms that differ only in that variable add up."""
+        mask = (1 << (WIDTH * (len(self.vars) - 1))) - 1
+        out: dict[int, int] = {}
+        for k, c in self.coeffs.items():
+            k &= mask
+            out[k] = out.get(k, 0) + c
+        return Poly(self.vars[:-1], self.den, out)
 
     # -- printing ----------------------------------------------------
 
@@ -850,11 +807,6 @@ def canonical_factor(p: Poly) -> Poly:
     return q
 
 
-def _affine_part(p: Poly, name: str) -> Poly:
-    """Set ``name`` to 1 and remove it from the variable tuple."""
-    return p.set_var(name, 1).drop_var(name)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.vars != b.vars:
         raise ValueError("variable mismatch")
@@ -863,18 +815,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero:
         return canonical_factor(a)
     if len(a.vars) >= 2 and a.is_homogeneous() and b.is_homogeneous():
-        # dehomogenizing saves a nesting level in the dense recursion;
-        # minimal rehomogenization is exact because stripping the last
-        # variable makes it a multiplicative bijection
+        # the chart of the last variable saves a nesting level in the dense
+        # recursion.  z^k * s and s have the same affine part, and a
+        # homogeneous polynomial that z does not divide is the minimal
+        # homogenization of its affine part, so the gcd is the affine gcd
+        # homogenized k degrees above its own degree, k the least z-power
         name = a.vars[-1]
-        sa, ka = a.strip_power(name)
-        sb, kb = b.strip_power(name)
-        g_aff = poly_gcd(_affine_part(sa, name), _affine_part(sb, name))
-        g = g_aff.homogenize(name)
-        k = min(ka, kb)
-        if k:
-            g = g * Poly.var(a.vars, name) ** k
-        return canonical_factor(g)
+        k = min(a.min_exponent(name), b.min_exponent(name))
+        g = poly_gcd(a.dehomogenize(), b.dehomogenize())
+        return canonical_factor(g.homogenize(name, g.degree() + k))
     return canonical_factor(_from_zz(_to_zz(a).gcd(_to_zz(b)), a.vars))
 
 
@@ -885,16 +834,14 @@ def poly_exact_div(a: Poly, b: Poly) -> Poly:
     if a.is_zero:
         return a
     if len(a.vars) >= 2 and a.is_homogeneous() and b.is_homogeneous():
+        # as in poly_gcd: the quotient of the affine parts, homogenized
+        # with the difference of the least powers of the last variable
         name = a.vars[-1]
-        sa, ka = a.strip_power(name)
-        sb, kb = b.strip_power(name)
+        ka, kb = a.min_exponent(name), b.min_exponent(name)
         if ka < kb or a.degree() < b.degree():
             raise ValueError("not an exact division")
-        aff_q = poly_exact_div(_affine_part(sa, name), _affine_part(sb, name))
-        q = aff_q.homogenize(name)
-        if ka > kb:
-            q = q * Poly.var(a.vars, name) ** (ka - kb)
-        return q
+        q = poly_exact_div(a.dehomogenize(), b.dehomogenize())
+        return q.homogenize(name, q.degree() + ka - kb)
     # Gauss's lemma: a primitive integer divisor of an integer polynomial
     # over Q leaves an integer quotient, so the division stays on ZZ
     content, prim = _to_zz(b).primitive()

@@ -255,7 +255,7 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
     if k0 != mult:
         raise ResolutionError(
             "stripped exceptional power must equal the local multiplicity")
-    on_line = [p.set_var("u", 0) for p in alpha]
+    on_line = [p.truncate_in("u", 0) for p in alpha]
     nz = [p for p in on_line if not p.is_zero]
     if not nz:
         raise ResolutionError(

@@ -292,11 +292,28 @@ def test_resolution_failures_exit_5(capsys):
     assert code == 5
 
 
+def test_ball_over_infinitely_near_base_points_exits_5(capsys):
+    # the transitions of a ball of radius 2 or more meet infinitely near
+    # marked points, which evaluation cannot transport
+    code, out, err = run(capsys, "ball", "henon", "--radius", "2")
+    assert (code, out) == (5, "")
+    assert err == ("blowcube: error: cannot match infinitely near marked "
+                   "points through [x : y : z]; present the vertices over "
+                   "a common model\n")
+
+
 def test_complex_failures_exit_6(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"vertices": ["a"], "edges": [["a", "b"]]}))
     code, _out, err = run(capsys, "check-cat0", str(bad))
     assert code == 6 and "edge" in err
+    # an edge recorded twice in the same orientation is refused too
+    bad.write_text(json.dumps({"vertices": ["a", "b"],
+                               "edges": [["a", "b"], ["a", "b"]]}))
+    code, out, err = run(capsys, "check-cat0", str(bad))
+    assert (code, out) == (6, "")
+    assert err == ("blowcube: error: edge {'a', 'b'} recorded twice "
+                   "(or with both orientations)\n")
 
 
 @pytest.mark.parametrize("data, message", [

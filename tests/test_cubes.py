@@ -121,9 +121,8 @@ def test_single_square_is_valid():
 def test_validation_catches_defects():
     verts = ["00", "01", "10", "11"]
     square = re.escape("{'00', '01', '10', '11'}")
-    # both orientations of one edge; which of the two is named depends on
-    # the order of the edge set
-    with pytest.raises(ComplexError, match=r"^edge \{'0[01]', '0[01]'\} recorded "
+    # both orientations of one edge: the later record is named
+    with pytest.raises(ComplexError, match=r"^edge \{'00', '01'\} recorded "
                        r"twice \(or with both orientations\)$"):
         build_complex(verts, SQUARE_EDGES + [("00", "01")], [SQUARE])
     with pytest.raises(ComplexError, match=re.escape(  # opposite edges oriented oppositely
@@ -174,7 +173,11 @@ def bad_square(p):
 
 squares = [bad_square(p) for p in "abcdef"]
 cases = [(["a", "b"], [], [["a", "b", "x", "y"]]),
-         tuple(sum((sq[i] for sq in squares), []) for i in range(3))]
+         tuple(sum((sq[i] for sq in squares), []) for i in range(3)),
+         (["a", "b"], [("a", "b"), ("b", "a")], []),
+         (["a", "b"], [("a", "b"), ("a", "b")], []),
+         (["a", "b"], [("b", "b"), ("a", "a")], []),
+         (["a", "b"], [("a", "y"), ("x", "b")], [])]
 for vertices, edges, cubes in cases:
     try:
         build_complex(vertices, edges, cubes)
@@ -197,6 +200,9 @@ print(complex_to_dot(C), end="")
 def test_validation_errors_do_not_depend_on_the_hash_seed():
     # two stray vertices in one cube, six squares with bad orientations:
     # the error must name the least offender whatever the set order is;
+    # a pair of edges recorded twice (reversed, then repeated), two
+    # self-loops and two edges leaving the vertex set: the error must name
+    # the first bad record;
     # then the hyperplanes, the geodesic paths and the DOT export of a box
     # on string ids must come out in one order
     vertices, edges, cubes = grid_data((2, 1, 1))
@@ -212,13 +218,17 @@ def test_validation_errors_do_not_depend_on_the_hash_seed():
         outputs.add(run.stdout)
     assert len(outputs) == 1
     lines = outputs.pop().splitlines()
-    assert lines[:2] == [
+    assert lines[:6] == [
         "cube uses unknown vertex 'x'",
         "orientation violation: opposite edges of a square "
-        "('a01'->'a00' vs 'a10'->'a11') disagree"]
-    assert [line.split()[0] for line in lines[2:6]] == ["0", "1", "2", "3"]
-    assert lines[6].count("), (") == 11  # 12 geodesics each way
-    assert lines[8] == "digraph cubes {" and len(lines) == 9 + 12 + 20 + 1
+        "('a01'->'a00' vs 'a10'->'a11') disagree",
+        "edge {'b', 'a'} recorded twice (or with both orientations)",
+        "edge {'a', 'b'} recorded twice (or with both orientations)",
+        "self-loop at 'b'",
+        "edge ('a', 'y') leaves the vertex set"]
+    assert [line.split()[0] for line in lines[6:10]] == ["0", "1", "2", "3"]
+    assert lines[10].count("), (") == 11  # 12 geodesics each way
+    assert lines[12] == "digraph cubes {" and len(lines) == 13 + 12 + 20 + 1
 
 
 def test_face_closure_is_required():

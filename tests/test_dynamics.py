@@ -320,6 +320,24 @@ def test_degree_growth_classes():
     assert degree_growth_class(builtin("lox1"), N=3).kind == "exponential"
 
 
+@pytest.mark.parametrize("degrees, kind, row, col1", [
+    ((2, 5, 10, 17, 26), "quadratic", 4, "parabolic"),  # n^2 + 1
+    ((2, 3, 3, 4, 4), "undecided", None, "undecided"),
+], ids=["quadratic", "undecided"])
+def test_degree_classes_no_builtin_reaches(degrees, kind, row, col1, monkeypatch):
+    # sigma keeps its mu and nu1, 0 each; only the degree sequence is planted
+    monkeypatch.setattr(dynamics, "degree_sequence",
+                        lambda f, N, cfg: list(degrees))
+    assert degree_growth_class(builtin("sigma"), 5).kind == kind
+    data = classify(builtin("sigma"), 5).to_dict()
+    assert data["degree_class"] == kind and data["degrees"] == list(degrees)
+    assert (data["mu"], data["nu_forward"], data["nu_backward"]) == (0, 0, 0)
+    assert data["isometries"] == {"hyperbolic_space": col1,
+                                  "blowup_complex": "elliptic",
+                                  "restricted_complex": "elliptic"}
+    assert data["table_row"] == row
+
+
 def test_degree_growth_lambda_estimate():
     growth = degree_growth_class(builtin("henon"))
     assert growth.lambda_pair == (32, 5)

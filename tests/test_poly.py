@@ -127,7 +127,7 @@ def test_constructors():
     c = Poly.const(XY, Fraction(3, 4))
     assert c.is_constant and c.constant_value() == Fraction(3, 4)
     x = Poly.var(XYZ, "x")
-    assert str(x) == "x" and x.degree_in("x") == 1
+    assert str(x) == "x"
     with pytest.raises(ValueError):
         Poly.var(XYZ, "w")
 
@@ -150,12 +150,9 @@ def test_degree_order_truncate():
     assert p.truncate_total(-1).is_zero
 
 
-def test_strip_power_and_min_exponent():
+def test_min_exponent():
     p = parse_poly("x^2*y^3 + x^4*y^2", XY)
-    q, k = p.strip_power("x")
-    assert k == 2 and q == parse_poly("y^3 + x^2*y^2", XY)
     assert p.min_exponent("y") == 2
-    assert Poly.zero(XY).strip_power("x") == (Poly.zero(XY), 0)
 
 
 def test_homogenize_dehomogenize_roundtrip():
@@ -164,7 +161,7 @@ def test_homogenize_dehomogenize_roundtrip():
         p = rand_poly(rng, XY)
         h = p.homogenize("z")
         assert h.is_homogeneous()
-        assert h.set_var("z", 1).drop_var("z") == p
+        assert h.dehomogenize() == p
     p = parse_poly("x + 1", XY)
     assert p.homogenize("z", degree=3) == parse_poly("x*z^2 + z^3", XYZ)
     with pytest.raises(ValueError):
@@ -389,6 +386,51 @@ def test_poly_gcd_homogeneous_fast_path():
         assert got == want
 
 
+def rand_off_z(rng: random.Random, deg: int, rational: bool) -> Poly:
+    """A homogeneous polynomial in XYZ that z does not divide, with integer
+    coefficients or with rational ones over a common denominator above 1."""
+    while True:
+        p = rand_homogeneous(rng, deg)
+        if rational:
+            p = p / rng.randint(2, 7)
+        if p.min_exponent("z") == 0 and (p.den > 1) == rational:
+            return p
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_dehomogenizing_branch_with_powers_of_the_last_variable(rational):
+    # the homogeneous branch of poly_gcd and poly_exact_div works in the
+    # chart z = 1, so the power of z in each answer is read off the inputs
+    rng = random.Random(43 + rational)
+    z = Poly.var(XYZ, "z")
+    for _ in range(10):
+        g, a, b = (rand_off_z(rng, rng.randint(1, 3), rational) for _ in range(3))
+        A, B = z ** 2 * g * a, z * g * b
+        got = poly_gcd(A, B)
+        want = canonical_factor(from_sympy(
+            sympy.gcd(to_sympy(A), to_sympy(B)), XYZ))
+        assert got == want and got.min_exponent("z") == 1
+        A, B = z ** 3 * a * b, z * b
+        q, r = sympy.div(to_sympy(A), to_sympy(B))
+        assert r.is_zero
+        assert poly_exact_div(A, B) == z ** 2 * a == from_sympy(q, XYZ)
+        for num in (z * a, z * a * b):  # the second has an exact affine part
+            with pytest.raises(ValueError, match="^not an exact division$"):
+                poly_exact_div(num, z ** 2 * b)
+        h = a * g
+        assert (h * z ** rng.randint(1, 4)).dehomogenize() == h.dehomogenize()
+        assert h.dehomogenize() == from_sympy(
+            sympy.Poly(to_sympy(h).as_expr().subs(sympy.Symbol("z"), 1),
+                       *sympy.symbols(XY)), XY)
+
+
+def test_dehomogenize_adds_terms_that_differ_only_in_the_last_variable():
+    p = parse_poly("x*z^2 - 3*x + y*z + 1/2", XYZ)
+    assert p.dehomogenize() == parse_poly("-2*x + y + 1/2", XY)
+    assert parse_poly("x*z - x", XYZ).dehomogenize().is_zero
+    assert Poly.zero(XYZ).dehomogenize() == Poly.zero(XY)
+
+
 def test_poly_gcd_zero_and_mismatch():
     x = Poly.var(XY, "x")
     assert poly_gcd(Poly.zero(XY), x * 2) == x
@@ -404,7 +446,7 @@ def test_poly_exact_div_roundtrip():
         if b.is_zero:
             continue
         assert poly_exact_div(a * b, b) == a
-    for _ in range(10):  # homogeneous pairs drive the stripped route
+    for _ in range(10):  # homogeneous pairs drive the dehomogenizing route
         a = rand_homogeneous(rng, 2)
         b = rand_homogeneous(rng, 3)
         assert poly_exact_div(a * b, b) == a

@@ -363,7 +363,7 @@ def untruncated_node(system, bubble, chart, coords, height_cap, budget):
     assert 1 <= mult <= budget
     alpha = [p.subs_monomial(((1, 0), (1, 1))) for p in system]
     alpha, _k0 = resolve._strip_common_power(alpha, "u")
-    nz = [q for q in (p.set_var("u", 0) for p in alpha) if not q.is_zero]
+    nz = [q for q in (p.truncate_in("u", 0) for p in alpha) if not q.is_zero]
     g = poly.content_gcd(nz)
     slopes = [] if g.is_constant else resolve._slope_roots(g, bubble)
     beta = [p.subs_monomial(((1, 1), (0, 1))) for p in system]
