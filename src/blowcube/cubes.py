@@ -15,11 +15,11 @@ Cubes are validated in increasing dimension, so face closure is checked
 facet by facet; the orientation test, the opposite-edge relation and the
 link condition all read the corner tuples.
 
-Hyperplanes are found once per complex, for every connected component, and
-stored with the map from each vertex to the hyperplane of each of its edges;
-distances and geodesics use their component's.  A hyperplane's two sides
-are found by one breadth-first search that may not cross its edges: the cut
-is given as a map from each vertex to its blocked neighbours.
+Hyperplanes are found once per complex, for every connected component, with
+the sign vector of each vertex: an int whose bit i is the parity of class i
+along a path from the component's least vertex.  The sides of hyperplane i
+are the vertices with bit i set and clear, a distance is the number of bits
+in which two sign vectors differ, and a geodesic steps only across those.
 
 The validator certifies the local (flag) part of the CAT(0) condition only;
 simple connectivity of user-supplied complexes is not checked.  The bundled
@@ -33,7 +33,6 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .errors import ComplexError, OutputError
@@ -90,17 +89,16 @@ def _desc(S) -> str:
     return "{" + ", ".join(repr(v) for v in sorted(S, key=_vkey)) + "}"
 
 
-def _reach(adj: Mapping, start, cut: Mapping = MappingProxyType({})) -> dict:
-    """Breadth-first depths of the vertices reachable from ``start`` without
-    crossing an edge from a vertex x to one of ``cut[x]``."""
+def _reach(adj: Mapping, start) -> dict:
+    """Breadth-first depths of the vertices reachable from ``start``, in
+    breadth-first order."""
     depth = {start: 0}
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        blocked = cut.get(x, ())
         d = depth[x] + 1
         for w in adj[x]:
-            if w not in depth and w not in blocked:
+            if w not in depth:
                 depth[w] = d
                 queue.append(w)
     return depth
@@ -261,47 +259,46 @@ class Hyperplane:
         return self.side(u) != self.side(v)
 
 
-def _split(C: CubeComplex, comp: frozenset, start, pairs, index) -> Hyperplane:
-    """The hyperplane of one class of parallel edges in the component comp."""
+def _plane(C: CubeComplex, depth: dict, sign: dict, pairs, index) -> Hyperplane:
+    """The hyperplane of one class of parallel edges in the component whose
+    vertices are the keys of ``depth``."""
+    bit = 1 << index
     members = frozenset(C._orient[p] for p in pairs)
-    cut: dict = {}
-    for a, b in members:
-        cut.setdefault(a, set()).add(b)
-        cut.setdefault(b, set()).add(a)
-    near = frozenset(_reach(C._adj, start, cut))
-    far = comp - near
-    if not far or _reach(C._adj, min(far, key=C._rank.get), cut).keys() != far:
+    if any(sign[t] ^ sign[h] != bit for t, h in members):
         raise ComplexError(
             "hyperplane class does not cut the complex into two sides")
-    tails = {t for t, _h in members}
-    plus, minus = (near, far) if tails <= near else (far, near)
-    if not (tails <= plus and {h for _t, h in members} <= minus):
+    tails = {sign[t] & bit for t, _h in members}
+    if len(tails) != 1:
         raise ComplexError(
             "orientation violation: a hyperplane class has tails on both sides")
-    return Hyperplane(index, members, plus, minus)
+    plus = frozenset(v for v in depth if (sign[v] & bit) in tails)
+    return Hyperplane(index, members, plus, frozenset(depth.keys() - plus))
 
 
 def _hyperplanes(C: CubeComplex) -> tuple[dict, list, dict]:
     """The component number of every vertex, the hyperplanes of each
-    component (or the ComplexError refusing them) and the map from each
-    vertex x to ``{w: hyperplane of the edge x w}`` over x's neighbors in
-    adjacency order (the vertices of refused components left out), cached
-    on C.
+    component (or the ComplexError refusing them) and the sign vector of
+    every vertex, cached on C.
 
     Components are numbered by their least vertex.  The opposite-edge
     relation is closed by union-find over the recorded squares; classes are
-    indexed component by component, each component's by their least edge.
+    indexed component by component, each component's by their least edge,
+    and class i owns bit i.  A vertex at depth d > 0 of its component's
+    breadth-first search flips the bit of its edge to its first neighbor at
+    depth d - 1.  In index order, each class must have every edge flip just
+    its bit (then only its edges join its two sides, each side connected
+    through the squares that chain them) and its tails agree on that bit.
     """
     if C._hyperplanes is not None:
         return C._hyperplanes
     comp_of: dict = {}
-    comps: list[tuple] = []  # (least vertex, vertex set)
+    comps: list[dict] = []  # breadth-first depths from the least vertex
     rank = C._rank
     for v in sorted(C.vertices, key=rank.get):
         if v not in comp_of:
-            comp = frozenset(_reach(C._adj, v))
-            comp_of.update(dict.fromkeys(comp, len(comps)))
-            comps.append((v, comp))
+            depth = _reach(C._adj, v)
+            comp_of.update(dict.fromkeys(depth, len(comps)))
+            comps.append(depth)
 
     parent = {pair: pair for pair in C._orient}
 
@@ -320,26 +317,23 @@ def _hyperplanes(C: CubeComplex) -> tuple[dict, list, dict]:
         classes[comp_of[next(iter(pair))]].setdefault(find(pair), []).append(pair)
 
     planes: list = []
-    plane_at: dict = {}
+    sign: dict = {}
     index = 0
-    for (start, comp), roots in zip(comps, classes):
+    for depth, roots in zip(comps, classes):
         group = sorted(roots.values(),
                        key=lambda pairs: min(sorted(map(rank.get, p))
                                              for p in pairs))
+        bit = {p: 1 << i for i, pairs in enumerate(group, index) for p in pairs}
+        for x, d in depth.items():  # breadth-first order: lower depths first
+            w = next((w for w in C._adj[x] if depth[w] == d - 1), None)
+            sign[x] = 0 if w is None else sign[w] ^ bit[_pair(x, w)]
         try:
-            hps = tuple(_split(C, comp, start, pairs, index + i)
-                        for i, pairs in enumerate(group))
+            planes.append(tuple(_plane(C, depth, sign, pairs, i)
+                                for i, pairs in enumerate(group, index)))
         except ComplexError as exc:
             planes.append(exc)
-        else:
-            planes.append(hps)
-            at = {v: dict.fromkeys(C._adj[v]) for v in comp}
-            for h in hps:
-                for a, b in h.members:
-                    at[a][b] = at[b][a] = h
-            plane_at.update(at)
         index += len(group)
-    C._hyperplanes = (comp_of, planes, plane_at)
+    C._hyperplanes = (comp_of, planes, sign)
     return C._hyperplanes
 
 
@@ -361,24 +355,25 @@ def hyperplanes(C: CubeComplex) -> tuple[Hyperplane, ...]:
     return _checked(planes[0])
 
 
-def _planes_between(C: CubeComplex, u, v) -> tuple[Hyperplane, ...]:
-    """The hyperplanes of u's component, which must contain v."""
-    comp_of, planes, _plane_at = _hyperplanes(C)
-    if u not in comp_of:
-        raise ComplexError(f"unknown vertex {u!r}")
-    if comp_of.get(v) != comp_of[u]:
+def _signs(C: CubeComplex, u, v) -> dict:
+    """The sign vectors, once u and v are vertices of one component whose
+    hyperplanes are accepted."""
+    comp_of, planes, sign = _hyperplanes(C)
+    for x in (u, v):
+        if x not in comp_of:
+            raise ComplexError(f"unknown vertex {x!r}")
+    if comp_of[v] != comp_of[u]:
         raise ComplexError(f"vertex {v!r} is unreachable from {u!r}")
-    return _checked(planes[comp_of[u]])
+    _checked(planes[comp_of[u]])
+    return sign
 
 
 def distance(C: CubeComplex, u, v) -> int:
     """Combinatorial distance: the number of separating hyperplanes."""
-    for x in (u, v):
-        if x not in C.vertices:
-            raise ComplexError(f"unknown vertex {x!r}")
-    if u == v:
+    if u == v and u in C.vertices:  # even where the hyperplanes are refused
         return 0
-    return sum(1 for h in _planes_between(C, u, v) if h.separates(u, v))
+    sign = _signs(C, u, v)
+    return (sign[u] ^ sign[v]).bit_count()
 
 
 @dataclass(frozen=True)
@@ -402,9 +397,8 @@ def geodesics(C: CubeComplex, u, v, limit: int = 10000) -> GeodesicResult:
     depth-first search keeps its own stack, one iterator over the onward
     steps per vertex of the trail, and yields the paths in adjacency order.
     """
-    hps = _planes_between(C, u, v)
-    plane_at = _hyperplanes(C)[2]
-    want = sum(1 for h in hps if h.separates(u, v))
+    sign = _signs(C, u, v)
+    want = (sign[u] ^ sign[v]).bit_count()
 
     paths = []
     trail: list = []
@@ -418,8 +412,9 @@ def geodesics(C: CubeComplex, u, v, limit: int = 10000) -> GeodesicResult:
             continue
         trail.append(x)
         if len(trail) - 1 < want:
-            onward.append(iter([w for w, h in plane_at[x].items()
-                                if (w in h.plus) == (v in h.plus)]))
+            toward = sign[x] ^ sign[v]
+            onward.append(iter([w for w in C._adj[x]
+                                if (sign[x] ^ sign[w]) & toward]))
             continue
         if x == v:
             if len(paths) >= limit:
@@ -623,12 +618,13 @@ _DOT_PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e",
 
 def complex_to_dot(C: CubeComplex) -> str:
     """1-skeleton in DOT, edges colored by hyperplane class."""
-    _comp_of, planes, plane_at = _hyperplanes(C)
+    _comp_of, planes, sign = _hyperplanes(C)
     for hps in planes:
         _checked(hps)
     lines = ["digraph cubes {"]
     lines += [f'  "{v}";' for v in sorted(C.vertices, key=C._rank.get)]
     for a, b in sorted(C.edges, key=lambda e: (C._rank[e[0]], C._rank[e[1]])):
-        color = _DOT_PALETTE[plane_at[a][b].index % len(_DOT_PALETTE)]
+        index = (sign[a] ^ sign[b]).bit_length() - 1
+        color = _DOT_PALETTE[index % len(_DOT_PALETTE)]
         lines.append(f'  "{a}" -> "{b}" [color="{color}"];')
     return "\n".join(lines) + "\n}\n"

@@ -31,6 +31,7 @@ from blowcube import memo
 from blowcube.config import DEFAULTS, RunConfig, check_horizon
 from blowcube.errors import DegreeCapExceeded, InverseUnavailable, MapError, ParseError
 from blowcube.poly import (
+    EXP_LIMIT,
     Poly,
     compose_tuple,
     parse_poly,
@@ -300,20 +301,15 @@ def conjugate(f: ProjMap, a: ProjMap, cfg: RunConfig = DEFAULTS) -> ProjMap:
 
 def _monomial_entries(rows: Sequence[Sequence[int]]) -> list[Poly]:
     n = len(rows)
-    vars = pn_vars(n)
     # smallest monomial multiplier making every affine image polynomial
-    a = [0] * (n + 1)
-    for j in range(1, n + 1):
-        a[j] = max(0, max(-rows[i][j - 1] for i in range(n)))
-    a[0] = max(0, max(sum(r) for r in rows))
-    entries = [Poly.from_terms(vars, [(list(a), 1)])]
-    for i in range(n):
-        e = list(a)
-        e[0] -= sum(rows[i])
-        for j in range(1, n + 1):
-            e[j] += rows[i][j - 1]
-        entries.append(Poly.from_terms(vars, [(e, 1)]))
-    return entries
+    a = [max(0, max(sum(r) for r in rows))]
+    a += [max(0, max(-r[j] for r in rows)) for j in range(n)]
+    exps = [a] + [[a[0] - sum(r)] + [a[j + 1] + r[j] for j in range(n)] for r in rows]
+    top = max(map(max, exps))
+    if top >= EXP_LIMIT:
+        raise MapError(f"monomial map needs exponent {top}, "
+                       f"above the limit {EXP_LIMIT - 1}")
+    return [Poly.from_terms(pn_vars(n), [(e, 1)]) for e in exps]
 
 
 def monomial_map(matrix: Sequence[Sequence[int]]) -> ProjMap:
@@ -483,7 +479,7 @@ def _plane_inverse(f: ProjMap) -> ProjMap | None:
 # map-spec grammar and named built-ins
 # ---------------------------------------------------------------------------
 
-def _split_top(text: str, sep: str) -> list[str]:
+def _top_level_parts(text: str, sep: str) -> list[str]:
     """Split on a separator, ignoring separators nested inside parentheses
     or brackets."""
     parts, depth, cur = [], 0, []
@@ -503,6 +499,14 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
+def _matrix_entry(v: str, text: str) -> int:
+    try:
+        return int(v)
+    except ValueError:
+        raise ParseError(f"matrix entry {v.strip()!r} is not an integer",
+                         text, 4) from None
+
+
 def parse_map(text: str) -> ProjMap:
     """Parse a map specification.
 
@@ -516,7 +520,7 @@ def parse_map(text: str) -> ProjMap:
         body = text[3:].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ParseError("P2 map must be bracketed: P2:[p0 : p1 : p2]", text, 3)
-        parts = _split_top(body[1:-1], ":")
+        parts = _top_level_parts(body[1:-1], ":")
         if len(parts) != 3:
             raise ParseError(f"P2 map needs 3 coordinates, got {len(parts)}", text, 3)
         entries = [parse_poly(part, P2_VARS) for part in parts]
@@ -525,7 +529,7 @@ def parse_map(text: str) -> ProjMap:
         body = text[3:].strip()
         if not (body.startswith("(") and body.endswith(")")):
             raise ParseError("A2 map must be parenthesized: A2:(e1, e2)", text, 3)
-        parts = _split_top(body[1:-1], ",")
+        parts = _top_level_parts(body[1:-1], ",")
         if len(parts) != 2:
             raise ParseError(f"A2 map needs 2 entries, got {len(parts)}", text, 3)
         rfs = [parse_ratfunc(part, A2_VARS) for part in parts]
@@ -538,13 +542,13 @@ def parse_map(text: str) -> ProjMap:
         rows_text = m.group(2).strip()
         if not (rows_text.startswith("[") and rows_text.endswith("]")):
             raise ParseError("monomial matrix must be bracketed", text, 4)
-        rows = _split_top(rows_text[1:-1], ",")
+        rows = _top_level_parts(rows_text[1:-1], ",")
         matrix = []
         for row in rows:
             row = row.strip()
             if not (row.startswith("[") and row.endswith("]")):
                 raise ParseError(f"matrix row {row!r} must be bracketed", text, 4)
-            matrix.append([int(v.strip()) for v in row[1:-1].split(",")])
+            matrix.append([_matrix_entry(v, text) for v in row[1:-1].split(",")])
         if len(matrix) != d or any(len(r) != d for r in matrix):
             raise ParseError(f"monomial matrix must be {d}x{d}", text, 4)
         return monomial_map(matrix)

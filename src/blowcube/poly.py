@@ -703,7 +703,6 @@ def primitive_tuple(polys: Sequence[Poly]) -> tuple[Poly, ...]:
     if not g.is_constant:
         polys = tuple(poly_exact_div(p, g) for p in polys)
     # clear rational content jointly
-    nums = [c for p in polys for c in p.coeffs.values()]
     dens = [p.den for p in polys]
     L = math.lcm(*dens)
     scaled = [c * (L // p.den) for p in polys for c in p.coeffs.values()]

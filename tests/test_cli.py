@@ -276,6 +276,18 @@ def test_parse_failures_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("spec, code, message", [
+    ("MON:2:[[1,a],[0,1]]", 3, "matrix entry 'a' is not an integer"),
+    ("MON:2:[[1,0],[0,1.5]]", 3, "matrix entry '1.5' is not an integer"),
+    ("MON:2:[[70000,1],[0,1]]", 4,
+     "monomial map needs exponent 70001, above the limit 65535"),
+], ids=["letter", "fraction", "huge-exponent"])
+def test_malformed_monomial_specs_exit_3_or_4(capsys, spec, code, message):
+    got, out, err = run(capsys, "degseq", spec, "-n", "2")
+    assert (got, out) == (code, "")
+    assert err.startswith(f"blowcube: error: {message}")
+
+
 def test_map_failures_exit_4(capsys):
     code, _out, err = run(capsys, "classify", "MON:2:[[1,1],[1,1]]")
     assert code == 4 and "singular" in err

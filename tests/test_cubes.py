@@ -19,6 +19,8 @@ import pytest
 from blowcube import (
     ComplexError,
     CubeComplex,
+    GeodesicResult,
+    Hyperplane,
     VertexIsometry,
     build_complex,
     check_gromov,
@@ -31,7 +33,7 @@ from blowcube import (
     geodesics,
     hyperplanes,
 )
-from blowcube.cubes import _hypercube_labels, _vkey
+from blowcube.cubes import _DOT_PALETTE, _hypercube_labels, _vkey
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +416,50 @@ def test_two_components_measure_each_component():
                     distance(C, u, v)
                 with pytest.raises(ComplexError, match="unreachable"):
                     geodesics(C, u, v)
-    with pytest.raises(ComplexError, match="unknown vertex 'c'"):
-        distance(C, "a00", "c")
+    for query in (distance, geodesics):
+        for u, v in (("a00", "c"), ("c", "a00")):
+            with pytest.raises(ComplexError, match="unknown vertex 'c'"):
+                query(C, u, v)
     with pytest.raises(ComplexError, match="ambiguous"):
         hyperplanes(C)
     assert complex_to_dot(C) == TWO_COMPONENTS_DOT
+
+
+# a 4-cycle with no square: neither class of opposite edges cuts it
+EMPTY_4_CYCLE = (range(4), [(0, 1), (1, 2), (3, 2), (0, 3)], [])
+# three squares around vertex 3 and a path 1 - 6 - 5: the class of the edge
+# 0 -> 1 cuts the complex, but with tails on both sides
+TAILS_ON_BOTH_SIDES = (
+    range(7),
+    [(0, 1), (3, 4), (5, 2), (3, 0), (4, 1), (0, 2), (3, 5), (4, 2), (1, 6), (6, 5)],
+    [{0, 1, 3, 4}, {0, 2, 3, 5}, {2, 3, 4, 5}])
+
+
+@pytest.mark.parametrize("data, message", [
+    (EMPTY_4_CYCLE, "hyperplane class does not cut the complex into two sides"),
+    (TAILS_ON_BOTH_SIDES,
+     "orientation violation: a hyperplane class has tails on both sides"),
+], ids=["empty-4-cycle", "tails-on-both-sides"])
+def test_refused_hyperplane_classes(data, message):
+    C = build_complex(*data)
+    for query in (hyperplanes, lambda C: distance(C, 0, 2),
+                  lambda C: geodesics(C, 0, 2), complex_to_dot):
+        with pytest.raises(ComplexError, match=f"^{message}$"):
+            query(C)
+
+
+def test_a_refused_component_leaves_the_others_measured():
+    vertices, edges, _cubes = EMPTY_4_CYCLE
+    C = build_complex([*vertices, 4, 5, 6, 7],
+                      [*edges, (5, 4), (7, 6), (6, 4), (7, 5)], [{4, 5, 6, 7}])
+    assert distance(C, 4, 7) == 2
+    assert geodesics(C, 4, 7).paths == ((4, 5, 7), (4, 6, 7))
+    with pytest.raises(ComplexError, match="does not cut"):
+        distance(C, 0, 2)
+    with pytest.raises(ComplexError, match="ambiguous"):
+        hyperplanes(C)
+    with pytest.raises(ComplexError, match="does not cut"):
+        complex_to_dot(C)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +578,216 @@ def test_products_match_networkx(seed):
             res = geodesics(C, u, v)
             assert res.complete
             assert len(res) == sum(1 for _ in nx.all_shortest_paths(G, u, v))
+
+
+# ---------------------------------------------------------------------------
+# differential: the two-search split as the reference for hyperplanes
+# ---------------------------------------------------------------------------
+
+# the 3 x 3 grid, the 3-cube and the 2 x 4 grid
+SQUARE_BASES = (list(itertools.product(range(3), repeat=2)),
+                list(itertools.product(range(2), repeat=3)),
+                list(itertools.product(range(2), range(4))))
+
+REFUSALS = {"hyperplane class does not cut the complex into two sides",
+            "orientation violation: a hyperplane class has tails on both sides"}
+
+
+def random_square_complex(rng):
+    """5 to 9 points of a small grid or cube, their unit edges and up to two
+    random chords, each edge oriented at random; each induced 4-cycle whose
+    opposite edges agree is filled by a square with probability 3/4."""
+    base = rng.choice(SQUARE_BASES)
+    points = rng.sample(base, min(rng.randint(5, 9), len(base)))
+    n = len(points)
+    pairs = {frozenset((i, j)) for i, j in itertools.combinations(range(n), 2)
+             if sum(abs(x - y) for x, y in zip(points[i], points[j])) == 1}
+    pairs.update(frozenset(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2)))
+    edges = {p: tuple(rng.sample(sorted(p), 2)) for p in sorted(pairs, key=sorted)}
+
+    def along(a, b):
+        return edges[frozenset((a, b))] == (a, b)
+
+    squares = []
+    for quad in itertools.combinations(range(n), 4):
+        p, q, r, s = quad
+        for a, b, c, d in ((p, q, r, s), (p, q, s, r), (p, r, q, s)):
+            if (all(frozenset(e) in pairs for e in ((a, b), (b, c), (c, d), (d, a)))
+                    and frozenset((a, c)) not in pairs
+                    and frozenset((b, d)) not in pairs
+                    and along(a, b) == along(d, c) and along(b, c) == along(a, d)
+                    and rng.random() < 0.75):
+                squares.append(quad)
+    return build_complex(range(n), edges.values(), squares)
+
+
+class SplitReference:
+    """Hyperplanes, distances, geodesics and DOT export by the two-search
+    split that preceded sign vectors: the sides of each class of parallel
+    edges are the breadth-first searches that may not cross its edges, from
+    the component's least vertex and from the least vertex that one misses.
+    Classes are the opposite-edge relation of the squares, indexed
+    component by component, each component's by their least edge."""
+
+    def __init__(self, C):
+        self.C = C
+        order = sorted(C.vertices, key=_vkey)
+        self.rank = rank = {v: i for i, v in enumerate(order)}
+        self.oriented = oriented = {frozenset(e): e for e in C.edges}
+        self.adj = {v: [] for v in order}
+        for a, b in C.edges:
+            self.adj[a].append(b)
+            self.adj[b].append(a)
+        for ws in self.adj.values():
+            ws.sort(key=rank.get)
+        self.comp_of, comps = {}, []
+        for v in order:
+            if v not in self.comp_of:
+                comp = self.reach(v)
+                self.comp_of.update(dict.fromkeys(comp, len(comps)))
+                comps.append((v, frozenset(comp)))
+        parent = {p: p for p in oriented}
+
+        def find(p):
+            while parent[p] != p:
+                p = parent[p]
+            return p
+
+        for S in C.cubes.get(2, ()):
+            inner = [frozenset(e) for e in itertools.combinations(S, 2)
+                     if frozenset(e) in oriented]
+            for p, q in itertools.combinations(inner, 2):
+                if not p & q:  # opposite edges
+                    parent[find(p)] = find(q)
+        classes = [{} for _ in comps]
+        for p in oriented:
+            classes[self.comp_of[next(iter(p))]].setdefault(find(p), []).append(p)
+        self.planes, index = [], 0
+        for (start, comp), roots in zip(comps, classes):
+            group = sorted(roots.values(),
+                           key=lambda ps: min(sorted(map(rank.get, p)) for p in ps))
+            try:
+                self.planes.append(tuple(self.split(comp, start, ps, i)
+                                         for i, ps in enumerate(group, index)))
+            except ComplexError as exc:
+                self.planes.append(exc)
+            index += len(group)
+
+    def reach(self, start, cut=frozenset()):
+        seen, queue = {start}, [start]
+        for x in queue:
+            for w in self.adj[x]:
+                if w not in seen and frozenset((x, w)) not in cut:
+                    seen.add(w)
+                    queue.append(w)
+        return seen
+
+    def split(self, comp, start, pairs, index):
+        members = frozenset(self.oriented[p] for p in pairs)
+        near = frozenset(self.reach(start, pairs))
+        far = comp - near
+        if not far or self.reach(min(far, key=self.rank.get), pairs) != far:
+            raise ComplexError(
+                "hyperplane class does not cut the complex into two sides")
+        tails = {t for t, _h in members}
+        plus, minus = (near, far) if tails <= near else (far, near)
+        if not (tails <= plus and {h for _t, h in members} <= minus):
+            raise ComplexError(
+                "orientation violation: a hyperplane class has tails on both sides")
+        return Hyperplane(index, members, plus, minus)
+
+    def hyperplanes(self):
+        if len(self.planes) != 1:
+            raise ComplexError("hyperplanes of a disconnected complex are ambiguous")
+        return self.checked(self.planes[0])
+
+    @staticmethod
+    def checked(planes):
+        if isinstance(planes, ComplexError):
+            raise planes
+        return planes
+
+    def between(self, u, v):
+        if self.comp_of[v] != self.comp_of[u]:
+            raise ComplexError(f"vertex {v!r} is unreachable from {u!r}")
+        return self.checked(self.planes[self.comp_of[u]])
+
+    def distance(self, u, v):
+        if u == v:
+            return 0
+        return sum(1 for h in self.between(u, v) if h.separates(u, v))
+
+    def geodesics(self, u, v):
+        hps = self.between(u, v)
+        plane_of = {frozenset(e): h for h in hps for e in h.members}
+        want = sum(1 for h in hps if h.separates(u, v))
+        paths = []
+
+        def walk(trail):
+            x = trail[-1]
+            if len(trail) - 1 == want:
+                if x == v:
+                    paths.append(tuple(trail))
+                return
+            for w in self.adj[x]:
+                h = plane_of[frozenset((x, w))]
+                if (w in h.plus) == (v in h.plus):
+                    walk(trail + [w])
+
+        walk([u])
+        return GeodesicResult(tuple(paths), True)
+
+    def dot(self):
+        for planes in self.planes:
+            self.checked(planes)
+        plane_of = {frozenset(e): h for hps in self.planes for h in hps
+                    for e in h.members}
+        lines = ["digraph cubes {"]
+        lines += [f'  "{v}";' for v in sorted(self.C.vertices, key=self.rank.get)]
+        for a, b in sorted(self.C.edges, key=lambda e: [self.rank[v] for v in e]):
+            color = _DOT_PALETTE[plane_of[frozenset((a, b))].index % len(_DOT_PALETTE)]
+            lines.append(f'  "{a}" -> "{b}" [color="{color}"];')
+        return "\n".join(lines) + "\n}\n"
+
+
+def outcome(query, *args):
+    """The value of a query, or the ComplexError refusing it."""
+    try:
+        return query(*args)
+    except ComplexError as exc:
+        return exc
+
+
+def same_outcome(got, want):
+    """Equal values, or two refusals with the same message; a refused
+    component may name either refusal reason."""
+    if isinstance(want, ComplexError) or isinstance(got, ComplexError):
+        return (isinstance(got, ComplexError) and isinstance(want, ComplexError)
+                and (str(got) == str(want) or {str(got), str(want)} <= REFUSALS))
+    return got == want
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_sign_vectors_match_the_two_search_split(seed):
+    rng = random.Random(seed)
+    accepted = refused = 0
+    for _ in range(400):
+        C = random_square_complex(rng)
+        ref = SplitReference(C)
+        for planes in ref.planes:
+            if isinstance(planes, ComplexError):
+                refused += 1
+            else:
+                accepted += 1
+        assert same_outcome(outcome(hyperplanes, C), outcome(ref.hyperplanes))
+        assert same_outcome(outcome(complex_to_dot, C), outcome(ref.dot))
+        for u in C.vertices:
+            for v in C.vertices:
+                assert same_outcome(outcome(distance, C, u, v),
+                                    outcome(ref.distance, u, v))
+                assert same_outcome(outcome(geodesics, C, u, v),
+                                    outcome(ref.geodesics, u, v))
+    assert accepted >= 50 and refused >= 50
 
 
 # ---------------------------------------------------------------------------

@@ -490,6 +490,12 @@ def test_monomial_degree_sequence_matches_symbolic_iteration():
     assert monomial_degree_sequence(M, 6) == degree_sequence(f, 6)
 
 
+def test_monomial_exponents_beyond_the_packing_are_refused():
+    # the 12th power is [[F25, F24], [F24, F23]]: a row sum F26 = 121393
+    with pytest.raises(MapError, match="exponent 121393, above the limit 65535"):
+        monomial_degree_sequence([[2, 1], [1, 1]], 14)
+
+
 def test_builtin_registry():
     assert builtin_names() == ("sigma", "henon", "jonq1", "jonq2",
                                "hen2", "lox1", "mon3")
