@@ -52,23 +52,29 @@ def _pair(a, b) -> frozenset:
 # ---------------------------------------------------------------------------
 
 class CubeComplex:
-    """A finite cube complex.
+    """A finite cube complex, validated on construction.
 
-    Use :func:`build_complex`; the constructor performs no validation.
+    ``cubes`` is a flat iterable of vertex collections; the dimension of each
+    is inferred from its size.  Invalid records raise ComplexError.
     """
 
     def __init__(self, vertices=(), edges=(), cubes=()):
-        self.vertices = frozenset(vertices)
-        self.edges = frozenset(tuple(e) for e in edges)
         by_dim: dict[int, set] = {}
         for S in map(frozenset, cubes):
-            by_dim.setdefault((len(S) - 1).bit_length(), set()).add(S)
+            cs = by_dim.setdefault((len(S) - 1).bit_length(), set())
+            if S in cs:
+                raise ComplexError(f"duplicate cube {_desc(S)}")
+            cs.add(S)
+        edges = [tuple(e) for e in edges]
+        self.vertices = frozenset(vertices)
+        self.edges = frozenset(edges)
         self.cubes = {n: frozenset(cs) for n, cs in by_dim.items()}
         self._adj: dict[object, tuple] = {}
         self._rank: dict = {}
         self._orient: dict[frozenset, tuple] = {}
         self._corners: dict[frozenset, tuple] = {}
         self._hyperplanes: Optional[tuple] = None
+        _validate(self, edges)
 
     @property
     def dimension(self) -> int:
@@ -214,23 +220,8 @@ def _validate(C: CubeComplex, edges: list) -> None:
 
 def build_complex(vertices: Iterable = (), edges: Iterable = (),
                   cubes: Iterable = ()) -> CubeComplex:
-    """Assemble and validate a cube complex.
-
-    ``cubes`` is a flat iterable of vertex collections; the dimension of each
-    is inferred from its size.
-    """
-    seen = set()
-    cube_list = []
-    for cube in cubes:
-        S = frozenset(cube)
-        if S in seen:
-            raise ComplexError(f"duplicate cube {_desc(S)}")
-        seen.add(S)
-        cube_list.append(S)
-    edges = [tuple(e) for e in edges]
-    C = CubeComplex(vertices, edges, cube_list)
-    _validate(C, edges)
-    return C
+    """Assemble and validate a cube complex (see :class:`CubeComplex`)."""
+    return CubeComplex(vertices, edges, cubes)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +361,6 @@ def _signs(C: CubeComplex, u, v) -> dict:
 
 def distance(C: CubeComplex, u, v) -> int:
     """Combinatorial distance: the number of separating hyperplanes."""
-    if u == v and u in C.vertices:  # even where the hyperplanes are refused
-        return 0
     sign = _signs(C, u, v)
     return (sign[u] ^ sign[v]).bit_count()
 

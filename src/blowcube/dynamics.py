@@ -153,11 +153,12 @@ class BallResult:
         return None
 
 
-def _closed_subsets(universe: Sequence[BubblePoint], radius: int):
-    for size in range(min(radius, len(universe)) + 1):
-        for combo in combinations(universe, size):
-            if parent_closed(combo):
-                yield frozenset(combo)
+def _closed_subsets(universe: Iterable[BubblePoint], radius: int) -> list[frozenset]:
+    """The parent-closed subsets of at most ``radius`` points, sorted by
+    size and then by their sorted point keys."""
+    pts = sorted(universe, key=BubblePoint.sort_key)
+    return [frozenset(combo) for size in range(min(radius, len(pts)) + 1)
+            for combo in combinations(pts, size) if parent_closed(combo)]
 
 
 def ball(center: MarkedVertex, radius: int, universe: Iterable,
@@ -166,25 +167,23 @@ def ball(center: MarkedVertex, radius: int, universe: Iterable,
     ``universe`` (at most ``radius`` points, parent-closed) and m among the
     center's marking plus ``markings``.
 
-    Vertices are deduplicated through the equivalence of presentations;
-    edges are the distance-1 pairs, oriented from the higher Picard rank to
+    Vertices are deduplicated through the equivalence of presentations,
+    and the center comes last, so it names a vertex of its own only when no
+    presentation is equivalent to it; edges are the distance-1 pairs, oriented from the higher Picard rank to
     the lower; cubes are the intervals [B0, B1] whose difference blows up
     independently (each extra point proper or rooted inside B0).
     """
     if why := below_bound("radius", radius):
         raise ValueError(f"the ball radius {why}")
-    pts = sorted({_as_bubble(p) for p in universe}, key=BubblePoint.sort_key)
+    subsets = _closed_subsets({_as_bubble(p) for p in universe}, radius)
     marks: list[ProjMap] = [center.marking]
     for m in markings:
         if all(m.key() != g.key() for g in marks):
             inverse(m)
             marks.append(m)
 
-    presentations = [MarkedVertex(m, B) for m in marks
-                     for B in sorted(_closed_subsets(pts, radius),
-                                     key=lambda B: (len(B), sorted(p.sort_key() for p in B)))]
-    if not any(vertex_equiv(center, p, cfg) for p in presentations):
-        presentations.insert(0, center)
+    presentations = [MarkedVertex(m, B) for m in marks for B in subsets]
+    presentations.append(center)
 
     canonical: list[MarkedVertex] = []
     ids: list[str] = []
@@ -215,26 +214,21 @@ def ball(center: MarkedVertex, radius: int, universe: Iterable,
                 edges.append((ihi, ilo))
 
     cubes = set()
-    for m in marks:
-        mk = m.key()
-        subsets = [B for (k, B) in index if k == mk]
-        for B1 in subsets:
-            for r in range(2, len(B1) + 1):
-                for diff in combinations(sorted(B1, key=BubblePoint.sort_key), r):
-                    B0 = B1 - frozenset(diff)
-                    if not all(q.is_proper or q.parent() in B0 for q in diff):
-                        continue
-                    corners = frozenset(index[(mk, B0 | frozenset(sub))]
-                                        for size in range(r + 1)
-                                        for sub in combinations(diff, size))
-                    if len(corners) == 1 << r:
-                        cubes.add(corners)
+    for mk, B1 in index:
+        for r in range(2, len(B1) + 1):
+            for diff in combinations(sorted(B1, key=BubblePoint.sort_key), r):
+                B0 = B1 - frozenset(diff)
+                if not all(q.is_proper or q.parent() in B0 for q in diff):
+                    continue
+                # a center outside the subsets may have faces outside the ball
+                corners = {index.get((mk, B0 | frozenset(sub)))
+                           for size in range(r + 1)
+                           for sub in combinations(diff, size)}
+                if None not in corners and len(corners) == 1 << r:
+                    cubes.add(frozenset(corners))
 
     complex_ = build_complex(ids, edges, sorted(cubes, key=sorted))
-    center_id = index.get((center.marking.key(), center.blown))
-    if center_id is None:
-        center_id = next(vid for vid, rep in zip(ids, canonical)
-                         if vertex_equiv(rep, center, cfg))
+    center_id = index[(center.marking.key(), center.blown)]
     return BallResult(complex_, dict(zip(ids, canonical)), center_id, cfg)
 
 
@@ -314,14 +308,12 @@ class MuResult:
 def _probe_fixed_vertex(f: ProjMap, cfg: RunConfig) -> Optional[MarkedVertex]:
     """A vertex (id, S) fixed by the action of f, searched over parent-closed
     subsets of the base points of f and f^-1."""
-    universe = sorted(base_points(f, cfg).all_points()
-                      | base_points(inverse(f), cfg).all_points(),
-                      key=BubblePoint.sort_key)
+    universe = (base_points(f, cfg).all_points()
+                | base_points(inverse(f), cfg).all_points())
     if len(universe) > _PROBE_UNIVERSE_CAP:
         return None
     one = identity(2)
-    for S in sorted(_closed_subsets(universe, len(universe)),
-                    key=lambda B: (len(B), sorted(p.sort_key() for p in B))):
+    for S in _closed_subsets(universe, len(universe)):
         v = MarkedVertex(one, S)
         moved = MarkedVertex(f, S)
         try:

@@ -13,10 +13,13 @@ construction; any other plane map is inverted by one linear solve for the
 inverse in the degree of the map, and that solution, like a supplied
 candidate, is verified by composing both ways before it is attached to the
 map, so each map object is solved for at most once.
+Every composite f after g is built once per process and kept in
+``memo.composites`` under the keys of f and g; ``iterate(f, n)`` walks
+f^k = f^(k-1) after f through the same store.  The degree cap bounds only
+these composites, by deg f * deg g, checked before the store is read.
 Composites and iterates of maps with verified inverses inherit inverses
 without re-verification: ``compose(f, g)`` carries g^-1 after f^-1, and
-``iterate(f, n)`` carries (f^-1)^n from the same store of iterates.  The
-degree cap bounds only those composites and iterates.
+``iterate(f, n)`` carries (f^-1)^n.
 """
 
 from __future__ import annotations
@@ -205,21 +208,27 @@ def _mat_inverse_frac(m: Sequence[Sequence]) -> list[list[Fraction]] | None:
 # composition and iteration
 # ---------------------------------------------------------------------------
 
-def _check_degree_bound(bound: int, cfg: RunConfig) -> None:
+def _compose_raw(f: ProjMap, g: ProjMap, cfg: RunConfig) -> ProjMap:
+    """f after g from ``memo.composites``, built and stored on a miss.
+
+    The bound deg f * deg g on the degree is checked against the cap before
+    the store is read, so a stored composite is refused where a fresh
+    process would refuse it."""
+    if f.vars != g.vars:
+        raise MapError("cannot compose maps of different spaces")
+    bound = f.degree() * g.degree()
     if bound > cfg.degree_cap:
         raise DegreeCapExceeded(
             f"composition degree bound {bound} exceeds cap {cfg.degree_cap}")
-
-
-def _compose_raw(f: ProjMap, g: ProjMap, cfg: RunConfig) -> ProjMap:
-    if f.vars != g.vars:
-        raise MapError("cannot compose maps of different spaces")
-    _check_degree_bound(f.degree() * g.degree(), cfg)
-    return ProjMap(compose_tuple(f.entries, g.entries))
+    key = (f.key(), g.key())
+    h = memo.composites.get(key)
+    if h is None:
+        h = memo.composites[key] = ProjMap(compose_tuple(f.entries, g.entries))
+    return h
 
 
 def compose(f: ProjMap, g: ProjMap, cfg: RunConfig = DEFAULTS) -> ProjMap:
-    """f after g, reduced to canonical form.
+    """f after g, reduced to canonical form, from ``memo.composites``.
 
     If both factors carry verified inverses the composite gets one too
     (g^-1 after f^-1), without re-verification.  Iterates do not come
@@ -234,36 +243,29 @@ def compose(f: ProjMap, g: ProjMap, cfg: RunConfig = DEFAULTS) -> ProjMap:
     return h
 
 
-def _powers(f: ProjMap, n: int, cfg: RunConfig) -> list[ProjMap]:
-    """The stored chain [f, f^2, ...] of at least n members, f^k built as
-    f^(k-1) after f.  Each member keeps the least degree cap that builds it
-    (the running maximum of deg f^(j-1) * deg f, j <= k), so a run refuses
-    where a fresh process would."""
-    chain, needs = memo.iterates.setdefault(f.key(), ([f], [1]))
-    for k in range(1, n):
-        if k < len(chain):
-            _check_degree_bound(needs[k], cfg)
-        else:
-            need = max(needs[-1], chain[-1].degree() * f.degree())
-            chain.append(_compose_raw(chain[-1], f, cfg))
-            needs.append(need)
-    return chain
+def _power(f: ProjMap, n: int, cfg: RunConfig) -> ProjMap:
+    h = f
+    for _ in range(n - 1):
+        h = _compose_raw(h, f, cfg)
+    return h
 
 
 def iterate(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> ProjMap:
-    """f^n (n >= 1), stored in ``memo.iterates`` across calls.
+    """f^n (n >= 1), walked as f^k = f^(k-1) after f through the stored
+    composites, so each f^k is built once per process.
 
     When f carries a verified inverse, f^n carries (f^-1)^n as its inverse,
-    taken from the same store and not re-verified, so that
-    ``inverse(iterate(f, n)) is iterate(inverse(f), n)``.  When (f^-1)^n
-    exceeds the degree cap, f^n is returned without an inverse.
+    walked the same way and not re-verified.  The pair is attached on every
+    call, also over one that ``compose`` attached to the same stored maps,
+    so that ``inverse(iterate(f, n)) is iterate(inverse(f), n)``.  When
+    (f^-1)^n exceeds the degree cap, f^n keeps the inverse it had, if any.
     """
     if n < 1:
         raise MapError("iterate exponent must be >= 1")
-    h = _powers(f, n, cfg)[n - 1]
-    if h._inverse is None and f._inverse is not None:
+    h = _power(f, n, cfg)
+    if f._inverse is not None:
         try:
-            _attach(h, _powers(f._inverse, n, cfg)[n - 1])
+            _attach(h, _power(f._inverse, n, cfg))
         except DegreeCapExceeded:
             pass
     return h
@@ -272,21 +274,23 @@ def iterate(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> ProjMap:
 def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
     """[deg f, deg f^2, ..., deg f^n] of the reduced iterates.
 
-    Only the chain of f^k is built; (f^-1)^k is left to ``iterate``.
+    Only f^k is walked; (f^-1)^k is left to ``iterate``.
 
     On hitting the degree cap the degrees found so far are attached to the
     raised DegreeCapExceeded as ``.partial``, and their count as
     ``.completed``.
     """
     check_horizon(n)
-    degs: list[int] = []
-    for k in range(1, n + 1):
-        try:
-            degs.append(_powers(f, k, cfg)[k - 1].degree())
-        except DegreeCapExceeded as exc:
-            exc.completed = k - 1
-            exc.partial = tuple(degs)
-            raise
+    h = f
+    degs = [f.degree()]
+    try:
+        for _ in range(n - 1):
+            h = _compose_raw(h, f, cfg)
+            degs.append(h.degree())
+    except DegreeCapExceeded as exc:
+        exc.completed = len(degs)
+        exc.partial = tuple(degs)
+        raise
     return degs
 
 
@@ -479,32 +483,39 @@ def _plane_inverse(f: ProjMap) -> ProjMap | None:
 # map-spec grammar and named built-ins
 # ---------------------------------------------------------------------------
 
-def _top_level_parts(text: str, sep: str) -> list[str]:
-    """Split on a separator, ignoring separators nested inside parentheses
-    or brackets."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
+def _bracketed_parts(text: str, start: int, end: int, pair: str,
+                     sep: str) -> list[tuple[int, str]] | None:
+    """The parts inside text[start:end] when, less surrounding space, it is
+    enclosed in the pair of brackets; else None.  Parts are split on the
+    separator outside nested parentheses and brackets, and each comes with
+    the position of its first non-space character in text, so that errors
+    quote the spot."""
+    body = text[start:end].lstrip()
+    lo = end - len(body)
+    body = body.rstrip()
+    if not (body.startswith(pair[0]) and body.endswith(pair[1])):
+        return None
+    cuts, depth = [lo], 0
+    for i in range(lo + 1, lo + len(body) - 1):
+        if text[i] in "([":
             depth += 1
-        elif ch in ")]":
+        elif text[i] in ")]":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced brackets", text, 0)
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+                raise ParseError("unbalanced brackets", text, i)
+        elif text[i] == sep and depth == 0:
+            cuts.append(i)
+    cuts.append(lo + len(body) - 1)
+    parts = [text[a + 1:b] for a, b in zip(cuts, cuts[1:])]
+    return [(b - len(part.lstrip()), part) for b, part in zip(cuts[1:], parts)]
 
 
-def _matrix_entry(v: str, text: str) -> int:
+def _matrix_entry(v: str, text: str, pos: int) -> int:
     try:
         return int(v)
     except ValueError:
         raise ParseError(f"matrix entry {v.strip()!r} is not an integer",
-                         text, 4) from None
+                         text, pos) from None
 
 
 def parse_map(text: str) -> ProjMap:
@@ -517,40 +528,37 @@ def parse_map(text: str) -> ProjMap:
     """
     text = text.strip()
     if text.startswith("P2:"):
-        body = text[3:].strip()
-        if not (body.startswith("[") and body.endswith("]")):
+        parts = _bracketed_parts(text, 3, len(text), "[]", ":")
+        if parts is None:
             raise ParseError("P2 map must be bracketed: P2:[p0 : p1 : p2]", text, 3)
-        parts = _top_level_parts(body[1:-1], ":")
         if len(parts) != 3:
             raise ParseError(f"P2 map needs 3 coordinates, got {len(parts)}", text, 3)
-        entries = [parse_poly(part, P2_VARS) for part in parts]
-        return ProjMap(entries)
+        return ProjMap([parse_poly(part, P2_VARS) for _at, part in parts])
     if text.startswith("A2:"):
-        body = text[3:].strip()
-        if not (body.startswith("(") and body.endswith(")")):
+        parts = _bracketed_parts(text, 3, len(text), "()", ",")
+        if parts is None:
             raise ParseError("A2 map must be parenthesized: A2:(e1, e2)", text, 3)
-        parts = _top_level_parts(body[1:-1], ",")
         if len(parts) != 2:
             raise ParseError(f"A2 map needs 2 entries, got {len(parts)}", text, 3)
-        rfs = [parse_ratfunc(part, A2_VARS) for part in parts]
+        rfs = [parse_ratfunc(part, A2_VARS) for _at, part in parts]
         return homogenize(AffineMap2(rfs[0], rfs[1]))
     if text.startswith("MON:"):
-        m = re.match(r"MON:(\d+):(.*)$", text, re.S)
+        m = re.match(r"MON:(\d+):", text)
         if not m:
             raise ParseError("monomial map must look like MON:d:[[...],...]", text, 0)
         d = int(m.group(1))
-        rows_text = m.group(2).strip()
-        if not (rows_text.startswith("[") and rows_text.endswith("]")):
-            raise ParseError("monomial matrix must be bracketed", text, 4)
-        rows = _top_level_parts(rows_text[1:-1], ",")
+        rows = _bracketed_parts(text, m.end(), len(text), "[]", ",")
+        if rows is None:
+            raise ParseError("monomial matrix must be bracketed", text, m.end())
         matrix = []
-        for row in rows:
-            row = row.strip()
-            if not (row.startswith("[") and row.endswith("]")):
-                raise ParseError(f"matrix row {row!r} must be bracketed", text, 4)
-            matrix.append([_matrix_entry(v, text) for v in row[1:-1].split(",")])
+        for at, row in rows:
+            entries = _bracketed_parts(text, at, at + len(row.lstrip()), "[]", ",")
+            if entries is None:
+                raise ParseError(f"matrix row {row.strip()!r} must be bracketed",
+                                 text, at)
+            matrix.append([_matrix_entry(v, text, pos) for pos, v in entries])
         if len(matrix) != d or any(len(r) != d for r in matrix):
-            raise ParseError(f"monomial matrix must be {d}x{d}", text, 4)
+            raise ParseError(f"monomial matrix must be {d}x{d}", text, m.end())
         return monomial_map(matrix)
     raise ParseError("map spec must start with P2:, A2: or MON:", text, 0)
 

@@ -1,8 +1,10 @@
 """The one process-wide store of facts derived from maps.
 
 Every key is map data only, never a cap or a ``RunConfig``.  A run's caps
-decide only whether it may use an entry, and the caller checks them against
-what the entry needed, so a refusal reads as in a fresh process.
+decide only whether it may use an entry: ``maps._compose_raw`` refuses a
+composite by its degree bound before it looks it up, and the other callers
+check their caps against what the entry needed, so a refusal reads as in a
+fresh process.
 
 Kept elsewhere: ``maps._builtin`` and ``poly._symbols`` intern objects
 (``builtin(name) is builtin(name)`` is a contract that clearing would
@@ -10,13 +12,13 @@ break), and ``ProjMap._inverse`` and ``CubeComplex._hyperplanes`` belong to
 their object.
 """
 
-iterates: dict = {}  # f.key() -> ([f, f^2, ...], least degree cap of each)
+composites: dict = {}  # (f.key(), g.key()) -> f after g
 components: dict = {}  # f.key() -> the curves f contracts
 pullbacks: dict = {}  # (f.key(), C) -> the strict transform of C, or None
 curves: dict = {}  # (f.key(), n) -> (curves f^n contracts, f^n queried?)
 towers: dict = {}  # (f^n.key(), proper base points) -> the base-point tree
 
-_TABLES = {"iterates": iterates, "components": components,
+_TABLES = {"composites": composites, "components": components,
            "pullbacks": pullbacks, "curves": curves, "towers": towers}
 
 

@@ -277,11 +277,17 @@ def test_parse_failures_exit_3(capsys):
 
 
 @pytest.mark.parametrize("spec, code, message", [
-    ("MON:2:[[1,a],[0,1]]", 3, "matrix entry 'a' is not an integer"),
-    ("MON:2:[[1,0],[0,1.5]]", 3, "matrix entry '1.5' is not an integer"),
+    ("MON:2:[[1,a],[0,1]]", 3, "matrix entry 'a' is not an integer "
+     "(at position 10: 'N:2:[[1,a],[0,1]')"),
+    ("MON:2:[[1,0],[0,1.5]]", 3, "matrix entry '1.5' is not an integer "
+     "(at position 16: '1,0],[0,1.5]]')"),
+    ("MON:2:[[1,0],0,1]]", 3,
+     "unbalanced brackets (at position 16: '1,0],0,1]]')"),
+    ("MON:2:[[1,0],[0,1]", 3,
+     "matrix row '[0,1' must be bracketed (at position 13: ':[[1,0],[0,1]')"),
     ("MON:2:[[70000,1],[0,1]]", 4,
      "monomial map needs exponent 70001, above the limit 65535"),
-], ids=["letter", "fraction", "huge-exponent"])
+], ids=["letter", "fraction", "unbalanced", "open-row", "huge-exponent"])
 def test_malformed_monomial_specs_exit_3_or_4(capsys, spec, code, message):
     got, out, err = run(capsys, "degseq", spec, "-n", "2")
     assert (got, out) == (code, "")

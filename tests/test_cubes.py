@@ -120,6 +120,13 @@ def test_single_square_is_valid():
     assert C.has_edge("01", "00") and not C.has_edge("00", "01")
 
 
+def test_the_constructor_validates():
+    C = CubeComplex(["00", "01", "10", "11"], SQUARE_EDGES, [SQUARE])
+    assert distance(C, "00", "11") == 2
+    with pytest.raises(ComplexError, match="^self-loop at 1$"):
+        CubeComplex([0, 1], [(0, 1), (1, 1)])
+
+
 def test_validation_catches_defects():
     verts = ["00", "01", "10", "11"]
     square = re.escape("{'00', '01', '10', '11'}")
@@ -443,7 +450,8 @@ TAILS_ON_BOTH_SIDES = (
 def test_refused_hyperplane_classes(data, message):
     C = build_complex(*data)
     for query in (hyperplanes, lambda C: distance(C, 0, 2),
-                  lambda C: geodesics(C, 0, 2), complex_to_dot):
+                  lambda C: distance(C, 0, 0), lambda C: geodesics(C, 0, 2),
+                  complex_to_dot):
         with pytest.raises(ComplexError, match=f"^{message}$"):
             query(C)
 
@@ -713,8 +721,6 @@ class SplitReference:
         return self.checked(self.planes[self.comp_of[u]])
 
     def distance(self, u, v):
-        if u == v:
-            return 0
         return sum(1 for h in self.between(u, v) if h.separates(u, v))
 
     def geodesics(self, u, v):

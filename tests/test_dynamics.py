@@ -39,7 +39,7 @@ from blowcube import (
     vertex_distance,
     vertex_equiv,
 )
-from blowcube import dynamics, memo, resolve
+from blowcube import dynamics, maps, memo, resolve
 from blowcube.config import DEFAULTS, RunConfig
 from blowcube.errors import (ComplexError, IrrationalBaseLocus, MapError,
                              ResolutionError)
@@ -130,6 +130,33 @@ def test_action_is_elliptic_with_the_del_pezzo_vertex(figure_ball):
 def test_action_outside_the_ball_is_refused(figure_ball):
     with pytest.raises(ComplexError):
         action_on_ball(builtin("henon"), figure_ball)
+
+
+def test_a_ball_builds_each_composite_once(monkeypatch):
+    memo.clear()
+    built = []
+    real = maps.compose_tuple
+
+    def counted(outer, inner):
+        built.append((outer, inner))
+        return real(outer, inner)
+
+    monkeypatch.setattr(maps, "compose_tuple", counted)
+    sigma_ball()
+    assert built and len(set(built)) == len(built)
+
+
+def test_a_center_beyond_the_universe_joins_the_ball():
+    # the center's face over [0 : 1 : 0] is no presentation of the ball
+    sigma = builtin("sigma")
+    points = sorted(base_points(sigma).all_points(), key=lambda p: p.sort_key())
+    center = marked_vertex(identity(2), points[:2])
+    B = ball(center, 2, points[:1], markings=[sigma])
+    assert B.vertices[B.center] is center
+    assert sorted(B.complex.edges) == [
+        ("id[[0 : 0 : 1], [0 : 1 : 0]]", "id[[0 : 0 : 1]]"),
+        ("id[[0 : 0 : 1]]", "id[]"), ("sigma[[0 : 0 : 1]]", "sigma[]")]
+    assert not B.complex.cubes
 
 
 def test_negative_ball_radius_is_refused():
@@ -383,23 +410,23 @@ def test_classification_report_dict_shape():
                          ids=["degree_cap", "height_cap"])
 def test_classify_does_not_depend_on_the_caps_of_earlier_runs(capped):
     # the memo tables hold no cap, so a run after a run under another cap
-    # must report what a run after memo.clear() reports, and reuse the
-    # first run's iterate chains; lox1 stops at N = 4 to keep this fast
+    # must report what a run after memo.clear() reports, and store the
+    # composites of a fresh default run; lox1 stops at N = 4 to keep this fast
     def classify_all(cfg):
         return [classify(builtin(name), 4 if name == "lox1" else 5, cfg).to_dict()
                 for name in ("sigma", "henon", "jonq1", "jonq2", "hen2", "lox1")]
 
-    runs = []
+    runs, stored = [], []
     for first, second in ((DEFAULTS, capped), (capped, DEFAULTS)):
         memo.clear()
-        runs.append(classify_all(first))
-        chains = memo.sizes()["iterates"]
-        runs.append(classify_all(second))
-        assert memo.sizes()["iterates"] == chains
+        for cfg in (first, second):
+            runs.append(classify_all(cfg))
+            stored.append(set(memo.composites))
     fresh_default, capped_after, fresh_capped, default_after = runs
     assert any(report["caps_hit"] for report in fresh_capped)
     assert capped_after == fresh_capped
     assert default_after == fresh_default
+    assert stored[1] == stored[3] == stored[0]
 
 
 def test_caps_leave_invariants_undecided_but_reported():

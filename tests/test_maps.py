@@ -186,6 +186,7 @@ def test_iterate_is_cached_and_consistent():
     henon = builtin("henon")
     f3 = iterate(henon, 3)
     assert iterate(henon, 3) is f3
+    assert iterate(henon, 1) is henon
     assert f3.key() == compose(henon, compose(henon, henon)).key()
     with pytest.raises(MapError):
         iterate(henon, 0)
@@ -225,19 +226,35 @@ def test_iterate_carries_the_iterate_of_the_inverse(name):
         assert attached_inverse(iterate(f, n)) is iterate(inverse(f), n)
 
 
+def test_iterates_stay_paired_after_composing_with_an_iterate():
+    henon = builtin("henon")
+    memo.clear()
+    # pairs henon after henon^2 with the stored (henon^-1)^3
+    compose(henon, iterate(henon, 2))
+    assert attached_inverse(iterate(inverse(henon), 3)) is iterate(henon, 3)
+
+
+def _count_builds(monkeypatch) -> list:
+    """The factor pairs of every composite built from now on."""
+    calls = []
+    real = maps.compose_tuple
+
+    def counted(outer, inner):
+        calls.append((outer, inner))
+        return real(outer, inner)
+
+    monkeypatch.setattr(maps, "compose_tuple", counted)
+    return calls
+
+
 def test_a_map_and_its_inverse_share_one_iterate_chain(monkeypatch):
     memo.clear()
     lox1 = builtin("lox1")
-    calls = []
-    real = maps._compose_raw
-
-    def counted(f, g, cfg):
-        calls.append(None)
-        return real(f, g, cfg)
-
-    monkeypatch.setattr(maps, "_compose_raw", counted)
-    assert degree_sequence(lox1, 4) == [3, 8, 21, 55]
-    assert degree_sequence(inverse(lox1), 4) == [3, 8, 21, 55]
+    calls = _count_builds(monkeypatch)
+    for _ in range(2):
+        assert degree_sequence(lox1, 4) == [3, 8, 21, 55]
+        assert degree_sequence(inverse(lox1), 4) == [3, 8, 21, 55]
+        iterate(lox1, 4)
     # lox1^k and lox1^-k for k = 2, 3, 4, each built once
     assert len(calls) == 6
 
@@ -246,7 +263,25 @@ def test_degree_sequence_builds_only_the_forward_chain():
     memo.clear()
     lox1 = builtin("lox1")
     assert degree_sequence(lox1, 4) == [3, 8, 21, 55]
-    assert memo.sizes()["iterates"] == 1
+    # lox1^k = lox1^(k-1) after lox1 for k = 2, 3, 4, and no power of lox1^-1
+    assert {g for _f, g in memo.composites} == {lox1.key()}
+    assert [h.degree() for h in memo.composites.values()] == [8, 21, 55]
+
+
+def test_a_stored_composite_is_refused_by_its_bound_alone():
+    henon = builtin("henon")
+    capped = RunConfig(degree_cap=3)
+    memo.clear()
+    with pytest.raises(DegreeCapExceeded) as fresh:
+        compose(henon, henon, capped)
+    square = compose(henon, henon)
+    with pytest.raises(DegreeCapExceeded) as stored:
+        compose(henon, henon, capped)
+    assert str(stored.value) == str(fresh.value) \
+        == "composition degree bound 4 exceeds cap 3"
+    with pytest.raises(DegreeCapExceeded, match="^composition degree bound 4 exceeds cap 3$"):
+        iterate(henon, 2, capped)
+    assert compose(henon, henon, RunConfig(degree_cap=4)) is square
 
 
 def _mutable_store(value) -> bool:
