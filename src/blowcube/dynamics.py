@@ -636,9 +636,7 @@ def check_degree_bound(f: ProjMap, N: Optional[int] = None,
     nu_res = nu1(f, N, cfg)
     counts = nu_res.seq_f
     vacuous = not (nu_res.nu_f or nu_res.nu_finv)
-    rows = []
-    for n in range(1, N + 1):
-        d = iterate(f, n, cfg).degree()
-        e = counts[n - 1]
-        rows.append((n, d, e, Fraction(e, denom) <= d))
+    degs = degree_sequence(f, N, cfg)
+    rows = [(n, d, e, Fraction(e, denom) <= d)
+            for n, d, e in zip(range(1, N + 1), degs, counts)]
     return DegreeBoundReport(vacuous, tuple(rows), denom)

@@ -13,10 +13,11 @@ construction; any other plane map is inverted by one linear solve for the
 inverse in the degree of the map, and that solution, like a supplied
 candidate, is verified by composing both ways before it is attached to the
 map, so each map object is solved for at most once.
-Every composite f after g is built once per process and kept in
-``memo.composites`` under the keys of f and g; ``iterate(f, n)`` walks
-f^k = f^(k-1) after f through the same store.  The degree cap bounds only
-these composites, by deg f * deg g, checked before the store is read.
+Every composite f after g, inverse checks included, is built once per
+process and kept in ``memo.composites`` under the keys of f and g;
+``iterate(f, n)`` walks f^k = f^(k-1) after f through the same store.  The
+degree cap bounds only these composites, by deg f * deg g, checked before
+the store is read.
 Composites and iterates of maps with verified inverses inherit inverses
 without re-verification: ``compose(f, g)`` carries g^-1 after f^-1, and
 ``iterate(f, n)`` carries (f^-1)^n.
@@ -209,17 +210,20 @@ def _mat_inverse_frac(m: Sequence[Sequence]) -> list[list[Fraction]] | None:
 # ---------------------------------------------------------------------------
 
 def _compose_raw(f: ProjMap, g: ProjMap, cfg: RunConfig) -> ProjMap:
-    """f after g from ``memo.composites``, built and stored on a miss.
-
-    The bound deg f * deg g on the degree is checked against the cap before
-    the store is read, so a stored composite is refused where a fresh
-    process would refuse it."""
+    """f after g, refused by the bound deg f * deg g on its degree before the
+    store is read, so a stored composite is refused as in a fresh process."""
     if f.vars != g.vars:
         raise MapError("cannot compose maps of different spaces")
     bound = f.degree() * g.degree()
     if bound > cfg.degree_cap:
         raise DegreeCapExceeded(
             f"composition degree bound {bound} exceeds cap {cfg.degree_cap}")
+    return _composite(f, g)
+
+
+def _composite(f: ProjMap, g: ProjMap) -> ProjMap:
+    """f after g from ``memo.composites``, built and stored on a miss; the
+    one builder of composites, which checks no cap."""
     key = (f.key(), g.key())
     h = memo.composites.get(key)
     if h is None:
@@ -414,8 +418,7 @@ def verify_inverse(f: ProjMap, g: ProjMap) -> bool:
     """Whether f after g and g after f both reduce to the identity."""
     if f.vars != g.vars:
         return False
-    return all(ProjMap(compose_tuple(a.entries, b.entries)).is_identity()
-               for a, b in ((f, g), (g, f)))
+    return _composite(f, g).is_identity() and _composite(g, f).is_identity()
 
 
 def inverse(f: ProjMap, candidate: ProjMap | None = None) -> ProjMap:
@@ -484,12 +487,12 @@ def _plane_inverse(f: ProjMap) -> ProjMap | None:
 # ---------------------------------------------------------------------------
 
 def _bracketed_parts(text: str, start: int, end: int, pair: str,
-                     sep: str) -> list[tuple[int, str]] | None:
+                     sep: str) -> list[tuple[int, int]] | None:
     """The parts inside text[start:end] when, less surrounding space, it is
     enclosed in the pair of brackets; else None.  Parts are split on the
-    separator outside nested parentheses and brackets, and each comes with
-    the position of its first non-space character in text, so that errors
-    quote the spot."""
+    separator outside nested parentheses and brackets, and each is the span
+    (start, end) in text of its stripped content, so that errors quote the
+    spot in the whole text."""
     body = text[start:end].lstrip()
     lo = end - len(body)
     body = body.rstrip()
@@ -507,15 +510,16 @@ def _bracketed_parts(text: str, start: int, end: int, pair: str,
             cuts.append(i)
     cuts.append(lo + len(body) - 1)
     parts = [text[a + 1:b] for a, b in zip(cuts, cuts[1:])]
-    return [(b - len(part.lstrip()), part) for b, part in zip(cuts[1:], parts)]
+    starts = [b - len(part.lstrip()) for b, part in zip(cuts[1:], parts)]
+    return [(a, a + len(part.strip())) for a, part in zip(starts, parts)]
 
 
-def _matrix_entry(v: str, text: str, pos: int) -> int:
+def _matrix_entry(text: str, start: int, end: int) -> int:
     try:
-        return int(v)
+        return int(text[start:end])
     except ValueError:
-        raise ParseError(f"matrix entry {v.strip()!r} is not an integer",
-                         text, pos) from None
+        raise ParseError(f"matrix entry {text[start:end]!r} is not an integer",
+                         text, start) from None
 
 
 def parse_map(text: str) -> ProjMap:
@@ -533,14 +537,14 @@ def parse_map(text: str) -> ProjMap:
             raise ParseError("P2 map must be bracketed: P2:[p0 : p1 : p2]", text, 3)
         if len(parts) != 3:
             raise ParseError(f"P2 map needs 3 coordinates, got {len(parts)}", text, 3)
-        return ProjMap([parse_poly(part, P2_VARS) for _at, part in parts])
+        return ProjMap([parse_poly(text, P2_VARS, a, b) for a, b in parts])
     if text.startswith("A2:"):
         parts = _bracketed_parts(text, 3, len(text), "()", ",")
         if parts is None:
             raise ParseError("A2 map must be parenthesized: A2:(e1, e2)", text, 3)
         if len(parts) != 2:
             raise ParseError(f"A2 map needs 2 entries, got {len(parts)}", text, 3)
-        rfs = [parse_ratfunc(part, A2_VARS) for _at, part in parts]
+        rfs = [parse_ratfunc(text, A2_VARS, a, b) for a, b in parts]
         return homogenize(AffineMap2(rfs[0], rfs[1]))
     if text.startswith("MON:"):
         m = re.match(r"MON:(\d+):", text)
@@ -551,12 +555,12 @@ def parse_map(text: str) -> ProjMap:
         if rows is None:
             raise ParseError("monomial matrix must be bracketed", text, m.end())
         matrix = []
-        for at, row in rows:
-            entries = _bracketed_parts(text, at, at + len(row.lstrip()), "[]", ",")
+        for a, b in rows:
+            entries = _bracketed_parts(text, a, b, "[]", ",")
             if entries is None:
-                raise ParseError(f"matrix row {row.strip()!r} must be bracketed",
-                                 text, at)
-            matrix.append([_matrix_entry(v, text, pos) for pos, v in entries])
+                raise ParseError(f"matrix row {text[a:b]!r} must be bracketed",
+                                 text, a)
+            matrix.append([_matrix_entry(text, *span) for span in entries])
         if len(matrix) != d or any(len(r) != d for r in matrix):
             raise ParseError(f"monomial matrix must be {d}x{d}", text, m.end())
         return monomial_map(matrix)

@@ -2,9 +2,10 @@
 
 Every key is map data only, never a cap or a ``RunConfig``.  A run's caps
 decide only whether it may use an entry: ``maps._compose_raw`` refuses a
-composite by its degree bound before it looks it up, and the other callers
-check their caps against what the entry needed, so a refusal reads as in a
-fresh process.
+composite by its degree bound before it looks it up, and ``base_points``
+refuses a stored tower higher than its height cap, as a fresh process would.
+Curves and strict transforms need no cap; the chain walks that read them
+are not stored.
 
 Kept elsewhere: ``maps._builtin`` and ``poly._symbols`` intern objects
 (``builtin(name) is builtin(name)`` is a contract that clearing would
@@ -15,11 +16,10 @@ their object.
 composites: dict = {}  # (f.key(), g.key()) -> f after g
 components: dict = {}  # f.key() -> the curves f contracts
 pullbacks: dict = {}  # (f.key(), C) -> the strict transform of C, or None
-curves: dict = {}  # (f.key(), n) -> (curves f^n contracts, f^n queried?)
 towers: dict = {}  # (f^n.key(), proper base points) -> the base-point tree
 
 _TABLES = {"composites": composites, "components": components,
-           "pullbacks": pullbacks, "curves": curves, "towers": towers}
+           "pullbacks": pullbacks, "towers": towers}
 
 
 def clear() -> None:

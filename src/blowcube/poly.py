@@ -384,26 +384,19 @@ class Poly:
                 out[key] = out.get(key, 0) + coef
         return Poly(self.vars, self.den * sd_pow[E], out)
 
-    def subs_monomial(self, images: Sequence[Sequence[int]]) -> "Poly":
-        """Substitute vars[i] -> monomial with exponent vector images[i].
-
-        Used for blow-up chart maps like (u, v) -> (u, u*v): each term's
-        exponent vector is remapped linearly, coefficients are untouched.
-        """
-        n = len(self.vars)
-        if len(images) != n:
-            raise ValueError("need one image per variable")
+    def blow_up(self, name: str, m: int) -> "Poly":
+        """The strict transform of a polynomial of order at least ``m`` under
+        the blow-up of the origin, in the chart whose exceptional line is
+        ``name = 0``: each other variable v becomes name * v and name^m is
+        divided out.  So a term's exponent of ``name`` becomes its total
+        degree minus ``m``, and distinct terms stay distinct."""
+        shift = WIDTH * self.vars.index(name)
         out = {}
         for k, c in self.coeffs.items():
-            new = [0] * n
-            for i in range(n):
-                e = (k >> (WIDTH * i)) & MASK
-                if e:
-                    img = images[i]
-                    for j in range(n):
-                        new[j] += e * img[j]
-            nk = pack(new)
-            out[nk] = out.get(nk, 0) + c
+            e = _key_total(k) - m
+            if e < 0:
+                raise ValueError(f"a term of degree {e + m} is below the order {m}")
+            out[k + ((e - ((k >> shift) & MASK)) << shift)] = c
         return Poly(self.vars, self.den, out)
 
     def min_exponent(self, name: str) -> int:
@@ -506,6 +499,7 @@ def poly_str(p: Poly) -> str:
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([()+\-*/^]))")
 
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _VAR_NAME = re.compile(r"^(?:[xyzw]|x\d+)$")
 
 
@@ -517,15 +511,16 @@ class _RatParser:
     denominators afterwards.
     """
 
-    def __init__(self, text: str, vars: tuple[str, ...]):
+    def __init__(self, text: str, vars: tuple[str, ...], start: int, end: int):
         self.text = text
+        self.end = end
         self.vars = vars
         self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
+        pos = start
+        while pos < end:
+            m = _TOKEN.match(text, pos, end)
             if not m:
-                if text[pos:].strip():
+                if text[pos:end].strip():
                     raise ParseError("unexpected character", text, pos)
                 break
             if m.group(1):
@@ -543,7 +538,7 @@ class _RatParser:
     def take(self) -> tuple[str, str, int]:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of input", self.text, len(self.text))
+            raise ParseError("unexpected end of input", self.text, self.end)
         self.i += 1
         return tok
 
@@ -632,9 +627,9 @@ class _RatParser:
         raise ParseError(f"unexpected token {val!r}", self.text, pos)
 
 
-def _infer_vars(text: str) -> tuple[str, ...]:
+def _infer_vars(text: str, start: int, end: int) -> tuple[str, ...]:
     names = set()
-    for m in re.finditer(r"[A-Za-z][A-Za-z0-9]*", text):
+    for m in _NAME.finditer(text, start, end):
         if not _VAR_NAME.match(m.group()):
             raise ParseError(f"unknown variable {m.group()!r}", text, m.start())
         names.add(m.group())
@@ -647,23 +642,29 @@ def _infer_vars(text: str) -> tuple[str, ...]:
     return tuple(sorted(names, key=order))
 
 
-def parse_ratfunc(text: str, vars: Sequence[str]) -> tuple[Poly, Poly]:
-    """Parse a rational-function expression; returns (numerator, denominator)."""
-    return _RatParser(text, tuple(vars)).parse()
+def parse_ratfunc(text: str, vars: Sequence[str], start: int = 0,
+                  end: int | None = None) -> tuple[Poly, Poly]:
+    """Parse the rational-function expression text[start:end]; returns
+    (numerator, denominator).  Error positions are positions in text."""
+    end = len(text) if end is None else end
+    return _RatParser(text, tuple(vars), start, end).parse()
 
 
-def parse_poly(text: str, vars: Sequence[str] | None = None) -> Poly:
-    """Parse polynomial text.
+def parse_poly(text: str, vars: Sequence[str] | None = None, start: int = 0,
+               end: int | None = None) -> Poly:
+    """Parse the polynomial text[start:end] (all of text by default).
 
     Variables may be supplied explicitly; otherwise they are inferred from
     the names occurring in the text (recognized names: x, y, z, w, x0, x1,
-    ...), ordered canonically.
+    ...), ordered canonically.  Error positions are positions in text.
     """
+    end = len(text) if end is None else end
     if vars is None:
-        vars = _infer_vars(text)
-    num, den = parse_ratfunc(text, vars)
+        vars = _infer_vars(text, start, end)
+    num, den = parse_ratfunc(text, vars, start, end)
     if not den.is_constant:
-        raise ParseError("expression is not a polynomial (nonconstant denominator)", text, 0)
+        raise ParseError("expression is not a polynomial (nonconstant denominator)",
+                         text, start)
     return num / den.constant_value()
 
 

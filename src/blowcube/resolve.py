@@ -26,8 +26,9 @@ exactly, and nothing is factored there either.  A chain member C_j is
 mapped onto its seed C_0 by f^j, so where its image under f^n is not read
 off the seed's point orbit it is the image of C_0 under f^(n-j).
 
-All of these are stored in ``memo`` by map data only; the degree cap is
-checked by ``iterate`` and the height cap by ``base_points``.
+Contracted curves, strict transforms and towers are stored in ``memo``; the
+chains are walked afresh, so ``iterate`` checks the degree cap on every call
+and ``base_points`` checks the height cap.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .errors import (HeightCapExceeded, IrrationalBaseLocus, MapError,
                      ResolutionError, TransportUnsupported)
 from .maps import (ProjMap, ProjPoint, degree_sequence, inverse, iterate,
                    normalize_point, point_str)
-from .poly import (WIDTH, Poly, canonical_factor, content_gcd, factor_q,
-                   jacobian_det, poly_mod, strip_factor)
+from .poly import (Poly, canonical_factor, content_gcd, factor_q, jacobian_det,
+                   poly_mod, strip_factor)
 
 CHART_VARS = ("u", "t")
 
@@ -193,17 +194,6 @@ def _order_at_origin(polys: Sequence[Poly]) -> int:
     return min(orders)
 
 
-def _strip_common_power(polys: Sequence[Poly], name: str) -> tuple[list[Poly], int]:
-    k = min(p.min_exponent(name) for p in polys if not p.is_zero)
-    if k == 0:
-        return list(polys), 0
-    i = polys[0].vars.index(name)
-    shift = k << (WIDTH * i)
-    out = [Poly(p.vars, p.den, {key - shift: c for key, c in p.coeffs.items()})
-           for p in polys]
-    return out, k
-
-
 def _slope_roots(g: Poly, parent: BubblePoint) -> list[Fraction]:
     roots = []
     _, facs = factor_q(g)
@@ -243,6 +233,10 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
     children only translate t, so the terms of the strict transform whose
     u-degree is above the child's budget are dropped before the
     translation.
+
+    Each chart's strict transform is one exponent remap (``Poly.blow_up``).
+    The chart u -> u*t adds one point of the exceptional line, its origin, a
+    base point exactly when no lowest form has the term t^mult.
     """
     system = [p.truncate_total(budget) for p in system]
     mult = _order_at_origin(system)
@@ -250,25 +244,14 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
         raise ResolutionError(
             f"local multiplicity {mult} over {bubble} is outside 1..{budget}")
 
-    alpha = [p.subs_monomial(((1, 0), (1, 1))) for p in system]  # u->u, t->u*t
-    alpha, k0 = _strip_common_power(alpha, "u")
-    if k0 != mult:
-        raise ResolutionError(
-            "stripped exceptional power must equal the local multiplicity")
-    on_line = [p.truncate_in("u", 0) for p in alpha]
-    nz = [p for p in on_line if not p.is_zero]
+    alpha = [p.blow_up("u", mult) for p in system]  # u->u, t->u*t
+    nz = [q for q in (p.truncate_in("u", 0) for p in alpha) if not q.is_zero]
     if not nz:
         raise ResolutionError(
             f"the exceptional line over {bubble} lies in the base locus")
     g = content_gcd(nz)
     slopes = [] if g.is_constant else _slope_roots(g, bubble)
-
-    beta = [p.subs_monomial(((1, 1), (0, 1))) for p in system]  # u->u*t, t->t
-    beta, k1 = _strip_common_power(beta, "t")
-    if k1 != mult:
-        raise ResolutionError(
-            "stripped exceptional power must equal the local multiplicity")
-    vertical = all(p.coefficient((0, 0)) == 0 for p in beta)
+    vertical = all(p.coefficient((0, mult)) == 0 for p in system)
 
     blown = f"{chart}; bl({coords[0]},{coords[1]})"
     children = []
@@ -288,6 +271,7 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
                               child_budget)
         children.append(child)
     if vertical:
+        beta = [p.blow_up("t", mult) for p in system]  # u->u*t, t->t
         child = _resolve_node(beta,
                               BubblePoint(bubble.root, bubble.steps + (BubbleStep("v"),)),
                               blown + "#1", (Fraction(0), Fraction(0)), height_cap,
@@ -465,16 +449,10 @@ def exc_curves(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS
     contracts C_j (j < n) onto f^(n-j-1) of the seed's image while that
     point's forward orbit is defined.  Past that, f^j maps C_j onto C_0, so
     f^n(C_j) = f^(n-j)(C_0): the seed is queried under the reduced iterate
-    f^(n-j), not the deep curve under f^n.
-    The first iterate a walk queries is f^n (j = 0) and the rest are lower,
-    so a stored walk that queried f^n queries it again for the degree cap.
+    f^(n-j), not the deep curve under f^n.  The walk is not stored, only
+    its members are, so every call queries its iterates under its own cap.
     """
-    if (f.key(), n) in memo.curves:
-        pairs, deep = memo.curves[f.key(), n]
-        if deep:
-            iterate(f, n, cfg)
-        return pairs
-    pairs, deep = [], False
+    pairs = []
     for comp in exc_components(f):
         orbit = [comp.image]  # orbit[k] = f^k(image), while defined
         while len(orbit) < n:
@@ -492,12 +470,10 @@ def exc_curves(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS
                 pairs.append((C, orbit[n - j - 1]))
             else:
                 # f^j maps C onto the seed, so f^n(C) = f^(n-j)(seed)
-                deep = True
                 image = curve_image(iterate(f, n - j, cfg), comp.curve)
                 if image is not None:
                     pairs.append((C, image))
-    memo.curves[f.key(), n] = (tuple(pairs), deep)
-    return memo.curves[f.key(), n][0]
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

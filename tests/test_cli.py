@@ -287,7 +287,14 @@ def test_parse_failures_exit_3(capsys):
      "matrix row '[0,1' must be bracketed (at position 13: ':[[1,0],[0,1]')"),
     ("MON:2:[[70000,1],[0,1]]", 4,
      "monomial map needs exponent 70001, above the limit 65535"),
-], ids=["letter", "fraction", "unbalanced", "open-row", "huge-exponent"])
+    ("A2:(x, y +* 1)", 3,
+     "unexpected token '*' (at position 10: ':(x, y +* 1)')"),
+    ("A2:(x, q)", 3, "unknown variable 'q' (at position 7: 'A2:(x, q)')"),
+    ("P2:[y*z : x*z : x*y/(x-1)]", 3,
+     "expression is not a polynomial (nonconstant denominator) "
+     "(at position 16: ': x*z : x*y/(x-1')"),
+], ids=["letter", "fraction", "unbalanced", "open-row", "huge-exponent",
+        "a2-token", "a2-variable", "p2-denominator"])
 def test_malformed_monomial_specs_exit_3_or_4(capsys, spec, code, message):
     got, out, err = run(capsys, "degseq", spec, "-n", "2")
     assert (got, out) == (code, "")

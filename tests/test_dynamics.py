@@ -10,6 +10,7 @@ from blowcube import (
     ball,
     base_points,
     builtin,
+    builtin_names,
     check_degree_bound,
     check_gromov,
     classify,
@@ -416,6 +417,9 @@ def test_classify_does_not_depend_on_the_caps_of_earlier_runs(capped):
         return [classify(builtin(name), 4 if name == "lox1" else 5, cfg).to_dict()
                 for name in ("sigma", "henon", "jonq1", "jonq2", "hen2", "lox1")]
 
+    # a built-in's inverse checks enter the store when it is first built
+    for name in builtin_names():
+        builtin(name)
     runs, stored = [], []
     for first, second in ((DEFAULTS, capped), (capped, DEFAULTS)):
         memo.clear()
@@ -447,6 +451,17 @@ def test_degree_bound_for_the_linear_fibration():
     assert rep.holds
     assert [(n, d, e) for n, d, e, _ok in rep.rows] == [
         (n, n + 1, n + 1) for n in range(1, 9)]
+
+
+def test_degree_bound_walks_no_power_of_the_inverse():
+    # deg henon^n is read off one walk of henon^k; (henon^-1)^k is built
+    # only as far as the backward chains of nu1 need it
+    henon = builtin("henon")
+    memo.clear()
+    check_degree_bound(henon, 8)
+    right = inverse(henon).key()
+    assert max(h.degree() for (_f, g), h in memo.composites.items()
+               if g == right) <= 16
 
 
 def test_degree_bound_horizon_defaults_to_the_config():

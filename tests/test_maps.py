@@ -260,12 +260,23 @@ def test_a_map_and_its_inverse_share_one_iterate_chain(monkeypatch):
 
 
 def test_degree_sequence_builds_only_the_forward_chain():
+    lox1 = builtin("lox1")  # its inverse checks enter the store here
     memo.clear()
-    lox1 = builtin("lox1")
     assert degree_sequence(lox1, 4) == [3, 8, 21, 55]
     # lox1^k = lox1^(k-1) after lox1 for k = 2, 3, 4, and no power of lox1^-1
     assert {g for _f, g in memo.composites} == {lox1.key()}
     assert [h.degree() for h in memo.composites.values()] == [8, 21, 55]
+
+
+def test_an_inverse_check_builds_each_composite_once(monkeypatch):
+    # sigma is its own inverse: both checks and the later sigma^-1 after
+    # sigma are the one composite sigma after sigma
+    memo.clear()
+    calls = _count_builds(monkeypatch)
+    sigma = parse_map("P2:[y*z : x*z : x*y]")
+    assert inverse(sigma) == sigma
+    assert compose(inverse(sigma), sigma).is_identity()
+    assert len(calls) == 1
 
 
 def test_a_stored_composite_is_refused_by_its_bound_alone():
@@ -320,6 +331,11 @@ def test_memo_is_the_one_process_wide_store():
                     else node.targets[0]
                 stores.add((path.name, ast.unparse(target)))
     assert stores == {("maps.py", "_builtin"), ("poly.py", "_symbols")}
+
+
+def test_memo_has_four_tables():
+    assert sorted(memo.sizes()) == ["components", "composites", "pullbacks",
+                                    "towers"]
 
 
 def test_composition_of_inverses_attaches_inverse():

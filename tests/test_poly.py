@@ -168,6 +168,23 @@ def test_homogenize_dehomogenize_roundtrip():
         p.homogenize("z", degree=0)
 
 
+def test_blow_up_is_the_chart_substitution_over_the_exceptional_power():
+    UT = ("u", "t")
+    u, t = Poly.var(UT, "u"), Poly.var(UT, "t")
+    rng = random.Random(13)
+    for _ in range(60):
+        m = rng.randint(0, 4)
+        p = rand_poly(rng, UT, steps=7, terms=6)
+        p = p - p.truncate_total(m - 1)  # order at least m
+        if p.is_zero:
+            continue
+        assert p.blow_up("u", m) * u ** m == p.compose((u, u * t))
+        assert p.blow_up("t", m) * t ** m == p.compose((u * t, t))
+        for name in UT:
+            with pytest.raises(ValueError, match="below the order"):
+                p.blow_up(name, p.order() + 1)
+
+
 # ---------------------------------------------------------------------------
 # ring operations against oracles
 # ---------------------------------------------------------------------------
@@ -602,6 +619,21 @@ def test_only_poly_imports_sympy():
             if any(n.split(".")[0] == "sympy" for n in names):
                 importers.add(path.name)
     assert importers == {"poly.py"}
+
+
+def test_only_poly_and_kernel_name_the_packed_keys():
+    # the key layout belongs to poly: other modules go through Poly's
+    # methods, and EXP_LIMIT is the one public bound on an exponent
+    packed = {"WIDTH", "MASK", "pack", "unpack"}
+    namers = set()
+    for path in sorted(Path(blowcube.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in packed:
+                namers.add(path.name)
+    assert namers <= {"poly.py", "kernel.py"}
 
 
 def test_content_gcd_of_one_entry_is_canonical():

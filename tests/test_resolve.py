@@ -361,13 +361,12 @@ def untruncated_node(system, bubble, chart, coords, height_cap, budget):
     system = [p.truncate_total(budget) for p in system]
     mult = resolve._order_at_origin(system)
     assert 1 <= mult <= budget
-    alpha = [p.subs_monomial(((1, 0), (1, 1))) for p in system]
-    alpha, _k0 = resolve._strip_common_power(alpha, "u")
+    alpha = [p.blow_up("u", mult) for p in system]
     nz = [q for q in (p.truncate_in("u", 0) for p in alpha) if not q.is_zero]
     g = poly.content_gcd(nz)
     slopes = [] if g.is_constant else resolve._slope_roots(g, bubble)
-    beta = [p.subs_monomial(((1, 1), (0, 1))) for p in system]
-    beta, _k1 = resolve._strip_common_power(beta, "t")
+    # read off the blown-up chart, not the lowest forms as _resolve_node does
+    beta = [p.blow_up("t", mult) for p in system]
     vertical = all(p.coefficient((0, 0)) == 0 for p in beta)
     if (slopes or vertical) and bubble.height + 1 > height_cap:
         raise HeightCapExceeded(f"over {bubble}")
