@@ -554,10 +554,8 @@ def classify(f: ProjMap, N: Optional[int] = None,
     try:
         growth = degree_growth_class(f, N, cfg)
     except DegreeCapExceeded as exc:
-        done = exc.completed
-        caps.append(f"degree cap at iterate {done + 1}")
-        growth = DegreeGrowth("undecided", exc.partial or (f.degree(),),
-                              done or 1)
+        caps.append(f"degree cap at iterate {len(exc.partial) + 1}")
+        growth = DegreeGrowth("undecided", exc.partial, len(exc.partial))
 
     try:
         mu_res = mu(f, N, cfg)

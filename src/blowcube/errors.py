@@ -47,14 +47,13 @@ class InverseUnavailable(MapError):
 class DegreeCapExceeded(MapError):
     """A composite's degree passed the configured cap.
 
-    ``completed`` holds the number of iterates that were finished before the
-    cap hit, and ``partial`` their degrees when a degree sequence was being
-    built, so partial sequences stay usable.
+    ``partial`` holds the degrees of the iterates finished before the cap
+    hit when a degree sequence was being built, so partial sequences stay
+    usable.
     """
 
-    def __init__(self, message: str, completed: int = 0):
+    def __init__(self, message: str):
         super().__init__(message)
-        self.completed = completed
         self.partial: tuple[int, ...] = ()
 
 

@@ -3,8 +3,8 @@
 A polynomial's terms live in a dict mapping a packed exponent key to an
 integer coefficient.  Exponents are packed 16 bits per variable (variable 0
 in the lowest bits), so multiplying monomials is integer addition of keys.
-Packing never overflows between fields here because callers keep individual
-exponents far below 2**16 (the degree cap is 256).
+Each exponent must stay below 2**16; ``poly.check_exponent`` (powers, the
+parser, ``maps.homogenize``) and ``maps._composite`` enforce it, not this module.
 """
 
 from __future__ import annotations

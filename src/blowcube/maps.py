@@ -37,12 +37,14 @@ from blowcube.errors import DegreeCapExceeded, InverseUnavailable, MapError, Par
 from blowcube.poly import (
     EXP_LIMIT,
     Poly,
+    check_exponent,
     compose_tuple,
     parse_poly,
     parse_ratfunc,
     linear_relations,
     poly_str,
     primitive_tuple,
+    top_exponent,
 )
 
 P2_VARS = ("x", "y", "z")
@@ -57,16 +59,10 @@ def normalize_point(coords: Sequence) -> ProjPoint:
         raise ValueError("all coordinates zero")
     L = math.lcm(*(f.denominator for f in fracs))
     ints = [int(f * L) for f in fracs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def point_str(pt: ProjPoint) -> str:
@@ -223,7 +219,12 @@ def _compose_raw(f: ProjMap, g: ProjMap, cfg: RunConfig) -> ProjMap:
 
 def _composite(f: ProjMap, g: ProjMap) -> ProjMap:
     """f after g from ``memo.composites``, built and stored on a miss; the
-    one builder of composites, which checks no cap."""
+    one builder of composites, which refuses only a degree bound that
+    packed exponents cannot hold."""
+    bound = f.degree() * g.degree()
+    if bound >= EXP_LIMIT:
+        raise DegreeCapExceeded(f"composition degree bound {bound} exceeds "
+                                f"the exponent limit {EXP_LIMIT - 1}")
     key = (f.key(), g.key())
     h = memo.composites.get(key)
     if h is None:
@@ -281,8 +282,7 @@ def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
     Only f^k is walked; (f^-1)^k is left to ``iterate``.
 
     On hitting the degree cap the degrees found so far are attached to the
-    raised DegreeCapExceeded as ``.partial``, and their count as
-    ``.completed``.
+    raised DegreeCapExceeded as ``.partial``.
     """
     check_horizon(n)
     h = f
@@ -292,7 +292,6 @@ def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
             h = _compose_raw(h, f, cfg)
             degs.append(h.degree())
     except DegreeCapExceeded as exc:
-        exc.completed = len(degs)
         exc.partial = tuple(degs)
         raise
     return degs
@@ -313,10 +312,7 @@ def _monomial_entries(rows: Sequence[Sequence[int]]) -> list[Poly]:
     a = [max(0, max(sum(r) for r in rows))]
     a += [max(0, max(-r[j] for r in rows)) for j in range(n)]
     exps = [a] + [[a[0] - sum(r)] + [a[j + 1] + r[j] for j in range(n)] for r in rows]
-    top = max(map(max, exps))
-    if top >= EXP_LIMIT:
-        raise MapError(f"monomial map needs exponent {top}, "
-                       f"above the limit {EXP_LIMIT - 1}")
+    check_exponent("monomial map", max(map(max, exps)), MapError)
     return [Poly.from_terms(pn_vars(n), [(e, 1)]) for e in exps]
 
 
@@ -395,8 +391,12 @@ def homogenize(aff: AffineMap2) -> ProjMap:
     The entries are built over the denominator d1*d2; ``ProjMap`` divides
     out whatever factor they share."""
     (n1, d1), (n2, d2) = aff.fx, aff.fy
-    chart = (n1 * d2, n2 * d1, d1 * d2)
+    pairs = ((n1, d2), (n2, d1), (d1, d2))
+    check_exponent("homogenizing", max(map(top_exponent, pairs)), MapError)
+    chart = [a * b for a, b in pairs]
     deg = max(p.degree() for p in chart)
+    # z pads a term of degree t with z^(deg - t)
+    check_exponent("homogenizing", deg - min(p.order() for p in chart), MapError)
     return ProjMap([p.homogenize("z", deg) for p in chart], name=aff.name)
 
 

@@ -12,7 +12,8 @@ polynomial is ``({}, den=1)``.
 Exponent keys pack 16 bits per variable (variable 0 lowest), so the
 product of monomials is integer addition of keys; the hot double loop
 lives in :mod:`blowcube.kernel`.  Individual exponents must stay below
-2**16, which the degree caps guarantee with a wide margin.
+2**16: powers, the parser and ``maps.homogenize`` check them with
+``check_exponent``, and ``maps._composite`` checks the degree bound.
 
 Term order is graded lexicographic (total degree first, then the exponent
 of vars[0], vars[1], ...).  ``str()`` prints terms in descending order and
@@ -63,6 +64,20 @@ def pack(exps: Sequence[int]) -> int:
 
 def unpack(key: int, nvars: int) -> Exponents:
     return tuple((key >> (WIDTH * i)) & MASK for i in range(nvars))
+
+
+def top_exponent(factors: Sequence["Poly"], power: int = 1) -> int:
+    """The top exponent of any one variable in (prod factors)**power; exact
+    for nonzero factors, whose leading coefficients in each variable multiply."""
+    shifts = [WIDTH * i for i in range(len(factors[0].vars))]
+    return power * max((sum(max(((k >> s) & MASK for k in p.coeffs), default=0)
+                           for p in factors) for s in shifts), default=0)
+
+
+def check_exponent(what: str, e: int, error=ValueError) -> None:
+    """Refuse an exponent that would carry into the next packed variable."""
+    if e >= EXP_LIMIT:
+        raise error(f"{what} needs exponent {e}, above the limit {EXP_LIMIT - 1}")
 
 
 def _key_total(key: int) -> int:
@@ -174,9 +189,12 @@ class Poly:
             yield exps, Fraction(self.coeffs[k], self.den)
 
     def leading(self) -> tuple[Exponents, Fraction]:
+        """The first term of ``terms()``, found by one ``max``."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        return next(iter(self.terms()))
+        n = len(self.vars)
+        k = max(self.coeffs, key=lambda k: (_key_total(k), unpack(k, n)))
+        return unpack(k, n), Fraction(self.coeffs[k], self.den)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return Fraction(self.coeffs.get(pack(exps), 0), self.den)
@@ -223,8 +241,7 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return Poly.const(self.vars, 1)
-        if self.coeffs and n * self.degree() >= EXP_LIMIT:
-            raise ValueError("power would overflow the exponent packing")
+        check_exponent("power", top_exponent((self,), n))
         result = None
         base = self
         while True:
@@ -557,13 +574,10 @@ class _RatParser:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] in "+-":
                 self.take()
-                rhs = self.term()
-                an, ad = acc
-                bn, bd = rhs
-                if tok[1] == "+":
-                    acc = (an * bd + bn * ad, ad * bd)
-                else:
-                    acc = (an * bd - bn * ad, ad * bd)
+                (an, ad), (bn, bd) = acc, self.term()
+                bn = -bn if tok[1] == "-" else bn
+                self.fits(tok, "product", (an, bd), (bn, ad), (ad, bd))
+                acc = (an * bd + bn * ad, ad * bd)
             else:
                 return acc
 
@@ -573,15 +587,13 @@ class _RatParser:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] in "*/":
                 self.take()
-                rhs = self.unary()
-                an, ad = acc
-                bn, bd = rhs
-                if tok[1] == "*":
-                    acc = (an * bn, ad * bd)
-                else:
+                (an, ad), (bn, bd) = acc, self.unary()
+                if tok[1] == "/":
                     if bn.is_zero:
                         raise ParseError("division by zero", self.text, tok[2])
-                    acc = (an * bd, ad * bn)
+                    bn, bd = bd, bn
+                self.fits(tok, "product", (an, bn), (ad, bd))
+                acc = (an * bn, ad * bd)
             else:
                 return acc
 
@@ -605,8 +617,15 @@ class _RatParser:
             if e >= EXP_LIMIT:
                 raise ParseError(f"exponent {e} too large", self.text, etok[2])
             n, d = base
+            self.fits(tok, "power", (n,), (d,), power=e)
             return (n ** e, d ** e)
         return base
+
+    def fits(self, tok, what: str, *products: tuple[Poly, ...], power: int = 1):
+        """Refuse, at the operator ``tok``, an exponent that overflows."""
+        for factors in products:
+            check_exponent(what, top_exponent(factors, power),
+                           lambda msg: ParseError(msg, self.text, tok[2]))
 
     def atom(self):
         tok = self.take()
@@ -703,21 +722,21 @@ def primitive_tuple(polys: Sequence[Poly]) -> tuple[Poly, ...]:
     g = content_gcd(polys)
     if not g.is_constant:
         polys = tuple(poly_exact_div(p, g) for p in polys)
-    # clear rational content jointly
-    dens = [p.den for p in polys]
-    L = math.lcm(*dens)
-    scaled = [c * (L // p.den) for p in polys for c in p.coeffs.values()]
-    g_int = 0
-    for c in scaled:
-        g_int = math.gcd(g_int, c)
-    scale = Fraction(L, g_int) if g_int else Fraction(1)
-    polys = tuple(p * scale for p in polys)
-    for p in polys:
-        if not p.is_zero:
-            if p.leading()[1] < 0:
-                polys = tuple(-q for q in polys)
-            break
-    return polys
+    s = _primitive_scale(polys)
+    return tuple(p * s for p in polys)
+
+
+def _primitive_scale(polys: Sequence[Poly]) -> Fraction:
+    """The rational s for which s * polys is jointly integer-primitive and
+    the first nonzero entry has a positive leading coefficient; 1 when every
+    entry is zero.  Every scale and sign of a normal form in this module
+    comes from here."""
+    L = math.lcm(*(p.den for p in polys))
+    g = math.gcd(*(c * (L // p.den) for p in polys for c in p.coeffs.values()))
+    if not g:
+        return Fraction(1)
+    first = next(p for p in polys if p.coeffs)
+    return Fraction(L if first.leading()[1] > 0 else -L, g)
 
 
 def jacobian_det(polys: Sequence[Poly]) -> Poly:
@@ -797,14 +816,7 @@ def linear_relations(vectors: Sequence[Sequence[Poly]]) -> list[tuple[int, ...]]
 
 def canonical_factor(p: Poly) -> Poly:
     """Scale to integer-primitive form with positive leading coefficient."""
-    if p.is_zero:
-        return p
-    (_, lead) = p.leading()
-    content = Fraction(math.gcd(*[abs(c) for c in p.coeffs.values()]), p.den)
-    q = p / content
-    if lead < 0:
-        q = -q
-    return q
+    return p * _primitive_scale((p,))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -881,13 +893,11 @@ def poly_mod(a: Poly, b: Poly) -> Poly:
     if b.is_constant:
         return Poly.zero(a.vars)
     n = len(a.vars)
-    bt = sorted(b.coeffs.items(),
-                key=lambda kv: (_key_total(kv[0]), unpack(kv[0], n)),
-                reverse=True)
-    bk, lead = bt[0]
-    tail = bt[1:]
+    bexp, _ = b.leading()
+    bk = pack(bexp)
+    lead = b.coeffs[bk]
+    tail = [(k, c) for k, c in b.coeffs.items() if k != bk]
     shifts = [WIDTH * i for i in range(n)]
-    bexp = [(bk >> s) & MASK for s in shifts]
 
     def hkey(k: int):
         return (-_key_total(k), tuple(-e for e in unpack(k, n)))
@@ -941,16 +951,8 @@ def factor_q(p: Poly) -> tuple[Fraction, tuple[tuple[Poly, int], ...]]:
     out = []
     for f, mult in factors:
         fp = _from_zz(f, p.vars)
-        canon = canonical_factor(fp)
-        # fold the normalization back into the unit
-        ratio = _leading_ratio(fp, canon)
-        unit *= ratio ** mult
-        out.append((canon, int(mult)))
+        s = _primitive_scale((fp,))
+        out.append((fp * s, int(mult)))
+        unit /= s ** int(mult)
     out.sort(key=lambda t: (t[0].degree(), poly_str(t[0])))
     return unit, tuple(out)
-
-
-def _leading_ratio(a: Poly, b: Poly) -> Fraction:
-    (_, la) = a.leading()
-    (_, lb) = b.leading()
-    return la / lb

@@ -15,6 +15,8 @@ from blowcube.maps import builtin
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
 # the output of ``base-points <name>``: towers, charts and coordinates
 TOWERS = Path(__file__).resolve().parent / "data" / "base_points"
+# {"argv", "exit", "stdout", "stderr"} of ``python -m blowcube <argv>``
+RECORDED = Path(__file__).resolve().parent / "data" / "cli"
 PLANE_BUILTINS = ["hen2", "henon", "jonq1", "jonq2", "lox1", "sigma"]
 
 
@@ -74,6 +76,14 @@ def test_base_points_bytes_match_the_recorded_towers(name, capsys):
     code, out, err = run(capsys, "base-points", name)
     assert (code, err) == (0, "")
     assert out == want
+
+
+@pytest.mark.parametrize("path", sorted(RECORDED.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_command_bytes_match_the_recordings(path, capsys):
+    with open(path) as fh:
+        rec = json.load(fh)
+    assert run(capsys, *rec["argv"]) == (rec["exit"], rec["stdout"], rec["stderr"])
 
 
 def test_classify_reports_an_irrational_base_locus_as_a_cap(capsys):
@@ -299,6 +309,39 @@ def test_malformed_monomial_specs_exit_3_or_4(capsys, spec, code, message):
     got, out, err = run(capsys, "degseq", spec, "-n", "2")
     assert (got, out) == (code, "")
     assert err.startswith(f"blowcube: error: {message}")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["A2:(x^40000*x^40000, y)", "-n", "1"], 3,
+     "product needs exponent 80000, above the limit 65535 "
+     "(at position 11: '(x^40000*x^40000')"),
+    (["A2:(x^40000 + 1/x^40000, y)", "-n", "1"], 3,
+     "product needs exponent 80000, above the limit 65535 "
+     "(at position 12: 'x^40000 + 1/x^40')"),
+    (["A2:((x^300)^300, y)", "-n", "1"], 3,
+     "power needs exponent 90000, above the limit 65535 "
+     "(at position 11: '((x^300)^300, y)')"),
+    (["A2:(x^40000, 1/x^40000)", "-n", "1"], 4,
+     "homogenizing needs exponent 80000, above the limit 65535"),
+    (["A2:((x*y)^40000, y)", "-n", "1"], 4,
+     "homogenizing needs exponent 80000, above the limit 65535"),
+    (["P2:[x^300 : y^300 : z^300]", "-n", "2", "--degree-cap", "100000"], 4,
+     "composition degree bound 90000 exceeds the exponent limit 65535"),
+], ids=["product", "sum", "power", "a2-chart", "a2-padding", "composite"])
+def test_exponents_beyond_the_packing_exit_3_or_4(capsys, argv, code, message):
+    got, out, err = run(capsys, "degseq", *argv)
+    assert (got, out) == (code, "")
+    assert err == f"blowcube: error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, degree", [
+    # a variable's exponent, not the total degree, meets the limit; the
+    # expanded spec x^40000*y^40000 : ... gives these bytes too
+    ("P2:[(x*y)^40000 : (x*z)^40000 : (y*z)^40000]", 80000),
+    ("A2:(x^30000*x^30000, y)", 60000),
+], ids=["p2-power", "a2-product"])
+def test_exponents_within_the_packing_are_kept(spec, degree, capsys):
+    assert run(capsys, "degseq", spec, "-n", "1") == (0, f"n,deg\n1,{degree}\n", "")
 
 
 def test_map_failures_exit_4(capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import math
 import random
 import subprocess
 import sys
@@ -204,8 +205,7 @@ def test_degree_cap_reports_partial_progress():
     cfg = RunConfig(degree_cap=50)
     with pytest.raises(DegreeCapExceeded) as info:
         degree_sequence(f, 5, cfg)
-    assert info.value.completed == 3
-    assert list(info.value.partial) == [3, 8, 21]
+    assert info.value.partial == (3, 8, 21)
 
 
 @pytest.mark.parametrize("uncapped_first", [False, True])
@@ -216,7 +216,7 @@ def test_degree_cap_verdict_ignores_earlier_iterates(uncapped_first):
         assert degree_sequence(henon, 6) == [2, 4, 8, 16, 32, 64]
     with pytest.raises(DegreeCapExceeded, match="bound 32 exceeds cap 16$") as info:
         degree_sequence(henon, 6, RunConfig(degree_cap=16))
-    assert info.value.completed == 4
+    assert info.value.partial == (2, 4, 8, 16)
 
 
 @pytest.mark.parametrize("name", ["lox1", "henon"])
@@ -497,6 +497,24 @@ def test_non_plane_maps_beyond_linear_and_monomial_need_a_candidate():
 # ---------------------------------------------------------------------------
 # applying maps to points
 # ---------------------------------------------------------------------------
+
+def test_normalize_point_is_blind_to_scale():
+    rng = random.Random(5)
+    for _ in range(200):
+        coords = [Fr(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.7
+                  else Fr(0) for _ in range(rng.randint(2, 4))]
+        if not any(coords):
+            continue
+        q = Fr(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
+        want = normalize_point(coords)
+        assert normalize_point([c * q for c in coords]) == want
+        assert all(type(v) is int for v in want)
+        assert next(v for v in want if v) > 0
+        assert math.gcd(*want) == 1
+        # the same projective point
+        i = next(i for i, c in enumerate(coords) if c)
+        assert all(c * want[i] == v * coords[i] for c, v in zip(coords, want))
+
 
 def test_apply_normalizes_and_detects_base_points():
     sigma = builtin("sigma")

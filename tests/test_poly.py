@@ -2,6 +2,7 @@
 
 import ast
 import heapq
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +35,7 @@ from blowcube.poly import (
     pack,
     parse_ratfunc,
     primitive_tuple,
+    top_exponent,
     unpack,
 )
 
@@ -349,6 +351,19 @@ def test_parse_rejects_garbage():
         parse_poly("w + 1", XY)  # unknown variable for an explicit tuple
 
 
+def test_exponent_limit_is_per_variable():
+    # (x*y)^40000 has total degree 80000 but no exponent above 40000
+    assert parse_poly("(x*y)^40000", XY) == parse_poly("x^40000*y^40000", XY)
+    assert (parse_poly("x*y", XY) ** 40000).coeffs == {pack((40000, 40000)): 1}
+    with pytest.raises(ValueError, match="^power needs exponent 80000, above the limit 65535$"):
+        parse_poly("x^2*y", XY) ** 40000
+    with pytest.raises(ParseError, match="^product needs exponent 70000"):
+        parse_poly("x^35000*(x^35000 + y)", XY)
+    with pytest.raises(ParseError, match="^product needs exponent 70000"):
+        parse_poly("y/x^35000 - x^35000", XY)
+    assert top_exponent((parse_poly("x^3 + x*y^5", XY),), 4) == 20
+
+
 def test_parse_ratfunc_splits_denominator():
     num, den = parse_ratfunc("x / (y - 1)", XY)
     assert num == Poly.var(XY, "x")
@@ -584,6 +599,70 @@ def test_primitive_tuple_strips_common_factor():
     g = x + y
     stripped = primitive_tuple((g * x * 2, g * y * 2, g * (x - y)))
     assert stripped == (x * 2, y * 2, x - y)
+
+
+# ---------------------------------------------------------------------------
+# projective normal forms: one representative per class up to a scalar
+# ---------------------------------------------------------------------------
+
+def rand_scalar(rng: random.Random) -> Fraction:
+    """A nonzero rational of either sign."""
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 40))
+
+
+def assert_normal_form(polys):
+    """Jointly integer-primitive, and the first term in ``terms()`` order of
+    the first nonzero entry is positive."""
+    assert all(p.den == 1 for p in polys)
+    assert math.gcd(*(c for p in polys for c in p.coeffs.values())) == 1
+    first = next(p for p in polys if not p.is_zero)
+    assert next(first.terms())[1] > 0
+
+
+def test_primitive_tuple_is_a_normal_form_of_the_projective_class():
+    rng = random.Random(23)
+    for _ in range(40):
+        deg = rng.randint(1, 3)
+        t = [rand_homogeneous(rng, deg) * rand_scalar(rng) for _ in range(3)]
+        if rng.random() < 0.3:
+            t[rng.randrange(3)] = Poly.zero(XYZ)
+        common = rand_homogeneous(rng, rng.randint(0, 2))
+        t = tuple(p * common for p in t)
+        q = rand_scalar(rng)
+        want = primitive_tuple(t)
+        assert primitive_tuple(tuple(p * q for p in t)) == want
+        assert primitive_tuple(want) == want
+        assert_normal_form(want)
+
+
+@pytest.mark.parametrize("vars", [XY, XYZ, ("x", "y", "z", "w")],
+                         ids=["2 vars", "3 vars", "4 vars"])
+def test_canonical_factor_and_factor_q_are_blind_to_scale(vars):
+    rng = random.Random(len(vars))
+    assert canonical_factor(Poly.zero(vars)).is_zero
+    for _ in range(40):
+        p = rand_poly(rng, vars)
+        if p.is_zero:
+            continue
+        q = rand_scalar(rng)
+        want = canonical_factor(p)
+        assert canonical_factor(p * q) == want
+        assert canonical_factor(want) == want
+        assert_normal_form((want,))
+        unit, factors = factor_q(p)
+        assert factor_q(p * q) == (unit * q, factors)
+        for f, _m in factors:
+            assert_normal_form((f,))
+
+
+@pytest.mark.parametrize("vars", [XY, XYZ, ("x", "y", "z", "w")],
+                         ids=["2 vars", "3 vars", "4 vars"])
+def test_leading_is_the_first_term(vars):
+    rng = random.Random(7 * len(vars))
+    for _ in range(100):
+        p = rand_poly(rng, vars, steps=6, terms=8)
+        if not p.is_zero:
+            assert p.leading() == next(p.terms())
 
 
 def test_linear_relations_span_the_planted_relations():
