@@ -15,10 +15,10 @@ from .errors import (BlowcubeError, ComplexError, DegreeCapExceeded,
                      HeightCapExceeded, InverseUnavailable,
                      IrrationalBaseLocus, MapError, OutputError, ParseError,
                      ResolutionError, TransportUnsupported)
-from .maps import (AffineMap2, ProjMap, builtin, builtin_names, compose,
-                   conjugate, degree_sequence, dehomogenize, homogenize,
-                   identity, inverse, iterate, monomial_degree_sequence,
-                   monomial_map, parse_map, verify_inverse)
+from .maps import (ProjMap, builtin, builtin_names, compose, conjugate,
+                   degree_sequence, homogenize, identity, inverse, iterate,
+                   monomial_degree_sequence, monomial_map, parse_map,
+                   verify_inverse)
 from .poly import (Poly, factor_q, jacobian_det, parse_poly, poly_exact_div,
                    poly_gcd, poly_mod, poly_str)
 from .resolve import (BasePointTree, BubblePoint, ExcComponent,

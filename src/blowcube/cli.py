@@ -120,13 +120,13 @@ def _cmd_check_cat0(args) -> int:
     _config(args)  # reads no setting, but refuses bad ones alike
     _check_format(args, ("json",))
     try:
-        with open(args.file) as fh:
+        with open(args.file, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise OutputError(f"cannot read {args.file}: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not text: UnicodeDecodeError
         raise ParseError(f"{args.file} is not valid JSON: {exc}") from exc
     C = complex_from_dict(data)
     rep = check_gromov(C)

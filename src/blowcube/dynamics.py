@@ -626,6 +626,7 @@ def check_degree_bound(f: ProjMap, N: Optional[int] = None,
     N = _horizon(N, cfg)
     denom = f.dim + 1
     if f.degree() == 1:
+        inverse(f)  # refuses a linear map with no inverse, as nu1 would
         rows = tuple((n, 1, 0, True) for n in range(1, N + 1))
         return DegreeBoundReport(True, rows, denom)
     if f.dim != 2:

@@ -248,11 +248,13 @@ def compose(f: ProjMap, g: ProjMap, cfg: RunConfig = DEFAULTS) -> ProjMap:
     return h
 
 
-def _power(f: ProjMap, n: int, cfg: RunConfig) -> ProjMap:
+def _powers(f: ProjMap, n: int, cfg: RunConfig):
+    """f, f^2, ..., f^n, each f^k = f^(k-1) after f through the store."""
     h = f
+    yield h
     for _ in range(n - 1):
         h = _compose_raw(h, f, cfg)
-    return h
+        yield h
 
 
 def iterate(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> ProjMap:
@@ -267,10 +269,11 @@ def iterate(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> ProjMap:
     """
     if n < 1:
         raise MapError("iterate exponent must be >= 1")
-    h = _power(f, n, cfg)
+    *_, h = _powers(f, n, cfg)
     if f._inverse is not None:
         try:
-            _attach(h, _power(f._inverse, n, cfg))
+            *_, h_inv = _powers(f._inverse, n, cfg)
+            _attach(h, h_inv)
         except DegreeCapExceeded:
             pass
     return h
@@ -285,11 +288,9 @@ def degree_sequence(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS) -> list[int]:
     raised DegreeCapExceeded as ``.partial``.
     """
     check_horizon(n)
-    h = f
-    degs = [f.degree()]
+    degs = []
     try:
-        for _ in range(n - 1):
-            h = _compose_raw(h, f, cfg)
+        for h in _powers(f, n, cfg):
             degs.append(h.degree())
     except DegreeCapExceeded as exc:
         exc.partial = tuple(degs)
@@ -374,40 +375,22 @@ A2_VARS = ("x", "y")
 RatFunc = tuple[Poly, Poly]
 
 
-class AffineMap2:
-    """Rational self-map of the affine plane, a pair of rational functions."""
-
-    def __init__(self, fx: RatFunc, fy: RatFunc, name: str | None = None):
-        if fx[1].is_zero or fy[1].is_zero:
-            raise MapError("zero denominator")
-        self.fx = fx
-        self.fy = fy
-        self.name = name
-
-
-def homogenize(aff: AffineMap2) -> ProjMap:
-    """Projective closure on [x : y : z], affine chart z = 1.
+def homogenize(fx: RatFunc, fy: RatFunc) -> ProjMap:
+    """Projective closure on [x : y : z], affine chart z = 1, of the map
+    whose coordinates are the (numerator, denominator) pairs fx and fy.
 
     The entries are built over the denominator d1*d2; ``ProjMap`` divides
     out whatever factor they share."""
-    (n1, d1), (n2, d2) = aff.fx, aff.fy
+    (n1, d1), (n2, d2) = fx, fy
+    if d1.is_zero or d2.is_zero:
+        raise MapError("zero denominator")
     pairs = ((n1, d2), (n2, d1), (d1, d2))
     check_exponent("homogenizing", max(map(top_exponent, pairs)), MapError)
     chart = [a * b for a, b in pairs]
     deg = max(p.degree() for p in chart)
     # z pads a term of degree t with z^(deg - t)
     check_exponent("homogenizing", deg - min(p.order() for p in chart), MapError)
-    return ProjMap([p.homogenize("z", deg) for p in chart], name=aff.name)
-
-
-def dehomogenize(f: ProjMap) -> AffineMap2:
-    """Restriction of a plane map to the chart z = 1 as rational functions."""
-    if f.dim != 2:
-        raise MapError("dehomogenize expects a plane map")
-    e0, e1, e2 = (p.dehomogenize() for p in f.entries)
-    if e2.is_zero:
-        raise MapError("map contracts the affine chart to the line at infinity")
-    return AffineMap2((e0, e2), (e1, e2), name=f.name)
+    return ProjMap([p.homogenize("z", deg) for p in chart])
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +528,7 @@ def parse_map(text: str) -> ProjMap:
         if len(parts) != 2:
             raise ParseError(f"A2 map needs 2 entries, got {len(parts)}", text, 3)
         rfs = [parse_ratfunc(text, A2_VARS, a, b) for a, b in parts]
-        return homogenize(AffineMap2(rfs[0], rfs[1]))
+        return homogenize(*rfs)
     if text.startswith("MON:"):
         m = re.match(r"MON:(\d+):", text)
         if not m:

@@ -697,33 +697,15 @@ def compose_tuple(outer: Sequence[Poly], inner: Sequence[Poly]) -> tuple[Poly, .
     return tuple(p.compose(inner) for p in outer)
 
 
-def content_gcd(polys: Sequence[Poly]) -> Poly:
-    """Polynomial gcd of a sequence (canonical primitive, positive leading)."""
-    nz = [p for p in polys if not p.is_zero]
-    if not nz:
-        raise ValueError("gcd of all-zero sequence")
-    if len(nz) == 1:
-        return canonical_factor(nz[0])
-    acc = nz[0]
-    for p in nz[1:]:
-        acc = poly_gcd(acc, p)
-        if acc.is_constant:
-            break
-    return acc
-
-
 def primitive_tuple(polys: Sequence[Poly]) -> tuple[Poly, ...]:
     """Divide out the common polynomial factor and normalize signs.
 
     The result is integer-primitive with the first nonzero entry having a
     positive leading coefficient; applying it twice is the identity.
     """
-    polys = tuple(polys)
-    g = content_gcd(polys)
-    if not g.is_constant:
-        polys = tuple(poly_exact_div(p, g) for p in polys)
-    s = _primitive_scale(polys)
-    return tuple(p * s for p in polys)
+    quotients = _cofactors(polys)[1]
+    s = _primitive_scale(quotients)
+    return tuple(p * s for p in quotients)
 
 
 def _primitive_scale(polys: Sequence[Poly]) -> Fraction:
@@ -819,24 +801,55 @@ def canonical_factor(p: Poly) -> Poly:
     return p * _primitive_scale((p,))
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    if a.vars != b.vars:
+def poly_gcd(*polys: Poly) -> Poly:
+    """The canonical gcd of polynomials on common variables; 0 if all are 0."""
+    if not any(p.coeffs for p in polys):
+        return polys[0]
+    return canonical_factor(_cofactors(polys)[0])
+
+
+def _cofactors(polys: Sequence[Poly]) -> tuple[Poly, tuple[Poly, ...]]:
+    """A gcd g of polynomials on common variables, not all zero, and each
+    entry divided by g; zero entries stay zero.  The common monomial comes
+    off the packed keys, and when an entry is then one term the rest of g
+    is 1.  Else sympy's cofactors give the rest with the quotients, entry by
+    entry until it is constant.  Homogeneous entries, which share no power
+    of the last variable once the monomial is off, go to its chart, saving a
+    nesting level of the dense recursion, and come back homogenized."""
+    nz = [p for p in polys if p.coeffs]
+    if not nz:
+        raise ValueError("gcd of all-zero sequence")
+    vars = nz[0].vars
+    if any(p.vars != vars for p in polys):
         raise ValueError("variable mismatch")
-    if a.is_zero:
-        return canonical_factor(b)
-    if b.is_zero:
-        return canonical_factor(a)
-    if len(a.vars) >= 2 and a.is_homogeneous() and b.is_homogeneous():
-        # the chart of the last variable saves a nesting level in the dense
-        # recursion.  z^k * s and s have the same affine part, and a
-        # homogeneous polynomial that z does not divide is the minimal
-        # homogenization of its affine part, so the gcd is the affine gcd
-        # homogenized k degrees above its own degree, k the least z-power
-        name = a.vars[-1]
-        k = min(a.min_exponent(name), b.min_exponent(name))
-        g = poly_gcd(a.dehomogenize(), b.dehomogenize())
-        return canonical_factor(g.homogenize(name, g.degree() + k))
-    return canonical_factor(_from_zz(_to_zz(a).gcd(_to_zz(b)), a.vars))
+    mono = sum(min((k >> s) & MASK for p in nz for k in p.coeffs) << s
+               for s in range(0, WIDTH * len(vars), WIDTH))
+    if mono:
+        nz = [Poly(vars, p.den, {k - mono: c for k, c in p.coeffs.items()})
+              for p in nz]
+    g = Poly(vars, 1, {mono: 1})
+    quotients = iter(nz)
+    if all(len(p.coeffs) > 1 for p in nz):
+        chart = len(vars) >= 2 and all(p.is_homogeneous() for p in nz)
+        work = [p.dehomogenize() for p in nz] if chart else nz
+        h = _to_zz(work[0])
+        cofs = [h.one]
+        for p in work[1:]:
+            # the earlier quotients gain what the running gcd h loses
+            h, cff, cfg = h.cofactors(_to_zz(p))
+            if h.is_ground:  # g stays the common monomial
+                break
+            cofs = [c * cff for c in cofs] + [cfg]
+        else:
+            h = _from_zz(h, work[0].vars)
+            qs = [_from_zz(c, p.vars, p.den) for c, p in zip(cofs, work)]
+            if chart:
+                h = h.homogenize(vars[-1], h.degree())
+                qs = [q.homogenize(vars[-1], p.degree() - h.degree())
+                      for q, p in zip(qs, nz)]
+            g = Poly(vars, h.den, {k + mono: c for k, c in h.coeffs.items()})
+            quotients = iter(qs)
+    return g, tuple(next(quotients) if p.coeffs else p for p in polys)
 
 
 def poly_exact_div(a: Poly, b: Poly) -> Poly:

@@ -43,8 +43,8 @@ from .errors import (HeightCapExceeded, IrrationalBaseLocus, MapError,
                      ResolutionError, TransportUnsupported)
 from .maps import (ProjMap, ProjPoint, degree_sequence, inverse, iterate,
                    normalize_point, point_str)
-from .poly import (Poly, canonical_factor, content_gcd, factor_q, jacobian_det,
-                   poly_mod, strip_factor)
+from .poly import (Poly, canonical_factor, factor_q, jacobian_det,
+                   poly_gcd, poly_mod, strip_factor)
 
 CHART_VARS = ("u", "t")
 
@@ -249,7 +249,7 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
     if not nz:
         raise ResolutionError(
             f"the exceptional line over {bubble} lies in the base locus")
-    g = content_gcd(nz)
+    g = poly_gcd(*nz)
     slopes = [] if g.is_constant else _slope_roots(g, bubble)
     vertical = all(p.coefficient((0, mult)) == 0 for p in system)
 

@@ -351,6 +351,13 @@ def test_map_failures_exit_4(capsys):
     assert code == 4 and "inverse" in err
 
 
+def test_check_bound_refuses_a_linear_map_with_no_inverse(capsys):
+    # the degree-1 shortcut once reported such a map as holding (exit 0)
+    assert run(capsys, "check-bound", "A2:(x, x)") == (
+        4, "", "blowcube: error: no inverse strategy applies to [x : x : z] "
+        "(tried: plane nullspace)\n")
+
+
 def test_resolution_failures_exit_5(capsys):
     code, _out, err = run(capsys, "mu", "mon3")
     assert code == 5 and "plane" in err
@@ -412,6 +419,14 @@ def test_not_json_exits_3(tmp_path, capsys):
     garbled.write_text("{not json")
     code, _out, _err = run(capsys, "check-cat0", str(garbled))
     assert code == 3
+
+
+def test_a_file_that_is_not_utf8_exits_3(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"vertices": ["\u00e9"]}'.encode("latin-1"))
+    assert run(capsys, "check-cat0", str(latin1)) == (
+        3, "", f"blowcube: error: {latin1} is not valid JSON: 'utf-8' codec "
+        "can't decode byte 0xe9 in position 15: invalid continuation byte\n")
 
 
 def test_malformed_environment_value_exits_3(monkeypatch, capsys):

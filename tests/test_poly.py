@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, checked against naive oracles and sympy."""
 
 import ast
+import functools
 import heapq
 import math
 import random
@@ -30,7 +31,7 @@ from blowcube.poly import (
     WIDTH,
     _key_total,
     canonical_factor,
-    content_gcd,
+    compose_tuple,
     linear_relations,
     pack,
     parse_ratfunc,
@@ -635,6 +636,71 @@ def test_primitive_tuple_is_a_normal_form_of_the_projective_class():
         assert_normal_form(want)
 
 
+def rand_gcd_triple(rng: random.Random, homogeneous: bool) -> tuple[Poly, ...]:
+    """Three entries m*g*e*a, m*g*e*b, m*g*c with a random monomial m, a
+    random g and a nonconstant e, so the gcd of the first pair is larger
+    than that of the triple; rational scales, and at times a zero entry."""
+    rand = ((lambda: rand_homogeneous(rng, rng.randint(1, 2))) if homogeneous
+            else (lambda: rand_poly(rng, steps=2, terms=3)))
+    while True:
+        m = Poly.from_terms(XYZ, [(tuple(rng.randint(0, 3) for _ in XYZ), 1)])
+        g, e = m * rand(), rand()
+        if not (g.is_zero or e.is_constant):
+            break
+    t = [g * e * rand(), g * e * rand(), g * rand()]
+    if rng.random() < 0.25:
+        t[rng.randrange(3)] = Poly.zero(XYZ)
+    return tuple(p * rand_scalar(rng) for p in t)
+
+
+@pytest.mark.parametrize("homogeneous", [False, True],
+                         ids=["general", "homogeneous"])
+def test_gcd_and_quotients_of_triples_match_the_expression_reference(homogeneous):
+    rng = random.Random(67 + homogeneous)
+    for _ in range(15):
+        t = rand_gcd_triple(rng, homogeneous)
+        if all(p.is_zero for p in t):
+            continue
+        ref = functools.reduce(sympy.gcd, (to_sympy(p) for p in t))
+        assert poly_gcd(*t) == canonical_factor(from_sympy(ref, XYZ))
+        quotients = []
+        for p in t:
+            q, r = sympy.div(to_sympy(p), ref)
+            assert r.is_zero
+            quotients.append(from_sympy(q, XYZ))
+        got = primitive_tuple(t)
+        assert_normal_form(got)
+        first = next(i for i, p in enumerate(t) if not p.is_zero)
+        s = got[first].leading()[1] / quotients[first].leading()[1]
+        assert got == tuple(q * s for q in quotients)
+
+
+def test_primitive_tuple_divides_nothing(monkeypatch):
+    f = blowcube.builtin("lox1")
+    raw = [compose_tuple(blowcube.iterate(f, k).entries, f.entries)
+           for k in range(1, 4)]
+    want = [blowcube.iterate(f, k + 1).entries for k in range(1, 4)]
+    assert any(r[0].degree() > w[0].degree() for r, w in zip(raw, want))
+    monomials = tuple(parse_poly(e, XYZ) for e in (
+        "x^40000*y^40000", "x^40000*z^40000", "y^40000*z^40000"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("primitive_tuple divided")
+
+    monkeypatch.setattr(blowcube.poly, "poly_exact_div", refuse)
+    monkeypatch.setattr(sympy.Poly, "div", refuse)
+    assert [primitive_tuple(t) for t in raw] == want
+
+    class NoSympy:
+        def __getattr__(self, name):
+            raise AssertionError(f"monomial entries reached sympy.{name}")
+
+    monkeypatch.setattr(blowcube.poly, "sympy", NoSympy())
+    assert primitive_tuple(monomials) == monomials
+    shifted = tuple(p * parse_poly("2*x*z^3", XYZ) for p in monomials)
+    assert primitive_tuple(shifted) == monomials
+
+
 @pytest.mark.parametrize("vars", [XY, XYZ, ("x", "y", "z", "w")],
                          ids=["2 vars", "3 vars", "4 vars"])
 def test_canonical_factor_and_factor_q_are_blind_to_scale(vars):
@@ -715,10 +781,11 @@ def test_only_poly_and_kernel_name_the_packed_keys():
     assert namers <= {"poly.py", "kernel.py"}
 
 
-def test_content_gcd_of_one_entry_is_canonical():
+def test_poly_gcd_of_one_entry_is_canonical():
     p = parse_poly("2*x*y - 4*y", XY)
-    assert content_gcd([p]) == parse_poly("x*y - 2*y", XY)
-    assert content_gcd([Poly.zero(XY), p * Fraction(-1, 3)]) == poly_gcd(p, p)
+    assert poly_gcd(p) == parse_poly("x*y - 2*y", XY)
+    assert poly_gcd(Poly.zero(XY), p * Fraction(-1, 3)) == poly_gcd(p, p)
+    assert poly_gcd(Poly.zero(XY), Poly.zero(XY)) == Poly.zero(XY)
 
 
 # ---------------------------------------------------------------------------

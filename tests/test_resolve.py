@@ -363,7 +363,7 @@ def untruncated_node(system, bubble, chart, coords, height_cap, budget):
     assert 1 <= mult <= budget
     alpha = [p.blow_up("u", mult) for p in system]
     nz = [q for q in (p.truncate_in("u", 0) for p in alpha) if not q.is_zero]
-    g = poly.content_gcd(nz)
+    g = poly.poly_gcd(*nz)
     slopes = [] if g.is_constant else resolve._slope_roots(g, bubble)
     # read off the blown-up chart, not the lowest forms as _resolve_node does
     beta = [p.blow_up("t", mult) for p in system]
