@@ -20,8 +20,8 @@ import sys
 from typing import Optional, Sequence
 
 from .config import BOUNDS, RunConfig, below_bound, from_environment
-from .cubes import (check_gromov, complex_from_dict, complex_to_dict,
-                    complex_to_dot)
+from .cubes import (check_gromov, complex_from_dict, complex_to_dot,
+                    complex_to_json)
 from .dynamics import (ball, check_degree_bound, classify, marked_vertex, mu,
                        nu1)
 from .errors import BlowcubeError, OutputError, ParseError
@@ -112,7 +112,7 @@ def _cmd_ball(args) -> int:
     if fmt == "dot":
         _emit(complex_to_dot(result.complex), args.output)
     else:
-        _emit(_json(complex_to_dict(result.complex)), args.output)
+        _emit(complex_to_json(result.complex) + "\n", args.output)
     return 0
 
 

@@ -8,12 +8,15 @@ Edges are oriented tail -> head and the two opposite edges of every square
 must point the same way; hyperplane half-spaces inherit that orientation
 (the ``plus`` side is the tail side).
 
-A cube record is recognised by the bit labels a breadth-first search gives
-its vertices, and kept as its corner tuple: the vertices indexed by their
+A cube record is kept as its corner tuple: its vertices indexed by bit
 labels, so the corner across bit i from corner k is at index k ^ (1 << i).
-Cubes are validated in increasing dimension, so face closure is checked
-facet by facet; the orientation test, the opposite-edge relation and the
-link condition all read the corner tuples.
+The tuple is built by doubling from the record's least vertex, each new
+corner the common neighbour of two built ones (``_corner_tuple``), and the
+record is a cube when its corners are distinct and each is adjacent to the
+corners one bit away; only a refused record is searched.  Cubes are
+validated in increasing dimension, so face closure is checked facet by
+facet; the orientation test, the opposite-edge relation and the link
+condition all read the corner tuples.
 
 Hyperplanes are found once per complex, for every connected component, with
 the sign vector of each vertex: an int whose bit i is the parity of class i
@@ -117,47 +120,64 @@ def _opposite_edges(C: CubeComplex, S: frozenset) -> tuple:
     return (((c[0], c[1]), (c[2], c[3])), ((c[0], c[2]), (c[1], c[3])))
 
 
-def _hypercube_labels(S: frozenset, adj_in: dict, key: Callable) -> dict:
-    """Coordinate labels (bit masks) for the vertex set of one cube.
+def _links(n: int) -> list:
+    """Per corner index k of an n-cube, the getter of the corners across
+    each bit from it: indices k ^ 1, k ^ 2, ..., k ^ 2^(n-1)."""
+    return [itemgetter(*(k ^ (1 << i) for i in range(n))) for k in range(1 << n)]
 
-    ``adj_in`` maps each vertex of S to its neighbors inside S, and ``key``
-    orders the vertices.  Raises ComplexError unless the induced graph is
-    the n-dimensional hypercube.  The base vertex is labelled 0, its
-    neighbors get one bit each, and every other vertex gets the OR of its
-    neighbors one step closer to the base.
-    With 2^n vertices and n 2^(n-1) edges, the graph is the n-cube exactly
-    when all of it is reached, the base has n neighbors, the labels are
-    distinct and every edge flips one bit.
+
+def _refusal(S: frozenset, adj: Mapping) -> ComplexError:
+    """Why S, with the edge count of a cube, is not one: a breadth-first
+    search inside S tells a disconnected record from any other."""
+    depth = _reach({v: adj[v] & S for v in S}, next(iter(S)))
+    what = "is not connected" if len(depth) != len(S) else "is not a hypercube"
+    return ComplexError(f"cube record {_desc(S)} {what}")
+
+
+def _corner_tuple(S: frozenset, adj: Mapping, key: Callable, links: list) -> tuple:
+    """The vertices of one cube record indexed by their bit labels.
+
+    ``adj`` maps every vertex to its set of neighbors (in S or not), ``key``
+    orders the vertices and ``links`` is ``_links(n)`` for the dimension n
+    that the size of S gives.  Raises ComplexError unless the graph induced
+    on S is the n-dimensional hypercube.  Corner 0 is the least vertex and
+    corner 2^i its i-th least neighbor in S; corner k | 2^i, for
+    0 < k < 2^i, is the one common neighbor in S of corners k and
+    j | 2^i, other than corner j, where j = k & (k - 1).  With
+    n 2^(n-1) edges inside S, S is the n-cube exactly when these 2^n
+    corners are distinct and each is adjacent to its n corners across one
+    bit.
     """
     size = len(S)
     n = (size - 1).bit_length()
     if size < 4 or size != 1 << n:
         raise ComplexError(f"cube record {_desc(S)} does not have 2^n vertices")
-    edge_count = sum(len(ws) for ws in adj_in.values()) // 2
+    edge_count = sum(len(adj[v] & S) for v in S) // 2
     if edge_count < n * (1 << (n - 1)):
         raise ComplexError(f"face-closure violation: cube {_desc(S)} is missing edges")
     if edge_count > n * (1 << (n - 1)):
         raise ComplexError(f"cube record {_desc(S)} has too many internal edges")
 
     base = min(S, key=key)
-    depth = _reach(adj_in, base)
-    if len(depth) != size:
-        raise ComplexError(f"cube record {_desc(S)} is not connected")
-    first = sorted(adj_in[base], key=key)
-    labels = {w: 1 << i for i, w in enumerate(first)}
-    labels[base] = 0
-    for v, d in depth.items():  # breadth-first order: lower depths first
-        if d > 1:
-            lab = 0
-            for w in adj_in[v]:
-                if depth[w] == d - 1:
-                    lab |= labels[w]
-            labels[v] = lab
-    if (len(first) != n or len(set(labels.values())) != size
-            or any((labels[v] ^ labels[w]).bit_count() != 1
-                   for v, ws in adj_in.items() for w in ws)):
-        raise ComplexError(f"cube record {_desc(S)} is not a hypercube")
-    return labels
+    first = sorted(adj[base] & S, key=key)
+    if len(first) != n:
+        raise _refusal(S, adj)
+    corners = [base]
+    for w in first:
+        step = len(corners)  # 2^i
+        corners.append(w)
+        for k in range(1, step):
+            j = k & (k - 1)
+            common = adj[corners[k]] & adj[corners[j | step]] & S
+            common.discard(corners[j])
+            if len(common) != 1:
+                raise _refusal(S, adj)
+            corners.extend(common)
+    corners = tuple(corners)
+    if len(set(corners)) != size or not all(
+            adj[x].issuperset(across(corners)) for x, across in zip(corners, links)):
+        raise _refusal(S, adj)
+    return corners
 
 
 def _validate(C: CubeComplex, edges: list) -> None:
@@ -199,10 +219,10 @@ def _validate(C: CubeComplex, edges: list) -> None:
         # the corner indices of each facet: bit i clear, then bit i set
         facets = [itemgetter(*(k for k in range(1 << n) if k & (1 << i) == side))
                   for i in range(n if n > 2 else 0) for side in (0, 1 << i)]
+        links = _links(n)
         faces = C.cubes.get(n - 1, ())
         for S in cs:
-            labels = _hypercube_labels(S, {v: adj[v] & S for v in S}, rank.get)
-            corners = C._corners[S] = tuple(sorted(S, key=labels.get))
+            corners = C._corners[S] = _corner_tuple(S, adj, rank.get, links)
             for facet in facets:
                 if frozenset(facet(corners)) not in faces:
                     raise ComplexError(
@@ -432,6 +452,23 @@ class GromovReport:
                 "witness_clique": [str(w) for w in self.witness_clique]}
 
 
+def _unfilled_clique(clique: tuple, cands: list, ladj: dict, pos: dict,
+                     cells: set) -> Optional[tuple]:
+    """The first clique of three or more link vertices, grown from
+    ``clique`` by the candidates in order, that is not the neighbor set of
+    a cube at the vertex (a member of ``cells``); None if there is none."""
+    for w in cands:
+        bigger = clique + (w,)
+        if len(bigger) >= 3 and frozenset(bigger) not in cells:
+            return bigger
+        bad = _unfilled_clique(bigger, [x for x in cands
+                                        if pos[x] > pos[w] and x in ladj[w]],
+                               ladj, pos, cells)
+        if bad is not None:
+            return bad
+    return None
+
+
 def check_gromov(C: CubeComplex) -> GromovReport:
     """Is the link of every vertex flag?
 
@@ -440,9 +477,7 @@ def check_gromov(C: CubeComplex) -> GromovReport:
     vertex (in deterministic order) is returned with the offending clique.
     Simple connectivity is not checked.
     """
-    # per dimension and corner label, the getter of the corner's neighbors
-    links = {n: [itemgetter(*(k ^ (1 << i) for i in range(n)))
-                 for k in range(1 << n)] for n in C.cubes}
+    links = {n: _links(n) for n in C.cubes}
     corners: dict = {v: set() for v in C.vertices}
     for c in C._corners.values():
         for x, neighbors in zip(c, links[len(c).bit_length() - 1]):
@@ -457,19 +492,7 @@ def check_gromov(C: CubeComplex) -> GromovReport:
                 ladj[a].add(b)
                 ladj[b].add(a)
         pos = {w: i for i, w in enumerate(order)}
-
-        def grow(clique, cands):
-            for w in cands:
-                bigger = clique + (w,)
-                if len(bigger) >= 3 and frozenset(bigger) not in corners[v]:
-                    return bigger
-                bad = grow(bigger, [x for x in cands
-                                    if pos[x] > pos[w] and x in ladj[w]])
-                if bad is not None:
-                    return bad
-            return None
-
-        offender = grow((), order)
+        offender = _unfilled_clique((), order, ladj, pos, corners[v])
         if offender is not None:
             return GromovReport(False, v, tuple(sorted(offender, key=C._rank.get)))
     return GromovReport(True)
@@ -565,31 +588,75 @@ def _scalar_id(v):
         f"vertex id {v!r} is not a string or integer; relabel before export")
 
 
+def _rank_rows(C: CubeComplex) -> tuple[list, list, dict]:
+    """The vertex ids in rank order, then the edges and, per dimension, the
+    cubes as sorted rows of ranks into that list."""
+    rank = C._rank
+    ids = sorted(C.vertices, key=rank.get)
+    for v in ids:
+        _scalar_id(v)
+    edges = sorted((rank[a], rank[b]) for a, b in C.edges)
+    cubes = {n: sorted(sorted(map(rank.__getitem__, S)) for S in C.cubes[n])
+             for n in C.cubes}
+    return ids, edges, cubes
+
+
 def complex_to_dict(C: CubeComplex) -> dict:
-    rank = C._rank.get
-    cubes = {}
-    for n in sorted(C.cubes):
-        cubes[str(n)] = sorted(
-            (sorted((_scalar_id(v) for v in S), key=rank) for S in C.cubes[n]),
-            key=lambda S: list(map(rank, S)))
-    return {"vertices": sorted((_scalar_id(v) for v in C.vertices), key=rank),
-            "edges": sorted(([_scalar_id(a), _scalar_id(b)] for a, b in C.edges),
-                            key=lambda e: list(map(rank, e))),
-            "cubes": cubes}
+    ids, edges, cubes = _rank_rows(C)
+
+    def listed(rows):
+        return [[ids[i] for i in row] for row in rows]
+
+    return {"vertices": ids, "edges": listed(edges),
+            "cubes": {str(n): listed(cubes[n]) for n in sorted(cubes)}}
+
+
+def _json_block(items: list, depth: int, brackets: str = "[]") -> str:
+    """Encoded items in a JSON list (or object) at nesting ``depth``, laid
+    out as ``json.dumps(..., indent=2)`` lays it out."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return (brackets[0] + pad + ("," + pad).join(items)
+            + "\n" + "  " * depth + brackets[1])
 
 
 def complex_to_json(C: CubeComplex) -> str:
-    return json.dumps(complex_to_dict(C), indent=2, sort_keys=True)
+    """``json.dumps(complex_to_dict(C), indent=2, sort_keys=True)``, written
+    directly: each id is encoded once."""
+    ids, edges, cubes = _rank_rows(C)
+    code = [json.dumps(v) for v in ids]
+
+    def rows(table, depth):
+        return _json_block([_json_block([code[i] for i in row], depth + 1)
+                            for row in table], depth)
+
+    buckets = [f'"{n}": {rows(cubes[n], 2)}' for n in sorted(cubes, key=str)]
+    return _json_block([
+        '"cubes": ' + _json_block(buckets, 1, "{}"),
+        '"edges": ' + rows(edges, 1),
+        '"vertices": ' + _json_block(code, 1)], 0, "{}")
+
+
+def _listed(value, what: str):
+    """``value`` unless it is a string, bytes or a mapping, where a list of
+    ids (or of id lists) belongs."""
+    if isinstance(value, (str, bytes, Mapping)):
+        raise ComplexError(f"malformed complex description: {what} is a "
+                           f"{type(value).__name__}, not a list")
+    return value
 
 
 def complex_from_dict(data: Mapping) -> CubeComplex:
     """The complex of a ``complex_to_dict`` description; one that is not
     lists of hashable ids, with two ids per edge, raises ComplexError."""
     try:
-        vertices = data["vertices"]
-        edges = [tuple(e) for e in data["edges"]]
-        cubes = [S for _n, bucket in sorted(data.get("cubes", {}).items())
-                 for S in bucket]
+        vertices = _listed(data["vertices"], "the vertex list")
+        edges = [tuple(_listed(e, "an edge"))
+                 for e in _listed(data["edges"], "the edge list")]
+        cubes = [_listed(S, "a cube")
+                 for n, bucket in sorted(data.get("cubes", {}).items())
+                 for S in _listed(bucket, f"cube bucket {n!r}")]
         for ids in (vertices, *edges, *cubes):
             frozenset(ids)  # raises TypeError on an unhashable id
     except (KeyError, TypeError, AttributeError) as exc:

@@ -397,7 +397,24 @@ def test_complex_failures_exit_6(tmp_path, capsys):
     ({"vertices": [[0], 1], "edges": []}, "unhashable type: 'list'"),
     ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]},
      "edge ['a', 'b', 'c'] does not join two vertex ids"),
-], ids=["cubes-list", "unhashable-id", "three-id-edge"])
+    ({"vertices": "abcd", "edges": ["ab", "cd", "ac", "bd"], "cubes": {"2": ["abcd"]}},
+     "the vertex list is a str, not a list"),
+    ({"vertices": {"a": 0, "b": 1}, "edges": []},
+     "the vertex list is a dict, not a list"),
+    ({"vertices": ["a", "b"], "edges": {"a": "b"}},
+     "the edge list is a dict, not a list"),
+    ({"vertices": list("abcd"), "edges": ["ab", "cd", "ac", "bd"]},
+     "an edge is a str, not a list"),
+    ({"vertices": list("abcd"), "edges": [list(e) for e in ("ab", "cd", "ac", "bd")],
+      "cubes": {"2": "abcd"}}, "cube bucket '2' is a str, not a list"),
+    ({"vertices": list("abcd"), "edges": [list(e) for e in ("ab", "cd", "ac", "bd")],
+      "cubes": {"2": ["abcd"]}}, "a cube is a str, not a list"),
+    ({"vertices": list("abcd"), "edges": [list(e) for e in ("ab", "cd", "ac", "bd")],
+      "cubes": {"2": [{"a": 1, "b": 2, "c": 3, "d": 4}]}},
+     "a cube is a dict, not a list"),
+], ids=["cubes-list", "unhashable-id", "three-id-edge", "string-vertices",
+        "mapping-vertices", "mapping-edges", "string-edge", "string-bucket",
+        "string-cube", "mapping-cube"])
 def test_malformed_complex_files_exit_6(tmp_path, capsys, data, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))

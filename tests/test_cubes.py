@@ -33,7 +33,7 @@ from blowcube import (
     geodesics,
     hyperplanes,
 )
-from blowcube.cubes import _DOT_PALETTE, _hypercube_labels, _vkey
+from blowcube.cubes import _DOT_PALETTE, _corner_tuple, _links, _vkey
 
 
 # ---------------------------------------------------------------------------
@@ -272,21 +272,66 @@ def _recognition_inputs(n, rng):
     return graphs
 
 
+def _with_outsiders(G, rng):
+    """Adjacency sets of G and of three more vertices outside it, each
+    adjacent to several vertices of G (and the first to the other two);
+    the outsiders come first in the ``_vkey`` order."""
+    nodes = sorted(G.nodes, key=_vkey)
+    adj = {v: set(G[v]) for v in nodes}
+    outsiders = ["a0", "a1", "a2"]
+    for x in outsiders:
+        adj[x] = set(rng.sample(nodes, rng.randint(2, len(nodes))))
+        for v in adj[x]:
+            adj[v].add(x)
+    adj["a0"] |= {"a1", "a2"}
+    adj["a1"].add("a0")
+    adj["a2"].add("a0")
+    return adj
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_hypercube_recognition_matches_networkx(n):
     rng = random.Random(1000 + n)
     cube = nx.hypercube_graph(n)
+    links = _links(n)
     for G in _recognition_inputs(n, rng):
         want = nx.is_isomorphic(G, cube)
+        S = frozenset(G.nodes)
         try:
-            labels = _hypercube_labels(frozenset(G.nodes),
-                                       {v: list(G[v]) for v in G.nodes}, _vkey)
+            corners = _corner_tuple(S, _with_outsiders(G, rng), _vkey, links)
         except ComplexError:
             assert not want
             continue
         assert want
-        assert sorted(labels.values()) == list(range(1 << n))
-        assert all((labels[a] ^ labels[b]).bit_count() == 1 for a, b in G.edges)
+        # a hypercube labelling: each vertex once, and the edges of G are
+        # exactly the pairs of corners whose indices differ in one bit
+        assert sorted(corners) == sorted(S)
+        label = {v: k for k, v in enumerate(corners)}
+        assert all((label[a] ^ label[b]).bit_count() == 1 for a, b in G.edges)
+        assert corners[0] == min(S, key=_vkey)
+
+
+def _q3():
+    return nx.convert_node_labels_to_integers(nx.hypercube_graph(3))
+
+
+@pytest.mark.parametrize("G, message", [
+    (nx.disjoint_union(nx.complete_graph(4), nx.complete_graph(4)),
+     "is not connected"),
+    (nx.Graph(list(_q3().edges - {(0, 1), (1, 0)}) + [(0, 3)]),
+     "is not a hypercube"),
+    (nx.Graph([(0, 1), (1, 3), (3, 2), (2, 0), (0, 3)]),
+     "has too many internal edges"),
+    (nx.Graph([(0, 1), (1, 2), (2, 3)]), "is missing edges"),
+    (nx.Graph([(0, 1), (1, 2), (2, 0)]), "does not have 2\\^n vertices"),
+], ids=["two-cliques", "edge-moved", "diagonal", "path", "triangle"])
+def test_hypercube_refusals_name_the_defect(G, message):
+    rng = random.Random(7)
+    G = _relabelled(G, rng)
+    S = frozenset(G.nodes)
+    n = (len(S) - 1).bit_length()
+    with pytest.raises(ComplexError, match=f"^.*cube.* {message}$"):
+        _corner_tuple(S, _with_outsiders(G, rng), _vkey, _links(n))
 
 
 def test_four_cube_rejects_any_missing_face():
@@ -885,6 +930,75 @@ def test_serialization_roundtrip():
     assert json.loads(complex_to_json(C)) == data
     with pytest.raises(ComplexError):
         complex_from_dict({"edges": []})
+
+
+STRANGE_IDS = ["\u00e9t\u00e9", 'say "hi"', "back\\slash", "tab\there", "\u2203x",
+               "line\nbreak", "\U0001d53d", 0, -7, 12345678901234567890, True]
+
+
+def _writer_cases(seed):
+    """Seeded complexes for the JSON writer: a product of random trees and
+    polyominoes of dimension 2 to 4 on strange, mixed ids, a tree (no
+    cubes) and a single vertex."""
+    rng = random.Random(seed)
+    shape = [("T3", "T3", "T2", "T2"), ("T4", "P2"), ("T3", "T3", "T3"),
+             ("P2", "P2"), ("T2", "T2", "T2", "T2")][seed % 5]
+    vertices, edges, cubes = product_data(
+        [random_tree(rng, int(s[1:])) if s[0] == "T" else random_polyomino(rng, int(s[1:]))
+         for s in shape])
+    pool = STRANGE_IDS + [f"v{i}" for i in range(len(vertices))] + list(range(2, 200))
+    ids = rng.sample(pool, len(vertices))
+    tag = dict(zip(vertices, ids))
+    yield build_complex(ids, [(tag[a], tag[b]) for a, b in edges],
+                        [[tag[v] for v in S] for S in cubes])
+    _, tree_edges, _ = random_tree(rng, 6)
+    names = rng.sample(STRANGE_IDS, 6)
+    yield build_complex(names, [(names[a], names[b]) for a, b in tree_edges])
+    yield build_complex([rng.choice(STRANGE_IDS)])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_json_writer_matches_json_dumps(seed):
+    dims = set()
+    for C in _writer_cases(seed):
+        dims.add(C.dimension)
+        want = json.dumps(complex_to_dict(C), indent=2, sort_keys=True)
+        assert complex_to_json(C) == want
+        assert complex_to_dict(complex_from_dict(json.loads(want))) == complex_to_dict(C)
+    assert {0, 1} <= dims and max(dims) >= 2
+
+
+def test_the_writer_sorts_dimensions_as_strings():
+    # json.dumps(sort_keys=True) puts "10" before "2"; so must the writer.
+    # A 10-cube with its faces has tens of thousands of cells, so the
+    # (empty) buckets are set by hand
+    C = build_complex(["a"])
+    C.cubes = {2: frozenset(), 10: frozenset()}
+    assert complex_to_json(C) == json.dumps(complex_to_dict(C), indent=2,
+                                            sort_keys=True)
+    assert complex_to_json(C).index('"10"') < complex_to_json(C).index('"2"')
+
+
+@pytest.mark.parametrize("data, message", [
+    # str and dict cases arrive as JSON: test_cli.py pins them
+    ({"vertices": b"ab", "edges": []}, "the vertex list is a bytes"),
+    ({"vertices": ["a", "b"], "edges": [b"ab"]}, "an edge is a bytes"),
+    ({"vertices": ["a", "b"], "edges": [], "cubes": {"2": [b"ab"]}},
+     "a cube is a bytes"),
+])
+def test_complex_from_dict_refuses_strings_for_id_lists(data, message):
+    with pytest.raises(ComplexError, match=f"^malformed complex description: "
+                       f"{message}, not a list$"):
+        complex_from_dict(data)
+
+
+def test_complex_from_dict_takes_lists_and_tuples():
+    C = unit_square()
+    data = complex_to_dict(C)
+    as_tuples = {"vertices": tuple(data["vertices"]),
+                 "edges": tuple(map(tuple, data["edges"])),
+                 "cubes": {n: tuple(map(tuple, b)) for n, b in data["cubes"].items()}}
+    assert complex_to_dict(complex_from_dict(as_tuples)) == data
 
 
 def test_dot_export_colors_every_edge():
