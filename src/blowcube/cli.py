@@ -80,6 +80,8 @@ def _report(compute):
 def _cmd_classify(args) -> int:
     if not args.all_builtins:
         return _report(classify)(args)
+    if args.map is not None:
+        args.parser.error(f"--all-builtins takes no map argument (got {args.map!r})")
     cfg = _config(args)
     _check_format(args, ("json",))
     out = {name: classify(builtin(name), cfg=cfg).to_dict()

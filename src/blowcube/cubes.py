@@ -63,12 +63,15 @@ class CubeComplex:
 
     def __init__(self, vertices=(), edges=(), cubes=()):
         by_dim: dict[int, set] = {}
-        for S in map(frozenset, cubes):
+        for record in cubes:
+            S = frozenset(record)
+            if len(S) != len(record):
+                raise ComplexError(f"cube record {list(record)!r} repeats a vertex")
             cs = by_dim.setdefault((len(S) - 1).bit_length(), set())
             if S in cs:
                 raise ComplexError(f"duplicate cube {_desc(S)}")
             cs.add(S)
-        edges = [tuple(e) for e in edges]
+        vertices, edges = list(vertices), [tuple(e) for e in edges]
         self.vertices = frozenset(vertices)
         self.edges = frozenset(edges)
         self.cubes = {n: frozenset(cs) for n, cs in by_dim.items()}
@@ -77,7 +80,7 @@ class CubeComplex:
         self._orient: dict[frozenset, tuple] = {}
         self._corners: dict[frozenset, tuple] = {}
         self._hyperplanes: Optional[tuple] = None
-        _validate(self, edges)
+        _validate(self, vertices, edges)
 
     @property
     def dimension(self) -> int:
@@ -180,16 +183,21 @@ def _corner_tuple(S: frozenset, adj: Mapping, key: Callable, links: list) -> tup
     return corners
 
 
-def _validate(C: CubeComplex, edges: list) -> None:
+def _validate(C: CubeComplex, vertices: list, edges: list) -> None:
     """Check the records and label every cube, in increasing dimension: so
-    an n-cube (n >= 3) only needs its 2n facets recorded.  The edge records
-    are walked in the order given, so an edge error names the first bad one.
+    an n-cube (n >= 3) only needs its 2n facets recorded.  The vertex and
+    edge records are walked in the order given, so an error names the first
+    bad one.
 
     Every deterministic order on the vertices reads ``C._rank``, the
     position of each vertex in the ``_vkey`` order, computed here once."""
     if not C.vertices:
         raise ComplexError("a complex needs at least one vertex")
-    adj = {v: set() for v in C.vertices}
+    adj: dict[object, set] = {}
+    for v in vertices:
+        if v in adj:  # ids that compare equal, as 1 and True, are one vertex
+            raise ComplexError(f"vertex {v!r} recorded twice (or under an equal id)")
+        adj[v] = set()
     for a, b in edges:
         if a == b:
             raise ComplexError(f"self-loop at {a!r}")
@@ -649,16 +657,23 @@ def _listed(value, what: str):
 
 def complex_from_dict(data: Mapping) -> CubeComplex:
     """The complex of a ``complex_to_dict`` description; one that is not
-    lists of hashable ids, with two ids per edge, raises ComplexError."""
+    lists of hashable ids, with two ids per edge and each cube under the key
+    of its dimension, raises ComplexError."""
     try:
         vertices = _listed(data["vertices"], "the vertex list")
         edges = [tuple(_listed(e, "an edge"))
                  for e in _listed(data["edges"], "the edge list")]
-        cubes = [_listed(S, "a cube")
-                 for n, bucket in sorted(data.get("cubes", {}).items())
-                 for S in _listed(bucket, f"cube bucket {n!r}")]
-        for ids in (vertices, *edges, *cubes):
+        for ids in (vertices, *edges):
             frozenset(ids)  # raises TypeError on an unhashable id
+        cubes = []
+        for n, bucket in sorted(data.get("cubes", {}).items()):
+            for S in _listed(bucket, f"cube bucket {n!r}"):
+                # the dimension is read from the size as CubeComplex reads it
+                dim = (len(frozenset(_listed(S, "a cube"))) - 1).bit_length()
+                if str(dim) != str(n):
+                    raise ComplexError(f"malformed complex description: cube bucket "
+                                       f"{n!r} holds the {dim}-cube record {list(S)!r}")
+                cubes.append(S)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ComplexError(f"malformed complex description: {exc}") from None
     for e in edges:

@@ -19,15 +19,17 @@ Term order is graded lexicographic (total degree first, then the exponent
 of vars[0], vars[1], ...).  ``str()`` prints terms in descending order and
 ``parse_poly(str(p), p.vars) == p`` exactly.
 
-Factorization, gcd, exact division and linear relations (a nullspace) are
-delegated to sympy; everything else is native.  This module is the only one
-that imports sympy.  Polynomials cross to sympy as integer polynomials on
-ZZ: the bridge hands over ``den * p`` built straight from the integer
-numerators and reads the integer result back, while ``den`` and the
-rational scale of each answer stay on this side.  The gcd and the exact
-division of homogeneous polynomials go to sympy in the chart where the last
-variable is 1 (``dehomogenize``, the one passage to an affine chart) and
-come back through ``homogenize``.
+Division is native: one graded-lex reduction, ``_divmod``, gives the
+quotient and the normal form that ``poly_mod``, ``poly_exact_div`` and
+``strip_factor`` read.  Factorization, gcd and linear relations (a
+nullspace) are delegated to sympy; everything else is native.  This module
+is the only one that imports sympy.  Polynomials cross to sympy as integer
+polynomials on ZZ: the bridge hands over ``den * p`` built straight from the
+integer numerators and reads the integer result back, while ``den`` and the
+rational scale of each answer stay on this side.  The gcd of homogeneous
+polynomials goes to sympy in the chart where the last variable is 1
+(``dehomogenize``, the one passage to an affine chart) and comes back
+through ``homogenize``.
 """
 
 from __future__ import annotations
@@ -416,13 +418,6 @@ class Poly:
             out[k + ((e - ((k >> shift) & MASK)) << shift)] = c
         return Poly(self.vars, self.den, out)
 
-    def min_exponent(self, name: str) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial")
-        i = self.vars.index(name)
-        shift = WIDTH * i
-        return min((k >> shift) & MASK for k in self.coeffs)
-
     def order(self) -> int:
         """Smallest total degree of a term (the vanishing order at the
         origin); -1 for the zero polynomial."""
@@ -750,7 +745,101 @@ def _det(rows: list[list[Poly]], vars: tuple[str, ...]) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge: gcd, exact division, factorization, nullspaces
+# division: one native reduction
+# ---------------------------------------------------------------------------
+
+def poly_exact_div(a: Poly, b: Poly) -> Poly:
+    """Quotient a/b when b divides a exactly."""
+    q, r = _divmod(a, b)
+    if r.coeffs:
+        raise ValueError("not an exact division")
+    return q
+
+
+def strip_factor(a: Poly, b: Poly) -> tuple[Poly, int]:
+    """(a / b^k, k) for the largest k such that b^k divides a exactly: the
+    quotients of ``_divmod`` until a remainder is left."""
+    if a.is_zero or b.is_constant:
+        raise ValueError("every power divides: a is zero or b is constant")
+    k = 0
+    while True:
+        q, r = _divmod(a, b)
+        if r.coeffs:
+            return a, k
+        a, k = q, k + 1
+
+
+def poly_mod(a: Poly, b: Poly) -> Poly:
+    """Normal form of a modulo b: the remainder of ``_divmod``."""
+    if b.is_zero:
+        raise ValueError("mod by the zero polynomial")
+    return _divmod(a, b)[1]
+
+
+def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(q, r) with a == q * b + r, where no term of r is divisible by the
+    graded-lex leading term of b; (a / c, 0) for a constant b = c.  So r is
+    zero exactly when b divides a, and then q is the quotient.
+
+    The remainder does not depend on the reduction order (one divisor is
+    its own Groebner basis), so reducible terms are cancelled from a
+    worklist, largest first.  The work is on integers: ``cur / scale`` is
+    the running remainder and ``quo * b.den / scale`` the running quotient,
+    and ``scale`` grows, rescaling both, only when the leading coefficient
+    of b does not divide the coefficient being cancelled.
+    """
+    if a.vars != b.vars:
+        raise ValueError("variable mismatch")
+    if b.is_constant:
+        return a / b.constant_value(), Poly.zero(a.vars)
+    n = len(a.vars)
+    bexp, _ = b.leading()
+    bk = pack(bexp)
+    lead = b.coeffs[bk]
+    tail = [(k, c) for k, c in b.coeffs.items() if k != bk]
+    shifts = [WIDTH * i for i in range(n)]
+
+    def hkey(k: int):
+        return (-_key_total(k), tuple(-e for e in unpack(k, n)))
+
+    scale = a.den
+    cur = dict(a.coeffs)
+    quo: dict[int, int] = {}
+    heap = [(hkey(k), k) for k in cur]
+    heapq.heapify(heap)
+    while heap:
+        _, t = heapq.heappop(heap)
+        c = cur.get(t)
+        if c is None:
+            continue
+        if not all(((t >> s) & MASK) >= e for s, e in zip(shifts, bexp)):
+            continue
+        if c % lead:
+            m = abs(lead) // math.gcd(c, lead)
+            scale *= m
+            cur = {k: v * m for k, v in cur.items()}
+            quo = {k: v * m for k, v in quo.items()}
+            c *= m
+        q = c // lead
+        del cur[t]
+        base = t - bk
+        quo[base] = q  # each t is popped once, so each base is new
+        # every new key is below t, so none of them has been popped yet
+        for tk, tc in tail:
+            nk = base + tk
+            nv = cur.get(nk)
+            if nv is None:
+                cur[nk] = -q * tc
+                heapq.heappush(heap, (hkey(nk), nk))
+            elif nv == q * tc:
+                del cur[nk]
+            else:
+                cur[nk] = nv - q * tc
+    return Poly(a.vars, scale, quo) * b.den, Poly(a.vars, scale, cur)
+
+
+# ---------------------------------------------------------------------------
+# sympy bridge: gcd, factorization, nullspaces
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -850,102 +939,6 @@ def _cofactors(polys: Sequence[Poly]) -> tuple[Poly, tuple[Poly, ...]]:
             g = Poly(vars, h.den, {k + mono: c for k, c in h.coeffs.items()})
             quotients = iter(qs)
     return g, tuple(next(quotients) if p.coeffs else p for p in polys)
-
-
-def poly_exact_div(a: Poly, b: Poly) -> Poly:
-    """Quotient a/b when b divides a exactly."""
-    if b.is_constant:
-        return a / b.constant_value()
-    if a.is_zero:
-        return a
-    if len(a.vars) >= 2 and a.is_homogeneous() and b.is_homogeneous():
-        # as in poly_gcd: the quotient of the affine parts, homogenized
-        # with the difference of the least powers of the last variable
-        name = a.vars[-1]
-        ka, kb = a.min_exponent(name), b.min_exponent(name)
-        if ka < kb or a.degree() < b.degree():
-            raise ValueError("not an exact division")
-        q = poly_exact_div(a.dehomogenize(), b.dehomogenize())
-        return q.homogenize(name, q.degree() + ka - kb)
-    # Gauss's lemma: a primitive integer divisor of an integer polynomial
-    # over Q leaves an integer quotient, so the division stays on ZZ
-    content, prim = _to_zz(b).primitive()
-    q, r = _to_zz(a).div(prim, auto=False)
-    if not r.is_zero:
-        raise ValueError("not an exact division")
-    return _from_zz(q, a.vars, a.den * int(content)) * b.den
-
-
-def strip_factor(a: Poly, b: Poly) -> tuple[Poly, int]:
-    """(a / b^k, k) for the largest k such that b^k divides a exactly."""
-    if a.is_zero or b.is_constant:
-        raise ValueError("every power divides: a is zero or b is constant")
-    k = 0
-    while True:
-        try:
-            a = poly_exact_div(a, b)
-        except ValueError:
-            return a, k
-        k += 1
-
-
-def poly_mod(a: Poly, b: Poly) -> Poly:
-    """Normal form of a modulo b: no term of the result is divisible by the
-    graded-lex leading term of b, and a - result is a multiple of b.
-
-    The result does not depend on the reduction order (one divisor is its
-    own Groebner basis), so reducible terms are cancelled from a worklist,
-    largest first.  The work is on integers: ``cur / scale`` is the running
-    remainder, and ``scale`` grows only when the leading coefficient of b
-    does not divide the coefficient being cancelled.
-    """
-    if a.vars != b.vars:
-        raise ValueError("variable mismatch")
-    if b.is_zero:
-        raise ValueError("mod by the zero polynomial")
-    if b.is_constant:
-        return Poly.zero(a.vars)
-    n = len(a.vars)
-    bexp, _ = b.leading()
-    bk = pack(bexp)
-    lead = b.coeffs[bk]
-    tail = [(k, c) for k, c in b.coeffs.items() if k != bk]
-    shifts = [WIDTH * i for i in range(n)]
-
-    def hkey(k: int):
-        return (-_key_total(k), tuple(-e for e in unpack(k, n)))
-
-    scale = a.den
-    cur = dict(a.coeffs)
-    heap = [(hkey(k), k) for k in cur]
-    heapq.heapify(heap)
-    while heap:
-        _, t = heapq.heappop(heap)
-        c = cur.get(t)
-        if c is None:
-            continue
-        if not all(((t >> s) & MASK) >= e for s, e in zip(shifts, bexp)):
-            continue
-        if c % lead:
-            m = abs(lead) // math.gcd(c, lead)
-            scale *= m
-            cur = {k: v * m for k, v in cur.items()}
-            c *= m
-        q = c // lead
-        del cur[t]
-        base = t - bk
-        # every new key is below t, so none of them has been popped yet
-        for tk, tc in tail:
-            nk = base + tk
-            nv = cur.get(nk)
-            if nv is None:
-                cur[nk] = -q * tc
-                heapq.heappush(heap, (hkey(nk), nk))
-            elif nv == q * tc:
-                del cur[nk]
-            else:
-                cur[nk] = nv - q * tc
-    return Poly(a.vars, scale, cur)
 
 
 def factor_q(p: Poly) -> tuple[Fraction, tuple[tuple[Poly, int], ...]]:

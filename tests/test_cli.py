@@ -60,6 +60,18 @@ def test_classify_all_builtins(capsys):
                     "henon": 6, "hen2": 6, "lox1": 7}
 
 
+def test_classify_all_builtins_with_a_map_is_a_usage_error(capsys):
+    # the map used to be ignored: all six reports printed with exit 0
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--all-builtins", "henon"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: blowcube classify ")
+    assert captured.err.endswith("blowcube classify: error: --all-builtins "
+                                 "takes no map argument (got 'henon')\n")
+
+
 @pytest.mark.parametrize("name", PLANE_BUILTINS)
 def test_classify_bytes_match_the_recorded_reports(name, capsys):
     with open(EXPECTED / "classify" / f"{name}.json", newline="") as fh:
@@ -421,6 +433,31 @@ def test_malformed_complex_files_exit_6(tmp_path, capsys, data, message):
     code, out, err = run(capsys, "check-cat0", str(bad))
     assert (code, out) == (6, "")
     assert err == f"blowcube: error: malformed complex description: {message}\n"
+
+
+SQUARE_FILE = {"vertices": [0, 1, 2, 3], "edges": [[1, 0], [2, 0], [3, 1], [3, 2]],
+               "cubes": {"2": [[0, 1, 2, 3]]}}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"vertices": [0, 1, 2, 3, 0]}, "vertex 0 recorded twice (or under an equal id)"),
+    ({"vertices": [0, 1, 2, 3, True]},
+     "vertex True recorded twice (or under an equal id)"),
+    ({"cubes": {"2": [[0, 1, 2, 3, 3]]}}, "cube record [0, 1, 2, 3, 3] repeats a vertex"),
+    ({"cubes": {"7": [[0, 1, 2, 3]]}}, "malformed complex description: "
+     "cube bucket '7' holds the 2-cube record [0, 1, 2, 3]"),
+    ({"cubes": {"abc": [[0, 1, 2, 3]]}}, "malformed complex description: "
+     "cube bucket 'abc' holds the 2-cube record [0, 1, 2, 3]"),
+], ids=["repeated-vertex", "true-is-one", "repeated-corner", "bucket-7",
+        "bucket-abc"])
+def test_repeated_ids_and_misfiled_cubes_exit_6(tmp_path, capsys, change, message):
+    # each of these used to be read as the square and pass with exit 0
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(SQUARE_FILE))
+    assert run(capsys, "check-cat0", str(good))[0] == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SQUARE_FILE, **change}))
+    assert run(capsys, "check-cat0", str(bad)) == (6, "", f"blowcube: error: {message}\n")
 
 
 def test_io_failures_exit_8(tmp_path, capsys):

@@ -149,6 +149,16 @@ def test_validation_catches_defects():
         build_complex(verts[:3], SQUARE_EDGES[2:3], [SQUARE])
     with pytest.raises(ComplexError, match="^a complex needs at least one vertex$"):
         build_complex([], [], [])
+    # a repeated id, in the vertex list or in a cube record, names the record
+    with pytest.raises(ComplexError, match=re.escape(
+            "vertex '00' recorded twice (or under an equal id)")):
+        build_complex(verts + ["00"], SQUARE_EDGES, [SQUARE])
+    with pytest.raises(ComplexError, match=re.escape(
+            "vertex True recorded twice (or under an equal id)")):
+        build_complex([0, 1, True], [], [])
+    with pytest.raises(ComplexError, match=re.escape(
+            "cube record ['00', '01', '10', '11', '11'] repeats a vertex")):
+        build_complex(verts, SQUARE_EDGES, [verts + ["11"]])
 
 
 @pytest.mark.parametrize("flipped, message", [

@@ -29,6 +29,7 @@ from blowcube.errors import ParseError
 from blowcube.poly import (
     MASK,
     WIDTH,
+    _divmod,
     _key_total,
     canonical_factor,
     compose_tuple,
@@ -36,6 +37,7 @@ from blowcube.poly import (
     pack,
     parse_ratfunc,
     primitive_tuple,
+    strip_factor,
     top_exponent,
     unpack,
 )
@@ -151,11 +153,6 @@ def test_degree_order_truncate():
     assert p.truncate_total(3) == parse_poly("x*y + 2", XY)
     assert p.truncate_total(0) == Poly.const(XY, 2)
     assert p.truncate_total(-1).is_zero
-
-
-def test_min_exponent():
-    p = parse_poly("x^2*y^3 + x^4*y^2", XY)
-    assert p.min_exponent("y") == 2
 
 
 def test_homogenize_dehomogenize_roundtrip():
@@ -426,14 +423,15 @@ def rand_off_z(rng: random.Random, deg: int, rational: bool) -> Poly:
         p = rand_homogeneous(rng, deg)
         if rational:
             p = p / rng.randint(2, 7)
-        if p.min_exponent("z") == 0 and (p.den > 1) == rational:
+        if p.dehomogenize().degree() == p.degree() and (p.den > 1) == rational:
             return p
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
 def test_dehomogenizing_branch_with_powers_of_the_last_variable(rational):
-    # the homogeneous branch of poly_gcd and poly_exact_div works in the
-    # chart z = 1, so the power of z in each answer is read off the inputs
+    # the homogeneous branch of poly_gcd works in the chart z = 1, so the
+    # power of z in its answer is read off the inputs; poly_exact_div keeps
+    # every power of z in its one reduction
     rng = random.Random(43 + rational)
     z = Poly.var(XYZ, "z")
     for _ in range(10):
@@ -442,7 +440,7 @@ def test_dehomogenizing_branch_with_powers_of_the_last_variable(rational):
         got = poly_gcd(A, B)
         want = canonical_factor(from_sympy(
             sympy.gcd(to_sympy(A), to_sympy(B)), XYZ))
-        assert got == want and got.min_exponent("z") == 1
+        assert got == want and strip_factor(got, z)[1] == 1
         A, B = z ** 3 * a * b, z * b
         q, r = sympy.div(to_sympy(A), to_sympy(B))
         assert r.is_zero
@@ -479,7 +477,7 @@ def test_poly_exact_div_roundtrip():
         if b.is_zero:
             continue
         assert poly_exact_div(a * b, b) == a
-    for _ in range(10):  # homogeneous pairs drive the dehomogenizing route
+    for _ in range(10):  # homogeneous pairs
         a = rand_homogeneous(rng, 2)
         b = rand_homogeneous(rng, 3)
         assert poly_exact_div(a * b, b) == a
@@ -490,6 +488,8 @@ def test_poly_exact_div_rejects_inexact():
         poly_exact_div(parse_poly("x^2 + y", XY), Poly.var(XY, "y"))
     with pytest.raises(ValueError):
         poly_exact_div(parse_poly("x*z^2", XYZ), parse_poly("x^2*z", XYZ))
+    with pytest.raises(ZeroDivisionError):
+        poly_exact_div(parse_poly("x + y", XY), Poly.zero(XY))
 
 
 def divides_leading(term, lead):
@@ -701,6 +701,28 @@ def test_primitive_tuple_divides_nothing(monkeypatch):
     assert primitive_tuple(shifted) == monomials
 
 
+def test_division_reaches_no_sympy(monkeypatch):
+    c, line = parse_poly("x^2 - y*z", XYZ), parse_poly("2*x + 3*z", XYZ)
+    a, b = c * line ** 2 / 5, line * 3
+    y, z = Poly.var(XYZ, "y"), Poly.var(XYZ, "z")
+    u = parse_poly("x^3 - 2*y + 1/3", XY)
+    v = parse_poly("4*x*y - 7", XY)
+
+    class NoSympy:
+        def __getattr__(self, name):
+            raise AssertionError(f"division reached sympy.{name}")
+
+    monkeypatch.setattr(blowcube.poly, "sympy", NoSympy())
+    assert poly_exact_div(a, b) == c * line / 15
+    assert strip_factor(a, b) == (c / 45, 2)
+    assert poly_mod(a, b).is_zero and poly_mod(a + y ** 3, b) == y ** 3
+    assert strip_factor(z ** 3 * c, z) == (c, 3)
+    assert poly_exact_div(u * v * v, v) == u * v
+    assert strip_factor(u * v * v, v) == (u, 2)
+    with pytest.raises(ValueError, match="^not an exact division$"):
+        poly_exact_div(u * v + 1, v)
+
+
 @pytest.mark.parametrize("vars", [XY, XYZ, ("x", "y", "z", "w")],
                          ids=["2 vars", "3 vars", "4 vars"])
 def test_canonical_factor_and_factor_q_are_blind_to_scale(vars):
@@ -751,14 +773,19 @@ def test_linear_relations_span_the_planted_relations():
 
 
 def test_only_poly_imports_sympy():
+    # import statements, and importlib.import_module("sympy") or
+    # __import__("sympy") calls, anywhere in the package
     src = Path(blowcube.__file__).parent
     importers = set()
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(src.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
+            elif (isinstance(node, ast.Call) and node.args
+                  and isinstance(node.args[0], ast.Constant)):
+                names = [str(node.args[0].value)]
             else:
                 continue
             if any(n.split(".")[0] == "sympy" for n in names):
@@ -793,8 +820,8 @@ def test_poly_gcd_of_one_entry_is_canonical():
 # ---------------------------------------------------------------------------
 
 def rand_rational(rng: random.Random, vars=XYZ, steps=3, terms=4) -> Poly:
-    """Nonconstant, non-homogeneous (so gcd and division skip the
-    dehomogenized route), with a denominator above 1."""
+    """Nonconstant, non-homogeneous (so gcd skips the dehomogenized
+    route), with a denominator above 1."""
     while True:
         p = rand_poly(rng, vars, steps, terms)
         if not p.is_homogeneous() and p.den > 1:
@@ -843,19 +870,53 @@ def test_poly_gcd_matches_the_expression_reference():
         poly_exact_div(got, canonical_factor(g))  # raises unless g | gcd
 
 
+def rand_division_pair(rng: random.Random, kind: str) -> tuple[Poly, Poly]:
+    """A cofactor a and a divisor b whose graded-lex leading coefficient is
+    not +-1: in XYZ or XY with rational coefficients, or homogeneous in XYZ
+    with powers of z on either side."""
+    if kind == "homogeneous":
+        z = Poly.var(XYZ, "z")
+        a = rand_off_z(rng, rng.randint(0, 2), rng.random() < 0.5)
+        b = rand_off_z(rng, rng.randint(1, 2), True) * rand_scalar(rng)
+        a, b = a * z ** rng.randint(0, 3), b * z ** rng.randint(0, 2)
+    else:
+        vars = XY if kind == "XY" else XYZ
+        a, b = rand_rational(rng, vars), rand_divisor(rng, vars)
+    while abs(b.coeffs[pack(b.leading()[0])]) == 1:
+        b = b * 2
+    return a, b
+
+
+def sympy_strip(a: Poly, b: Poly) -> tuple[Poly, int]:
+    """(a / b^k, k) by exact ``sympy.div`` steps until a remainder is left."""
+    cur, ref, k = to_sympy(a), to_sympy(b), 0
+    while True:
+        q, r = sympy.div(cur, ref)
+        if not r.is_zero:
+            return from_sympy(cur, a.vars), k
+        cur, k = q, k + 1
+
+
 def test_poly_exact_div_matches_the_expression_reference():
     rng = random.Random(61)
-    for _ in range(12):
-        b = rand_divisor(rng)
-        a = rand_rational(rng) * b
-        q, r = sympy.div(to_sympy(a), to_sympy(b))
-        assert r.is_zero
-        assert poly_exact_div(a, b) == from_sympy(q, XYZ)
-        off = a + Poly.var(XYZ, "x") * Fraction(1, 2)
-        _q, r = sympy.div(to_sympy(off), to_sympy(b))
-        assert not r.is_zero
-        with pytest.raises(ValueError, match="not an exact division"):
-            poly_exact_div(off, b)
+    for kind in ("XYZ", "XY", "homogeneous"):
+        for _ in range(12):
+            a, b = rand_division_pair(rng, kind)
+            x = Poly.var(a.vars, "x")
+            exact = a * b ** rng.randint(1, 2)
+            off = exact + x ** exact.degree() * Fraction(1, 2)
+            for num in (exact, off, a):
+                q, r = _divmod(num, b)
+                assert q * b + r == num and r == poly_mod(num, b)
+                sq, sr = sympy.div(to_sympy(num), to_sympy(b))
+                assert sr.is_zero == r.is_zero
+                if r.is_zero:
+                    assert poly_exact_div(num, b) == q == from_sympy(sq, a.vars)
+                else:
+                    with pytest.raises(ValueError, match="^not an exact division$"):
+                        poly_exact_div(num, b)
+                assert strip_factor(num, b) == sympy_strip(num, b)
+            assert poly_mod(exact, b).is_zero and not poly_mod(off, b).is_zero
 
 
 def test_bridge_makes_no_expression_round_trip(monkeypatch):

@@ -9,6 +9,7 @@ from blowcube import (
     base_points,
     bubble_transport,
     builtin,
+    compose,
     conjugate,
     curve_image,
     exc_components,
@@ -489,3 +490,40 @@ def test_bubble_transport_refuses_hard_cases():
                           key=lambda p: p.height)
     with pytest.raises(TransportUnsupported):
         bubble_transport(sigma, [infinitely_near])
+
+
+# ---------------------------------------------------------------------------
+# the composition law: an oracle for towers
+# ---------------------------------------------------------------------------
+
+def _degree_law_holds(f, g) -> bool:
+    """deg(f g) = deg f deg g - sum m_p(f) m_p(g^-1) over the points p
+    common to the towers of f and g^-1 (Alberich-Carramiñana, Geometry of
+    the Plane Cremona Maps, LNM 1769): the base points of f that g^-1
+    blows up cancel degree.  A point has one name in every tree, fixed by
+    the chart of its root's first nonzero coordinate."""
+    mf = base_points(f).multiplicities()
+    mg = base_points(inverse(g)).multiplicities()
+    cancelled = sum(mf[p] * mg[p] for p in mf.keys() & mg.keys())
+    return compose(f, g).degree() == f.degree() * g.degree() - cancelled
+
+
+def test_degree_law_on_every_pair_of_plane_builtins_and_inverses():
+    maps = [h for name in PLANE_BUILTINS
+            for h in (builtin(name), inverse(builtin(name)))]
+    failed = [(str(f), str(g)) for f in maps for g in maps
+              if not _degree_law_holds(f, g)]
+    assert len(maps) ** 2 == 144 and failed == []
+
+
+def test_degree_law_with_linear_composites_and_conjugates():
+    # a built-in after a linear composite or conjugate of another one, so
+    # base points of f and g^-1 sit in general position or move together
+    rng = random.Random("degree law")
+    for _ in range(12):
+        f, g = (builtin(rng.choice(PLANE_BUILTINS)) for _ in range(2))
+        a = _dense_automorphism(rng)
+        g = rng.choice([compose(a, g), compose(g, a), conjugate(g, a)])
+        if rng.random() < 0.5:
+            f, g = g, f
+        assert _degree_law_holds(f, g), (str(f), str(g))
