@@ -646,19 +646,36 @@ def complex_to_json(C: CubeComplex) -> str:
         '"vertices": ' + _json_block(code, 1)], 0, "{}")
 
 
+def _misplaced(value, what: str, want: str) -> ComplexError:
+    name = type(value).__name__
+    return ComplexError(f"malformed complex description: {what} is "
+                        f"{'an' if name[0] in 'aeiou' else 'a'} {name}, not {want}")
+
+
 def _listed(value, what: str):
     """``value`` unless it is a string, bytes or a mapping, where a list of
     ids (or of id lists) belongs."""
     if isinstance(value, (str, bytes, Mapping)):
-        raise ComplexError(f"malformed complex description: {what} is a "
-                           f"{type(value).__name__}, not a list")
+        raise _misplaced(value, what, "a list")
+    return value
+
+
+def _mapped(value, what: str) -> Mapping:
+    """``value`` if it is a mapping, where an object belongs."""
+    if not isinstance(value, Mapping):
+        raise _misplaced(value, what, "an object")
     return value
 
 
 def complex_from_dict(data: Mapping) -> CubeComplex:
-    """The complex of a ``complex_to_dict`` description; one that is not
-    lists of hashable ids, with two ids per edge and each cube under the key
-    of its dimension, raises ComplexError."""
+    """The complex of a ``complex_to_dict`` description; one that is not an
+    object of lists of hashable ids, with two ids per edge and each cube
+    under the key of its dimension, raises ComplexError."""
+    _mapped(data, "the description")
+    for key in ("vertices", "edges"):
+        if key not in data:
+            raise ComplexError(f"malformed complex description: the key {key!r} "
+                               "is missing")
     try:
         vertices = _listed(data["vertices"], "the vertex list")
         edges = [tuple(_listed(e, "an edge"))
@@ -666,7 +683,7 @@ def complex_from_dict(data: Mapping) -> CubeComplex:
         for ids in (vertices, *edges):
             frozenset(ids)  # raises TypeError on an unhashable id
         cubes = []
-        for n, bucket in sorted(data.get("cubes", {}).items()):
+        for n, bucket in sorted(_mapped(data.get("cubes", {}), "the cube table").items()):
             for S in _listed(bucket, f"cube bucket {n!r}"):
                 # the dimension is read from the size as CubeComplex reads it
                 dim = (len(frozenset(_listed(S, "a cube"))) - 1).bit_length()
@@ -674,7 +691,7 @@ def complex_from_dict(data: Mapping) -> CubeComplex:
                     raise ComplexError(f"malformed complex description: cube bucket "
                                        f"{n!r} holds the {dim}-cube record {list(S)!r}")
                 cubes.append(S)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except TypeError as exc:
         raise ComplexError(f"malformed complex description: {exc}") from None
     for e in edges:
         if len(e) != 2:

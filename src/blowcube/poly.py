@@ -26,10 +26,10 @@ nullspace) are delegated to sympy; everything else is native.  This module
 is the only one that imports sympy.  Polynomials cross to sympy as integer
 polynomials on ZZ: the bridge hands over ``den * p`` built straight from the
 integer numerators and reads the integer result back, while ``den`` and the
-rational scale of each answer stay on this side.  The gcd of homogeneous
-polynomials goes to sympy in the chart where the last variable is 1
-(``dehomogenize``, the one passage to an affine chart) and comes back
-through ``homogenize``.
+rational scale of each answer stay on this side.  Homogeneous polynomials
+go to sympy's gcd and factorization in the chart where the last variable is
+1 (``_chart``, the one passage to an affine chart, through ``dehomogenize``)
+and their answers come back through ``homogenize``.
 """
 
 from __future__ import annotations
@@ -377,7 +377,8 @@ class Poly:
     def _translate_one(self, i: int, s: Fraction) -> "Poly":
         # Binomial expansion per term, in integer arithmetic over the
         # common denominator den * sd^E:
-        #   c*x^e -> sum_j c * C(e,j) * sn^(e-j) * sd^(E-e+j) * x^j.
+        #   c*x^e -> sum_j c * C(e,j) * sn^(e-j) * sd^(E-e+j) * x^j,
+        # with the row of multipliers built once per exponent e.
         if not self.coeffs:
             return self
         shift = WIDTH * i
@@ -390,17 +391,21 @@ class Poly:
         for j in range(1, E + 1):
             sn_pow[j] = sn_pow[j - 1] * sn
             sd_pow[j] = sd_pow[j - 1] * sd
+        steps = [j << shift for j in range(E + 1)]
+        rows: dict[int, list[tuple[int, int]]] = {}
         out: dict[int, int] = {}
+        get = out.get
         for k, c in self.coeffs.items():
             e = (k >> shift) & MASK
-            if e == 0:
-                out[k] = out.get(k, 0) + c * sd_pow[E]
-                continue
-            base = k - (e << shift)
-            for j in range(e + 1):
-                coef = c * math.comb(e, j) * sn_pow[e - j] * sd_pow[E - e + j]
-                key = base | (j << shift)
-                out[key] = out.get(key, 0) + coef
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = [(steps[j],
+                                  math.comb(e, j) * sn_pow[e - j] * sd_pow[E - e + j])
+                                 for j in range(e + 1)]
+            base = k - steps[e]
+            for step, m in row:
+                key = base + step
+                out[key] = get(key, 0) + c * m
         return Poly(self.vars, self.den * sd_pow[E], out)
 
     def blow_up(self, name: str, m: int) -> "Poly":
@@ -897,14 +902,28 @@ def poly_gcd(*polys: Poly) -> Poly:
     return canonical_factor(_cofactors(polys)[0])
 
 
+def _chart(polys: Sequence[Poly]):
+    """The one passage to an affine chart: ``(work, back)``.  Homogeneous
+    polynomials in two or more variables go to the chart where the last
+    variable is 1, saving a nesting level of sympy's dense recursion, and
+    ``back(q, d)`` brings an answer q home as the form of degree d (by
+    default its own degree).  Any other input stays as it is, and so do the
+    answers."""
+    vars = polys[0].vars
+    if len(vars) < 2 or not all(p.is_homogeneous() for p in polys):
+        return polys, lambda q, d=None: q
+    return ([p.dehomogenize() for p in polys],
+            lambda q, d=None: q.homogenize(vars[-1], d))
+
+
 def _cofactors(polys: Sequence[Poly]) -> tuple[Poly, tuple[Poly, ...]]:
     """A gcd g of polynomials on common variables, not all zero, and each
     entry divided by g; zero entries stay zero.  The common monomial comes
     off the packed keys, and when an entry is then one term the rest of g
     is 1.  Else sympy's cofactors give the rest with the quotients, entry by
-    entry until it is constant.  Homogeneous entries, which share no power
-    of the last variable once the monomial is off, go to its chart, saving a
-    nesting level of the dense recursion, and come back homogenized."""
+    entry until it is constant, in the ``_chart`` of the entries: once the
+    monomial is off, homogeneous entries share no power of the last
+    variable, so the chart loses none of g."""
     nz = [p for p in polys if p.coeffs]
     if not nz:
         raise ValueError("gcd of all-zero sequence")
@@ -919,8 +938,7 @@ def _cofactors(polys: Sequence[Poly]) -> tuple[Poly, tuple[Poly, ...]]:
     g = Poly(vars, 1, {mono: 1})
     quotients = iter(nz)
     if all(len(p.coeffs) > 1 for p in nz):
-        chart = len(vars) >= 2 and all(p.is_homogeneous() for p in nz)
-        work = [p.dehomogenize() for p in nz] if chart else nz
+        work, back = _chart(nz)
         h = _to_zz(work[0])
         cofs = [h.one]
         for p in work[1:]:
@@ -930,12 +948,9 @@ def _cofactors(polys: Sequence[Poly]) -> tuple[Poly, tuple[Poly, ...]]:
                 break
             cofs = [c * cff for c in cofs] + [cfg]
         else:
-            h = _from_zz(h, work[0].vars)
-            qs = [_from_zz(c, p.vars, p.den) for c, p in zip(cofs, work)]
-            if chart:
-                h = h.homogenize(vars[-1], h.degree())
-                qs = [q.homogenize(vars[-1], p.degree() - h.degree())
-                      for q, p in zip(qs, nz)]
+            h = back(_from_zz(h, work[0].vars))
+            qs = [back(_from_zz(c, w.vars, w.den), p.degree() - h.degree())
+                  for c, w, p in zip(cofs, work, nz)]
             g = Poly(vars, h.den, {k + mono: c for k, c in h.coeffs.items()})
             quotients = iter(qs)
     return g, tuple(next(quotients) if p.coeffs else p for p in polys)
@@ -947,18 +962,25 @@ def factor_q(p: Poly) -> tuple[Fraction, tuple[tuple[Poly, int], ...]]:
     Returns (unit, ((factor, multiplicity), ...)) with each factor
     irreducible, integer-primitive, positive leading coefficient, sorted
     by (degree, text) for determinism.  unit * prod(factor^mult) == p.
+    sympy factors p in its ``_chart``; a homogeneous p gets back, beside the
+    homogenized factors of the chart, the power of the last variable that
+    the chart drops.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if p.is_constant:
         return p.constant_value(), ()
-    coeff, factors = _to_zz(p).factor_list()
+    (chart,), back = _chart((p,))
+    coeff, factors = _to_zz(chart).factor_list()
     unit = Fraction(int(coeff), p.den)
     out = []
     for f, mult in factors:
-        fp = _from_zz(f, p.vars)
+        fp = back(_from_zz(f, chart.vars))
         s = _primitive_scale((fp,))
         out.append((fp * s, int(mult)))
         unit /= s ** int(mult)
+    k = p.degree() - chart.degree()  # the power of the last variable the chart drops
+    if k:
+        out.append((Poly.var(p.vars, p.vars[-1]), k))
     out.sort(key=lambda t: (t[0].degree(), poly_str(t[0])))
     return unit, tuple(out)

@@ -405,7 +405,15 @@ def test_complex_failures_exit_6(tmp_path, capsys):
 
 @pytest.mark.parametrize("data, message", [
     ({"vertices": ["a"], "edges": [], "cubes": []},
-     "'list' object has no attribute 'items'"),
+     "the cube table is a list, not an object"),
+    ({"vertices": ["a"], "edges": [], "cubes": None},
+     "the cube table is a NoneType, not an object"),
+    (None, "the description is a NoneType, not an object"),
+    (3, "the description is an int, not an object"),
+    ("abc", "the description is a str, not an object"),
+    ([1, 2], "the description is a list, not an object"),
+    ({"edges": []}, "the key 'vertices' is missing"),
+    ({"vertices": ["a"]}, "the key 'edges' is missing"),
     ({"vertices": [[0], 1], "edges": []}, "unhashable type: 'list'"),
     ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]},
      "edge ['a', 'b', 'c'] does not join two vertex ids"),
@@ -424,9 +432,10 @@ def test_complex_failures_exit_6(tmp_path, capsys):
     ({"vertices": list("abcd"), "edges": [list(e) for e in ("ab", "cd", "ac", "bd")],
       "cubes": {"2": [{"a": 1, "b": 2, "c": 3, "d": 4}]}},
      "a cube is a dict, not a list"),
-], ids=["cubes-list", "unhashable-id", "three-id-edge", "string-vertices",
-        "mapping-vertices", "mapping-edges", "string-edge", "string-bucket",
-        "string-cube", "mapping-cube"])
+], ids=["cubes-list", "cubes-null", "top-null", "top-number", "top-string",
+        "top-list", "no-vertices", "no-edges", "unhashable-id", "three-id-edge",
+        "string-vertices", "mapping-vertices", "mapping-edges", "string-edge",
+        "string-bucket", "string-cube", "mapping-cube"])
 def test_malformed_complex_files_exit_6(tmp_path, capsys, data, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))

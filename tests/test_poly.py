@@ -41,6 +41,7 @@ from blowcube.poly import (
     top_exponent,
     unpack,
 )
+from blowcube.resolve import CHART_VARS
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -270,6 +271,18 @@ def test_compose_matches_the_termwise_loop(vars):
         p = parse_poly("x^2 - y*z", XYZ) + tail
         assert p.compose([a * b, a ** 2, b ** 2]) == want
         assert termwise_compose(p, [a * b, a ** 2, b ** 2]) == want
+
+
+def test_translate_matches_the_termwise_substitution():
+    # translate expands each term once per exponent row; the reference
+    # substitutes v + s for each variable v term by term
+    rng = random.Random(71)
+    for _ in range(40):
+        p = rand_poly(rng, steps=6, terms=8)
+        shifts = [rng.choice([0, Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+                  for _ in XYZ]
+        entries = [Poly.var(XYZ, v) + s for v, s in zip(XYZ, shifts)]
+        assert p.translate(shifts) == termwise_compose(p, entries), (p, shifts)
 
 
 def fraction_evaluate(p: Poly, point) -> Fraction:
@@ -847,10 +860,36 @@ def reference_factor(p: Poly):
     return unit, Counter(out)
 
 
+def factor_inputs(rng: random.Random):
+    """Affine rational products, then the homogeneous inputs that sympy
+    factors in the chart where the last variable is 1: products in XYZ of
+    factors that z does not divide, with repeats, a monomial part x^a*y^b*z^k
+    (k = 0 to 3) and a rational scale that is not +-1; z alone; binary forms
+    in XY with a power of y; and c*t^k in CHART_VARS, whose chart is a
+    constant."""
+    for _ in range(12):
+        yield rand_rational(rng) * rand_divisor(rng) ** rng.randint(1, 2)
+    x, y, z = (Poly.var(XYZ, v) for v in XYZ)
+    for i in range(12):
+        p = Poly.const(XYZ, Fraction(rng.choice([-4, 2, 6, 10]), rng.choice([1, 3, 7])))
+        for j in range(rng.randint(1, 2)):
+            f = rand_off_z(rng, rng.randint(1, 2), rng.random() < 0.5)
+            p = p * f ** (2 if j == i % 2 else 1)
+        yield p * x ** (i % 3) * y ** (i // 3 % 2) * z ** (i % 4)
+    yield z
+    for i in range(3):
+        p = Poly.const(XY, Fraction(rng.choice([-3, 5]), 4))
+        for deg in (1, 2, 2):
+            p = p * Poly.from_terms(XY, [((a, deg - a), rng.randint(-5, 5))
+                                         for a in range(deg + 1)] + [((deg, 0), 1)])
+        yield p * Poly.var(XY, "y") ** i
+    for k in (1, 3):
+        yield Poly.var(CHART_VARS, "t") ** k * Fraction(-9, 4)
+
+
 def test_factor_q_matches_the_expression_reference():
     rng = random.Random(53)
-    for _ in range(12):
-        p = rand_rational(rng) * rand_divisor(rng) ** rng.randint(1, 2)
+    for p in factor_inputs(rng):
         unit, facs = factor_q(p)
         assert (unit, Counter(facs)) == reference_factor(p)
         prod = Poly.const(p.vars, unit)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from blowcube import (
     base_points,
@@ -35,6 +36,7 @@ from blowcube.errors import (
     TransportUnsupported,
 )
 from blowcube.maps import ProjMap, linear_map
+from blowcube.poly import canonical_factor
 from blowcube.resolve import BubblePoint, ExcComponent
 
 P2 = ("x", "y", "z")
@@ -229,6 +231,39 @@ def _dense_automorphism(rng):
                                for _ in range(3)])
         except MapError:
             continue
+
+
+def test_jacobians_of_dense_conjugates_reach_sympy_in_two_variables(monkeypatch):
+    # factor_q factors a homogeneous Jacobian in the chart z = 1: sympy sees
+    # two generators, one nesting level less than the plane's three, and the
+    # components are still those of the factorization in x, y, z
+    rng = random.Random(5)
+    maps = []
+    for name in ("jonq2", "henon"):
+        g = conjugate(builtin(name), _dense_automorphism(rng))
+        maps += [g, inverse(g)]
+    want = []
+    for f in maps:
+        jac = jacobian_det(f.entries)
+        _, facs = sympy.factor_list(poly._to_zz(jac).as_expr(), *sympy.symbols(P2))
+        want.append(sorted((str(canonical_factor(parse_poly(
+            str(fac).replace("**", "^"), P2))), m) for fac, m in facs))
+    gens = []
+    real = sympy.Poly.factor_list
+
+    def spy(self, *args, **kwargs):
+        gens.append((len(self.gens), self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", spy)
+    memo.clear()
+    for f, components in zip(maps, want):
+        del gens[:]
+        got = sorted((str(c.curve), c.order) for c in exc_components(f))
+        assert got == components
+        assert gens and all(n == 2 for n, _sp in gens)
+        chart = poly._to_zz(jacobian_det(f.entries).dehomogenize())
+        assert any(sp == chart for _n, sp in gens)
 
 
 @pytest.mark.parametrize("name", ["sigma", "henon", "hen2", "jonq1", "jonq2",
