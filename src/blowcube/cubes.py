@@ -11,12 +11,15 @@ must point the same way; hyperplane half-spaces inherit that orientation
 A cube record is kept as its corner tuple: its vertices indexed by bit
 labels, so the corner across bit i from corner k is at index k ^ (1 << i).
 The tuple is built by doubling from the record's least vertex, each new
-corner the common neighbour of two built ones (``_corner_tuple``), and the
-record is a cube when its corners are distinct and each is adjacent to the
-corners one bit away; only a refused record is searched.  Cubes are
-validated in increasing dimension, so face closure is checked facet by
-facet; the orientation test, the opposite-edge relation and the link
-condition all read the corner tuples.
+corner the common neighbour of two built ones (``_corner_tuple``), so the
+doubling itself proves 2^(n+1) - n - 2 of the n 2^(n-1) cube edges.  The
+record is a cube when its corners are distinct, it has exactly
+n 2^(n-1) internal edges and the cube edges the doubling did not build
+(``_unbuilt``: none for a square, one for a 3-cube, six for a 4-cube) are
+present; only a refused record is searched.  Cubes are validated in
+increasing dimension, so face closure is checked facet by facet; the
+orientation test, the opposite-edge relation and the link condition all
+read the corner tuples.
 
 Hyperplanes are found once per complex, for every connected component, with
 the sign vector of each vertex: an int whose bit i is the parity of class i
@@ -34,9 +37,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import ComplexError, OutputError
 
@@ -129,57 +133,75 @@ def _links(n: int) -> list:
     return [itemgetter(*(k ^ (1 << i) for i in range(n))) for k in range(1 << n)]
 
 
-def _refusal(S: frozenset, adj: Mapping) -> ComplexError:
+def _unbuilt(n: int) -> tuple:
+    """The edges of the n-cube, as index pairs (k, k | 2^i), that the
+    doubling in ``_corner_tuple`` does not build: it builds the n edges at
+    corner 0 and, for each corner k | 2^i with 0 < k < 2^i, the two to
+    corners k and j | 2^i, where j = k & (k - 1).  None for a square, one
+    for a 3-cube, six for a 4-cube."""
+    built = {(0, 1 << i) for i in range(n)}
+    for i in range(n):
+        step = 1 << i
+        for k in range(1, step):
+            built |= {(k, k | step), (k & (k - 1) | step, k | step)}
+    return tuple((k, k | 1 << i) for k in range(1 << n) for i in range(n)
+                 if not k >> i & 1 and (k, k | 1 << i) not in built)
+
+
+def _refusal(S: frozenset, inner: Mapping) -> ComplexError:
     """Why S, with the edge count of a cube, is not one: a breadth-first
-    search inside S tells a disconnected record from any other."""
-    depth = _reach({v: adj[v] & S for v in S}, next(iter(S)))
+    search inside S (``inner`` maps each vertex of S to its neighbors in
+    S) tells a disconnected record from any other."""
+    depth = _reach(inner, next(iter(S)))
     what = "is not connected" if len(depth) != len(S) else "is not a hypercube"
     return ComplexError(f"cube record {_desc(S)} {what}")
 
 
-def _corner_tuple(S: frozenset, adj: Mapping, key: Callable, links: list) -> tuple:
+def _corner_tuple(S: frozenset, adj: Mapping, key: Callable, unbuilt: tuple) -> tuple:
     """The vertices of one cube record indexed by their bit labels.
 
     ``adj`` maps every vertex to its set of neighbors (in S or not), ``key``
-    orders the vertices and ``links`` is ``_links(n)`` for the dimension n
-    that the size of S gives.  Raises ComplexError unless the graph induced
-    on S is the n-dimensional hypercube.  Corner 0 is the least vertex and
-    corner 2^i its i-th least neighbor in S; corner k | 2^i, for
-    0 < k < 2^i, is the one common neighbor in S of corners k and
-    j | 2^i, other than corner j, where j = k & (k - 1).  With
-    n 2^(n-1) edges inside S, S is the n-cube exactly when these 2^n
-    corners are distinct and each is adjacent to its n corners across one
-    bit.
+    orders the vertices and ``unbuilt`` is ``_unbuilt(n)`` for the
+    dimension n that the size of S gives.  Raises ComplexError unless the
+    graph induced on S is the n-dimensional hypercube.  Corner 0 is the
+    least vertex and corner 2^i its i-th least neighbor in S; corner
+    k | 2^i, for 0 < k < 2^i, is the one common neighbor in S of corners k
+    and j | 2^i, other than corner j, where j = k & (k - 1).  So each
+    corner is adjacent, by construction, to the corners it was built from.
+    With n 2^(n-1) edges inside S, S is the n-cube exactly when these 2^n
+    corners are distinct and the cube edges the doubling did not build
+    are present too.
     """
     size = len(S)
     n = (size - 1).bit_length()
     if size < 4 or size != 1 << n:
         raise ComplexError(f"cube record {_desc(S)} does not have 2^n vertices")
-    edge_count = sum(len(adj[v] & S) for v in S) // 2
+    inner = {v: adj[v] & S for v in S}
+    edge_count = sum(map(len, inner.values())) // 2
     if edge_count < n * (1 << (n - 1)):
         raise ComplexError(f"face-closure violation: cube {_desc(S)} is missing edges")
     if edge_count > n * (1 << (n - 1)):
         raise ComplexError(f"cube record {_desc(S)} has too many internal edges")
 
     base = min(S, key=key)
-    first = sorted(adj[base] & S, key=key)
+    first = sorted(inner[base], key=key)
     if len(first) != n:
-        raise _refusal(S, adj)
+        raise _refusal(S, inner)
     corners = [base]
     for w in first:
         step = len(corners)  # 2^i
         corners.append(w)
         for k in range(1, step):
             j = k & (k - 1)
-            common = adj[corners[k]] & adj[corners[j | step]] & S
+            common = inner[corners[k]] & inner[corners[j | step]]
             common.discard(corners[j])
             if len(common) != 1:
-                raise _refusal(S, adj)
+                raise _refusal(S, inner)
             corners.extend(common)
     corners = tuple(corners)
     if len(set(corners)) != size or not all(
-            adj[x].issuperset(across(corners)) for x, across in zip(corners, links)):
-        raise _refusal(S, adj)
+            corners[b] in inner[corners[a]] for a, b in unbuilt):
+        raise _refusal(S, inner)
     return corners
 
 
@@ -227,10 +249,10 @@ def _validate(C: CubeComplex, vertices: list, edges: list) -> None:
         # the corner indices of each facet: bit i clear, then bit i set
         facets = [itemgetter(*(k for k in range(1 << n) if k & (1 << i) == side))
                   for i in range(n if n > 2 else 0) for side in (0, 1 << i)]
-        links = _links(n)
+        unbuilt = _unbuilt(n)
         faces = C.cubes.get(n - 1, ())
         for S in cs:
-            corners = C._corners[S] = _corner_tuple(S, adj, rank.get, links)
+            corners = C._corners[S] = _corner_tuple(S, adj, rank.get, unbuilt)
             for facet in facets:
                 if frozenset(facet(corners)) not in faces:
                     raise ComplexError(
@@ -485,24 +507,29 @@ def check_gromov(C: CubeComplex) -> GromovReport:
     vertex (in deterministic order) is returned with the offending clique.
     Simple connectivity is not checked.
     """
-    links = {n: _links(n) for n in C.cubes}
-    corners: dict = {v: set() for v in C.vertices}
-    for c in C._corners.values():
-        for x, neighbors in zip(c, links[len(c).bit_length() - 1]):
-            corners[x].add(frozenset(neighbors(c)))
+    # the link edges at each corner of a square join the corners beside it
+    ladj = {v: {w: set() for w in ws} for v, ws in C._adj.items()}
+    for S in C.cubes.get(2, ()):
+        c0, c1, c2, c3 = C._corners[S]
+        for x, a, b in ((c0, c1, c2), (c1, c0, c3), (c2, c3, c0), (c3, c2, c1)):
+            ladj[x][a].add(b)
+            ladj[x][b].add(a)
+    # only cliques of three or more are looked up among the cells
+    cells: dict = {v: set() for v in C.vertices}
+    for n in C.cubes:
+        if n >= 3:
+            links = _links(n)
+            for S in C.cubes[n]:
+                c = C._corners[S]
+                for x, neighbors in zip(c, links):
+                    cells[x].add(frozenset(neighbors(c)))
 
-    for v in sorted(C.vertices, key=C._rank.get):
-        order = C._adj[v]  # sorted by rank
-        ladj = {w: set() for w in order}
-        for nbset in corners[v]:
-            if len(nbset) == 2:
-                a, b = nbset
-                ladj[a].add(b)
-                ladj[b].add(a)
-        pos = {w: i for i, w in enumerate(order)}
-        offender = _unfilled_clique((), order, ladj, pos, corners[v])
+    rank = C._rank
+    for v in sorted(C.vertices, key=rank.get):
+        # C._adj[v] is sorted by rank, so rank orders the candidates
+        offender = _unfilled_clique((), C._adj[v], ladj[v], rank, cells[v])
         if offender is not None:
-            return GromovReport(False, v, tuple(sorted(offender, key=C._rank.get)))
+            return GromovReport(False, v, tuple(sorted(offender, key=rank.get)))
     return GromovReport(True)
 
 
@@ -653,9 +680,9 @@ def _misplaced(value, what: str, want: str) -> ComplexError:
 
 
 def _listed(value, what: str):
-    """``value`` unless it is a string, bytes or a mapping, where a list of
-    ids (or of id lists) belongs."""
-    if isinstance(value, (str, bytes, Mapping)):
+    """``value`` if it is a list or a tuple, where a list of ids (or of id
+    lists) belongs."""
+    if not isinstance(value, (list, tuple)):
         raise _misplaced(value, what, "a list")
     return value
 

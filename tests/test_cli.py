@@ -432,10 +432,16 @@ def test_complex_failures_exit_6(tmp_path, capsys):
     ({"vertices": list("abcd"), "edges": [list(e) for e in ("ab", "cd", "ac", "bd")],
       "cubes": {"2": [{"a": 1, "b": 2, "c": 3, "d": 4}]}},
      "a cube is a dict, not a list"),
+    ({"vertices": 3, "edges": []}, "the vertex list is an int, not a list"),
+    ({"vertices": None, "edges": []}, "the vertex list is a NoneType, not a list"),
+    ({"vertices": ["a", "b"], "edges": [["a", "b"], 3]}, "an edge is an int, not a list"),
+    ({"vertices": list("abcd"), "edges": [list(e) for e in ("ab", "cd", "ac", "bd")],
+      "cubes": {"2": [None]}}, "a cube is a NoneType, not a list"),
 ], ids=["cubes-list", "cubes-null", "top-null", "top-number", "top-string",
         "top-list", "no-vertices", "no-edges", "unhashable-id", "three-id-edge",
         "string-vertices", "mapping-vertices", "mapping-edges", "string-edge",
-        "string-bucket", "string-cube", "mapping-cube"])
+        "string-bucket", "string-cube", "mapping-cube", "vertices-number",
+        "vertices-null", "edge-number", "cube-null"])
 def test_malformed_complex_files_exit_6(tmp_path, capsys, data, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))

@@ -33,7 +33,7 @@ from blowcube import (
     geodesics,
     hyperplanes,
 )
-from blowcube.cubes import _DOT_PALETTE, _corner_tuple, _links, _vkey
+from blowcube.cubes import _DOT_PALETTE, _corner_tuple, _unbuilt, _vkey
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +279,16 @@ def _recognition_inputs(n, rng):
     if n == 3:
         graphs.append(_relabelled(nx.disjoint_union(nx.complete_graph(4),
                                                     nx.complete_graph(4)), rng))
+    # each edge of the cube, labelled by corner index, moved onto the
+    # diagonal {1, 2} of the base square, on ids that increase with the
+    # index: the doubling still labels the corners by index, so when the
+    # moved edge is one it does not build, only the check of those refuses
+    ids = sorted(f"w{x:06d}" for x in rng.sample(range(10 ** 6), size))
+    for a, b in sorted(cube.edges):
+        G = cube.copy()
+        G.remove_edge(a, b)
+        G.add_edge(1, 2)
+        graphs.append(nx.relabel_nodes(G, dict(enumerate(ids))))
     return graphs
 
 
@@ -303,12 +313,12 @@ def _with_outsiders(G, rng):
 def test_hypercube_recognition_matches_networkx(n):
     rng = random.Random(1000 + n)
     cube = nx.hypercube_graph(n)
-    links = _links(n)
+    unbuilt = _unbuilt(n)
     for G in _recognition_inputs(n, rng):
         want = nx.is_isomorphic(G, cube)
         S = frozenset(G.nodes)
         try:
-            corners = _corner_tuple(S, _with_outsiders(G, rng), _vkey, links)
+            corners = _corner_tuple(S, _with_outsiders(G, rng), _vkey, unbuilt)
         except ComplexError:
             assert not want
             continue
@@ -341,7 +351,7 @@ def test_hypercube_refusals_name_the_defect(G, message):
     S = frozenset(G.nodes)
     n = (len(S) - 1).bit_length()
     with pytest.raises(ComplexError, match=f"^.*cube.* {message}$"):
-        _corner_tuple(S, _with_outsiders(G, rng), _vkey, _links(n))
+        _corner_tuple(S, _with_outsiders(G, rng), _vkey, _unbuilt(n))
 
 
 def test_four_cube_rejects_any_missing_face():
@@ -641,6 +651,57 @@ def test_products_match_networkx(seed):
             res = geodesics(C, u, v)
             assert res.complete
             assert len(res) == sum(1 for _ in nx.all_shortest_paths(G, u, v))
+
+
+def _flag_reference(C):
+    """Per vertex, its link graph, built with networkx from the squares at
+    the vertex, and the neighbor sets there of its cubes of dimension three
+    or more."""
+    G = skeleton(C)
+    links = {v: nx.Graph() for v in C.vertices}
+    cells = {v: set() for v in C.vertices}
+    for n, cs in C.cubes.items():
+        for S in cs:
+            for v in S:
+                around = frozenset(w for w in S if G.has_edge(v, w))
+                if n == 2:
+                    links[v].add_edge(*around)
+                else:
+                    cells[v].add(around)
+    return links, cells
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flag_witness_is_the_first_violating_vertex(seed):
+    # a product that loses one top cube (a 3-cube or a 4-cube), on shuffled
+    # ids: every corner of the lost cube violates the flag condition, and
+    # the report names the first of them in rank order
+    rng = random.Random(500 + seed)
+    shape = [("T5", "T4", "T3"), ("T4", "P2"), ("P2", "P2"),
+             ("T3", "T3", "T2", "T2")][seed % 4]
+    vertices, edges, cubes = product_data(
+        [random_tree(rng, int(s[1:])) if s[0] == "T" else random_polyomino(rng, int(s[1:]))
+         for s in shape])
+    top = max(map(len, cubes))
+    assert top in (8, 16)
+    cubes.pop(rng.choice([i for i, S in enumerate(cubes) if len(S) == top]))
+    ids = [f"v{i}" for i in range(len(vertices))]
+    rng.shuffle(ids)
+    tag = dict(zip(vertices, ids))
+    C = build_complex([tag[v] for v in vertices], [(tag[a], tag[b]) for a, b in edges],
+                      [[tag[v] for v in S] for S in cubes])
+
+    links, cells = _flag_reference(C)
+    violating = [v for v in sorted(C.vertices, key=_vkey)
+                 if any(len(K) >= 3 and frozenset(K) not in cells[v]
+                        for K in nx.enumerate_all_cliques(links[v]))]
+    rep = check_gromov(C)
+    assert violating and not rep.flag
+    assert rep.witness_vertex == violating[0]
+    K = rep.witness_clique
+    assert len(K) >= 3 and frozenset(K) not in cells[rep.witness_vertex]
+    link = links[rep.witness_vertex]
+    assert all(link.has_edge(a, b) for a, b in itertools.combinations(K, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -260,17 +260,7 @@ def test_exc_certificate_rejects_a_vanishing_jacobian():
         signal.signal(signal.SIGALRM, previous)
 
 
-def _dense_automorphism(rng):
-    values = (-3, -2, -1, 1, 2, 3)
-    while True:
-        try:
-            return linear_map([[rng.choice(values) for _ in range(3)]
-                               for _ in range(3)])
-        except MapError:
-            continue
-
-
-def test_nu1_counts_are_certified_without_factoring(monkeypatch):
+def test_nu1_counts_are_certified_without_factoring(monkeypatch, dense_automorphism):
     # a failed certificate raises ResolutionError; the spy shows that the
     # certificates ran and held
     real = dynamics._exc_certificate
@@ -287,11 +277,12 @@ def test_nu1_counts_are_certified_without_factoring(monkeypatch):
         f = builtin(name)
         nu1(f, N=4)
         for _ in range(3):
-            nu1(conjugate(f, _dense_automorphism(rng)), N=2)
+            nu1(conjugate(f, dense_automorphism(rng)), N=2)
     assert verdicts and all(verdicts)
 
 
-def test_mu_and_nu1_factor_only_jacobians_and_slope_polynomials(monkeypatch):
+def test_mu_and_nu1_factor_only_jacobians_and_slope_polynomials(monkeypatch,
+                                                                dense_automorphism):
     # the backward chains divide instead of factoring: the only polynomials
     # factored are J(f), J(f^-1) and the (u, t) slope polynomials of towers
     real = resolve.factor_q
@@ -306,7 +297,7 @@ def test_mu_and_nu1_factor_only_jacobians_and_slope_polynomials(monkeypatch):
     rng = random.Random(2)
     cases = [(builtin(name), 4) for name in
              ("sigma", "henon", "hen2", "jonq1", "jonq2", "lox1")]
-    cases += [(conjugate(builtin(name), _dense_automorphism(rng)), 2)
+    cases += [(conjugate(builtin(name), dense_automorphism(rng)), 2)
               for name in ("henon", "jonq2")]
     factored = 0
     for f, N in cases:

@@ -390,16 +390,6 @@ def test_inverse_unavailable_for_non_birational_maps():
             inverse(parse_map(spec))
 
 
-def _dense_automorphism(rng):
-    values = (-3, -2, -1, 1, 2, 3)
-    while True:
-        try:
-            return linear_map([[rng.choice(values) for _ in range(3)]
-                               for _ in range(3)])
-        except MapError:
-            continue
-
-
 def sympy_entries(f):
     syms = sympy.symbols(f.vars)
     return [sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
@@ -431,12 +421,12 @@ def assert_proportional(f, want):
     assert all(g == w * scale for g, w in zip(got, want)), str(f)
 
 
-def test_compose_and_iterate_match_a_sympy_reference():
+def test_compose_and_iterate_match_a_sympy_reference(dense_automorphism):
     # f^n is built here as f after f^(n-1), the reverse of the iterate chain
     rng = random.Random("sympy reference")
     fs = [builtin(name) for name in
           ("sigma", "henon", "jonq1", "jonq2", "hen2", "lox1")]
-    fs += [conjugate(builtin(name), _dense_automorphism(rng))
+    fs += [conjugate(builtin(name), dense_automorphism(rng))
            for name in ("henon", "jonq2")]
     for f, g in zip(fs, fs[1:] + fs[:1]):
         assert_proportional(compose(f, g), sympy_compose(sympy_entries(f),
@@ -450,10 +440,10 @@ def test_compose_and_iterate_match_a_sympy_reference():
 
 
 @pytest.mark.parametrize("name", ["henon", "jonq2", "lox1", "sigma"])
-def test_plane_inverse_of_dense_conjugate_specs(name):
+def test_plane_inverse_of_dense_conjugate_specs(name, dense_automorphism):
     rng = random.Random(name)
     for _ in range(3):
-        g = conjugate(builtin(name), _dense_automorphism(rng))
+        g = conjugate(builtin(name), dense_automorphism(rng))
         spec = parse_map(f"P2:{g}")
         assert solved_inverse(spec).key() == attached_inverse(g).key()
 
@@ -467,10 +457,10 @@ def test_plane_solve_agrees_with_the_inverse_of_a_monomial_map(spec):
     assert solved_inverse(fresh).key() == attached_inverse(g).key()
 
 
-def test_plane_solve_agrees_with_the_inverse_of_a_linear_map():
+def test_plane_solve_agrees_with_the_inverse_of_a_linear_map(dense_automorphism):
     rng = random.Random("linear")
     for _ in range(3):
-        a = _dense_automorphism(rng)
+        a = dense_automorphism(rng)
         fresh = ProjMap(a.entries)
         assert solved_inverse(fresh).key() == attached_inverse(a).key()
 

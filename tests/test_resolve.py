@@ -223,24 +223,15 @@ def test_curve_image_needs_no_factoring_division_or_evaluation(monkeypatch):
         assert curve_image(f, parse_poly(curve, P2)) == image
 
 
-def _dense_automorphism(rng):
-    values = (-3, -2, -1, 1, 2, 3)
-    while True:
-        try:
-            return linear_map([[rng.choice(values) for _ in range(3)]
-                               for _ in range(3)])
-        except MapError:
-            continue
-
-
-def test_jacobians_of_dense_conjugates_reach_sympy_in_two_variables(monkeypatch):
+def test_jacobians_of_dense_conjugates_reach_sympy_in_two_variables(monkeypatch,
+                                                                     dense_automorphism):
     # factor_q factors a homogeneous Jacobian in the chart z = 1: sympy sees
     # two generators, one nesting level less than the plane's three, and the
     # components are still those of the factorization in x, y, z
     rng = random.Random(5)
     maps = []
     for name in ("jonq2", "henon"):
-        g = conjugate(builtin(name), _dense_automorphism(rng))
+        g = conjugate(builtin(name), dense_automorphism(rng))
         maps += [g, inverse(g)]
     want = []
     for f in maps:
@@ -268,14 +259,14 @@ def test_jacobians_of_dense_conjugates_reach_sympy_in_two_variables(monkeypatch)
 
 @pytest.mark.parametrize("name", ["sigma", "henon", "hen2", "jonq1", "jonq2",
                                   "lox1"])
-def test_curve_image_commutes_with_linear_conjugation(name):
+def test_curve_image_commutes_with_linear_conjugation(name, dense_automorphism):
     # g = a^-1 f a contracts C(a) exactly when f contracts C, and to a^-1
     # of f's image point
     f = builtin(name)
     _, facs = factor_q(jacobian_det(f.entries))
     rng = random.Random(sum(map(ord, name)))
     for _ in range(3):
-        a = _dense_automorphism(rng)
+        a = dense_automorphism(rng)
         g = conjugate(f, a)
         for C, _mult in facs:
             image = curve_image(f, C)
@@ -286,7 +277,7 @@ def test_curve_image_commutes_with_linear_conjugation(name):
 PLANE_BUILTINS = ["sigma", "henon", "hen2", "jonq1", "jonq2", "lox1"]
 
 
-def _maps_and_horizons(name):
+def _maps_and_horizons(name, dense_automorphism):
     """The built-in and its inverse to n = 3; except for lox1, two seeded
     dense conjugates and their inverses to n = 2."""
     f = builtin(name)
@@ -294,14 +285,14 @@ def _maps_and_horizons(name):
     if name != "lox1":
         rng = random.Random(f"chains {name}")
         for _ in range(2):
-            g = conjugate(f, _dense_automorphism(rng))
+            g = conjugate(f, dense_automorphism(rng))
             cases += [(g, 2), (inverse(g), 2)]
     return cases
 
 
 @pytest.mark.parametrize("name", PLANE_BUILTINS)
-def test_chains_give_the_contracted_curves_of_the_iterates(name):
-    for f, horizon in _maps_and_horizons(name):
+def test_chains_give_the_contracted_curves_of_the_iterates(name, dense_automorphism):
+    for f, horizon in _maps_and_horizons(name, dense_automorphism):
         for n in range(1, horizon + 1):
             pairs = exc_curves(f, n)
             direct = {(c.curve, c.image) for c in exc_components(iterate(f, n))}
@@ -322,9 +313,9 @@ def factored_pullback(f, C):
 
 
 @pytest.mark.parametrize("name", PLANE_BUILTINS)
-def test_strict_transforms_by_division_match_factoring(name):
+def test_strict_transforms_by_division_match_factoring(name, dense_automorphism):
     # every step of every chain that exc_curves walks to the horizon
-    for f, horizon in _maps_and_horizons(name):
+    for f, horizon in _maps_and_horizons(name, dense_automorphism):
         walked = set()
         for comp in exc_components(f):
             C = comp.curve
@@ -366,17 +357,17 @@ def test_a_pullback_with_nothing_left_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("name", PLANE_BUILTINS)
-def test_towers_of_iterates_match_the_towers_of_the_composites(name):
+def test_towers_of_iterates_match_the_towers_of_the_composites(name, dense_automorphism):
     # base_points(f, n=n) reads the chains of f^-1; base_points(f^n) factors
     # the Jacobian of the composite (f^-1)^n
-    for f, horizon in _maps_and_horizons(name):
+    for f, horizon in _maps_and_horizons(name, dense_automorphism):
         for n in range(2, horizon + 1):
             want = base_points(iterate(f, n)).to_dict()
             assert base_points(f, n=n).to_dict() == want, (name, str(f), n)
 
 
 @pytest.mark.parametrize("name", PLANE_BUILTINS)
-def test_conjugation_moves_the_base_points(name):
+def test_conjugation_moves_the_base_points(name, dense_automorphism):
     # g = a^-1 f a is undefined exactly at a^-1 of the base points of f
     f = builtin(name)
     tree = base_points(f)
@@ -384,7 +375,7 @@ def test_conjugation_moves_the_base_points(name):
     mults = sorted(tree.multiplicities().values())
     rng = random.Random(f"towers {name}")
     for _ in range(3):
-        a = _dense_automorphism(rng)
+        a = dense_automorphism(rng)
         moved = base_points(conjugate(f, a))
         assert ([r.point.root for r in moved.roots]
                 == sorted(inverse(a).apply(p) for p in roots))
@@ -436,11 +427,11 @@ def untruncated_tower(f, cfg, n, monkeypatch):
 
 
 @pytest.mark.parametrize("name", PLANE_BUILTINS)
-def test_chain_bound_keeps_the_untruncated_tower(name, monkeypatch):
+def test_chain_bound_keeps_the_untruncated_tower(name, monkeypatch, dense_automorphism):
     f = builtin(name)
     rng = random.Random(f"chain bound {name}")
     horizon = 1 if name == "lox1" else 2
-    for g in [f] + [conjugate(f, _dense_automorphism(rng)) for _ in range(2)]:
+    for g in [f] + [conjugate(f, dense_automorphism(rng)) for _ in range(2)]:
         for n in range(1, horizon + 1):
             want = untruncated_tower(g, DEFAULTS, n, monkeypatch).to_dict()
             assert base_points(g, n=n).to_dict() == want, (name, str(g), n)
@@ -551,13 +542,13 @@ def test_degree_law_on_every_pair_of_plane_builtins_and_inverses():
     assert len(maps) ** 2 == 144 and failed == []
 
 
-def test_degree_law_with_linear_composites_and_conjugates():
+def test_degree_law_with_linear_composites_and_conjugates(dense_automorphism):
     # a built-in after a linear composite or conjugate of another one, so
     # base points of f and g^-1 sit in general position or move together
     rng = random.Random("degree law")
     for _ in range(12):
         f, g = (builtin(rng.choice(PLANE_BUILTINS)) for _ in range(2))
-        a = _dense_automorphism(rng)
+        a = dense_automorphism(rng)
         g = rng.choice([compose(a, g), compose(g, a), conjugate(g, a)])
         if rng.random() < 0.5:
             f, g = g, f
