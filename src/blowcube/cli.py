@@ -130,6 +130,8 @@ def _cmd_check_cat0(args) -> int:
         data = json.loads(raw)
     except ValueError as exc:  # not JSON, or not text: UnicodeDecodeError
         raise ParseError(f"{args.file} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{args.file} nests its JSON too deeply to read") from None
     C = complex_from_dict(data)
     rep = check_gromov(C)
     _emit(_json(rep.to_dict()), args.output)

@@ -482,20 +482,24 @@ class GromovReport:
                 "witness_clique": [str(w) for w in self.witness_clique]}
 
 
-def _unfilled_clique(clique: tuple, cands: list, ladj: dict, pos: dict,
-                     cells: set) -> Optional[tuple]:
-    """The first clique of three or more link vertices, grown from
-    ``clique`` by the candidates in order, that is not the neighbor set of
-    a cube at the vertex (a member of ``cells``); None if there is none."""
-    for w in cands:
-        bigger = clique + (w,)
-        if len(bigger) >= 3 and frozenset(bigger) not in cells:
+def _unfilled_clique(clique: int, cands: int, above: list,
+                     cells: set) -> Optional[int]:
+    """The first clique of three or more link vertices, grown from the
+    bitmask ``clique`` by the bits of ``cands`` from the lowest up, that is
+    not the neighbor set of a cube at the vertex (a mask in ``cells``);
+    None if there is none.  ``above[i]`` is the mask of the link neighbors
+    of bit i above it."""
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        bigger = clique | low
+        if clique & (clique - 1) and bigger not in cells:  # two bits or more
             return bigger
-        bad = _unfilled_clique(bigger, [x for x in cands
-                                        if pos[x] > pos[w] and x in ladj[w]],
-                               ladj, pos, cells)
-        if bad is not None:
-            return bad
+        rest = cands & above[low.bit_length() - 1]
+        if rest:
+            bad = _unfilled_clique(bigger, rest, above, cells)
+            if bad is not None:
+                return bad
     return None
 
 
@@ -506,14 +510,23 @@ def check_gromov(C: CubeComplex) -> GromovReport:
     set of the base vertex in some recorded cube.  The first violating
     vertex (in deterministic order) is returned with the offending clique.
     Simple connectivity is not checked.
+
+    The link of v is held on bits: its i-th neighbor in ``C._adj[v]``, in
+    rank order, is bit i; the link table of v lists, per bit, the mask of
+    its link neighbors above it; and a cube of dimension 3 or more at v is
+    the mask of its corners beside v.  Growing cliques from the lowest bit
+    up visits them in the order of their rank tuples, so the witness is the
+    least unfilled clique of the first violating vertex.
     """
-    # the link edges at each corner of a square join the corners beside it
-    ladj = {v: {w: set() for w in ws} for v, ws in C._adj.items()}
+    bit = {v: {w: 1 << i for i, w in enumerate(ws)} for v, ws in C._adj.items()}
+    above = {v: [0] * len(ws) for v, ws in C._adj.items()}
+    # the link edge at each corner of a square joins the two corners beside
+    # it, lower bit first: c0 is the least corner and c1 ranks below c2
     for S in C.cubes.get(2, ()):
         c0, c1, c2, c3 = C._corners[S]
-        for x, a, b in ((c0, c1, c2), (c1, c0, c3), (c2, c3, c0), (c3, c2, c1)):
-            ladj[x][a].add(b)
-            ladj[x][b].add(a)
+        for x, a, b in ((c0, c1, c2), (c1, c0, c3), (c2, c0, c3), (c3, c1, c2)):
+            at = bit[x]
+            above[x][at[a].bit_length() - 1] |= at[b]
     # only cliques of three or more are looked up among the cells
     cells: dict = {v: set() for v in C.vertices}
     for n in C.cubes:
@@ -522,14 +535,14 @@ def check_gromov(C: CubeComplex) -> GromovReport:
             for S in C.cubes[n]:
                 c = C._corners[S]
                 for x, neighbors in zip(c, links):
-                    cells[x].add(frozenset(neighbors(c)))
+                    cells[x].add(sum(map(bit[x].__getitem__, neighbors(c))))
 
-    rank = C._rank
-    for v in sorted(C.vertices, key=rank.get):
-        # C._adj[v] is sorted by rank, so rank orders the candidates
-        offender = _unfilled_clique((), C._adj[v], ladj[v], rank, cells[v])
+    for v in C._rank:  # in rank order
+        ws = C._adj[v]
+        offender = _unfilled_clique(0, (1 << len(ws)) - 1, above[v], cells[v])
         if offender is not None:
-            return GromovReport(False, v, tuple(sorted(offender, key=rank.get)))
+            return GromovReport(False, v, tuple(
+                w for i, w in enumerate(ws) if offender >> i & 1))
     return GromovReport(True)
 
 

@@ -519,13 +519,19 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([()+\-*/^]))")
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _VAR_NAME = re.compile(r"^(?:[xyzw]|x\d+)$")
 
+# open parentheses and unary minus signs an expression may nest: each level
+# is a few Python frames of the descent, so deeper input is refused before
+# it can reach the interpreter's recursion limit
+NEST_LIMIT = 150
+
 
 class _RatParser:
     """Recursive-descent parser producing (numerator, denominator) pairs.
 
     Division is an ordinary operator on rational functions, so "3/4" and
     "x/(y-1)" both parse; callers that need a polynomial reject nonconstant
-    denominators afterwards.
+    denominators afterwards.  Parentheses and unary minus signs nest at
+    most ``NEST_LIMIT`` deep.
     """
 
     def __init__(self, text: str, vars: tuple[str, ...], start: int, end: int):
@@ -548,6 +554,7 @@ class _RatParser:
                 self.tokens.append(("op", m.group(3), m.start(3)))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -558,6 +565,13 @@ class _RatParser:
             raise ParseError("unexpected end of input", self.text, self.end)
         self.i += 1
         return tok
+
+    def nest(self, tok) -> None:
+        """Open one level at ``tok``, a parenthesis or a unary minus."""
+        self.depth += 1
+        if self.depth > NEST_LIMIT:
+            raise ParseError(f"expression nested more than {NEST_LIMIT} deep",
+                             self.text, tok[2])
 
     # rational function arithmetic on (num, den) pairs ---------------
 
@@ -600,8 +614,9 @@ class _RatParser:
     def unary(self):
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
-            self.take()
+            self.nest(self.take())
             n, d = self.unary()
+            self.depth -= 1
             return (-n, d)
         return self.power()
 
@@ -638,10 +653,12 @@ class _RatParser:
                 raise ParseError(f"unknown variable {val!r}", self.text, pos)
             return (Poly.var(self.vars, val), one)
         if kind == "op" and val == "(":
+            self.nest(tok)
             inner = self.expr()
             closing = self.take()
             if closing[:2] != ("op", ")"):
                 raise ParseError("expected ')'", self.text, closing[2])
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {val!r}", self.text, pos)
 

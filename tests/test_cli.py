@@ -356,6 +356,33 @@ def test_exponents_within_the_packing_are_kept(spec, degree, capsys):
     assert run(capsys, "degseq", spec, "-n", "1") == (0, f"n,deg\n1,{degree}\n", "")
 
 
+def _nested(depth, opening="(", closing=")"):
+    return opening * depth + "x" + closing * depth
+
+
+@pytest.mark.parametrize("spec, message", [
+    (f"A2:({_nested(200)}, y)", "expression nested more than 150 deep "
+     "(at position 154: '((((((((((((((((')"),
+    (f"A2:({'-' * 1000}x, y)", "expression nested more than 150 deep "
+     "(at position 154: '----------------')"),
+    (f"P2:[{_nested(100, '-(')} : y : z]", "expression nested more than 150 deep "
+     "(at position 154: '-(-(-(-(-(-(-(-(')"),
+], ids=["parentheses", "minus-signs", "p2-mixed"])
+def test_specs_nested_past_the_limit_exit_3(capsys, spec, message):
+    # each of these used to end in a RecursionError traceback with exit 1
+    assert run(capsys, "degseq", spec, "-n", "1") == (
+        3, "", f"blowcube: error: {message}\n")
+
+
+@pytest.mark.parametrize("spec, degree", [
+    (f"A2:({_nested(150)}, y)", 1), (f"A2:({'-' * 150}x, y)", 1),
+    (f"P2:[{_nested(75, '-(')} : y : z]", 1),
+    (f"A2:(x*{_nested(150, '(x*')}, y)", 152),
+], ids=["parentheses", "minus-signs", "p2-mixed", "products"])
+def test_specs_nested_to_the_limit_parse(capsys, spec, degree):
+    assert run(capsys, "degseq", spec, "-n", "1") == (0, f"n,deg\n1,{degree}\n", "")
+
+
 def test_map_failures_exit_4(capsys):
     code, _out, err = run(capsys, "classify", "MON:2:[[1,1],[1,1]]")
     assert code == 4 and "singular" in err
@@ -488,6 +515,15 @@ def test_not_json_exits_3(tmp_path, capsys):
     garbled.write_text("{not json")
     code, _out, _err = run(capsys, "check-cat0", str(garbled))
     assert code == 3
+
+
+def test_deeply_nested_json_exits_3(tmp_path, capsys):
+    # json.loads raises RecursionError here, which used to escape as a
+    # traceback with exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"vertices": ' + "[" * 100000 + "]" * 100000 + ', "edges": []}')
+    assert run(capsys, "check-cat0", str(deep)) == (
+        3, "", f"blowcube: error: {deep} nests its JSON too deeply to read\n")
 
 
 def test_a_file_that_is_not_utf8_exits_3(tmp_path, capsys):

@@ -671,11 +671,28 @@ def _flag_reference(C):
     return links, cells
 
 
+def _first_violation(C):
+    """The reference answer of ``check_gromov`` on a complex that is not
+    flag: the first vertex in rank order whose networkx link has a clique
+    of three or more vertices that no cube at the vertex fills, and the
+    least such clique as a tuple of ranks."""
+    links, cells = _flag_reference(C)
+    rank = {v: i for i, v in enumerate(sorted(C.vertices, key=_vkey))}
+    for v in sorted(C.vertices, key=rank.get):
+        unfilled = [tuple(sorted(K, key=rank.get))
+                    for K in nx.enumerate_all_cliques(links[v])
+                    if len(K) >= 3 and frozenset(K) not in cells[v]]
+        if unfilled:
+            return v, min(unfilled, key=lambda K: [rank[w] for w in K])
+    return None
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_flag_witness_is_the_first_violating_vertex(seed):
     # a product that loses one top cube (a 3-cube or a 4-cube), on shuffled
     # ids: every corner of the lost cube violates the flag condition, and
-    # the report names the first of them in rank order
+    # the report names the first of them in rank order with its least
+    # unfilled clique
     rng = random.Random(500 + seed)
     shape = [("T5", "T4", "T3"), ("T4", "P2"), ("P2", "P2"),
              ("T3", "T3", "T2", "T2")][seed % 4]
@@ -691,17 +708,36 @@ def test_flag_witness_is_the_first_violating_vertex(seed):
     C = build_complex([tag[v] for v in vertices], [(tag[a], tag[b]) for a, b in edges],
                       [[tag[v] for v in S] for S in cubes])
 
-    links, cells = _flag_reference(C)
-    violating = [v for v in sorted(C.vertices, key=_vkey)
-                 if any(len(K) >= 3 and frozenset(K) not in cells[v]
-                        for K in nx.enumerate_all_cliques(links[v]))]
+    want = _first_violation(C)
     rep = check_gromov(C)
-    assert violating and not rep.flag
-    assert rep.witness_vertex == violating[0]
-    K = rep.witness_clique
-    assert len(K) >= 3 and frozenset(K) not in cells[rep.witness_vertex]
-    link = links[rep.witness_vertex]
-    assert all(link.has_edge(a, b) for a, b in itertools.combinations(K, 2))
+    assert want is not None and not rep.flag
+    assert (rep.witness_vertex, rep.witness_clique) == want
+
+
+def test_links_wider_than_a_machine_word():
+    # a star with 70 leaves times an edge times an edge: the hub's link has
+    # 72 vertices, and the 3-cubes lost at the hub are across its last
+    # leaves in rank order, whose bits are above 64
+    star = ([(v,) for v in range(71)], [(0, v) for v in range(1, 71)], [])
+    segment = ([(0,), (1,)], [(0, 1)], [])
+    vertices, edges, cubes = product_data([star, segment, segment])
+    hub = (0, 0, 0)
+    C = build_complex(vertices, edges, cubes)
+    assert len(C._adj[hub]) == 72
+    assert check_gromov(C).flag
+
+    leaves = sorted(range(1, 71), key=lambda v: _vkey((v, 0, 0)))[-2:]
+    for lost in ([leaves[1]], leaves):  # then the cube across the other too
+        gone = [sorted(itertools.product((0, leaf), (0, 1), (0, 1))) for leaf in lost]
+        kept = [S for S in cubes if sorted(S) not in gone]
+        assert len(kept) == len(cubes) - len(lost)
+        C = build_complex(vertices, edges, kept)
+        rep = check_gromov(C)
+        assert not rep.flag
+        assert (rep.witness_vertex, rep.witness_clique) == _first_violation(C)
+        assert rep.witness_vertex == hub
+        assert rep.witness_clique == ((0, 0, 1), (0, 1, 0), (lost[0], 0, 0))
+        assert C._adj[hub].index((lost[0], 0, 0)) >= 64
 
 
 # ---------------------------------------------------------------------------
@@ -921,6 +957,23 @@ def test_empty_octant_corner_is_rejected():
     assert not rep.flag
     assert rep.witness_vertex == (0, 0, 0)
     assert rep.witness_clique == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+@pytest.mark.parametrize("rank", range(7))
+def test_empty_octant_corner_is_found_at_any_rank(rank):
+    # relabelled so that the empty corner has the given rank: over the
+    # ranks, it takes every position in the corner tuples of its squares,
+    # so the link edges read at each position are needed
+    vertices, edges, squares = octant_data(filled=False)
+    rng = random.Random(rank)
+    others = [f"v{i}" for i in range(7) if i != rank]
+    rng.shuffle(others)
+    tag = dict(zip(vertices, [f"v{rank}"] + others))
+    C = build_complex(tag.values(), [(tag[a], tag[b]) for a, b in edges],
+                      [[tag[v] for v in S] for S in squares])
+    rep = check_gromov(C)
+    assert not rep.flag and rep.witness_vertex == f"v{rank}"
+    assert rep.witness_clique == tuple(sorted(tag[v] for v in vertices[1:4]))
 
 
 def test_filling_the_corner_restores_the_link_condition():
