@@ -259,10 +259,12 @@ def _validate(C: CubeComplex, vertices: list, edges: list) -> None:
                         f"face-closure violation: a {n - 1}-face of a "
                         f"{n}-cube is not recorded")
 
+    # each edge is recorded once, so it points back along the square's bit
+    # exactly when its reverse is a record
     for S in ordered.get(2, ()):
-        for base, top in _opposite_edges(C, S):
-            (t0, h0), (t1, h1) = C._orient[_pair(*base)], C._orient[_pair(*top)]
-            if (t0 == base[1]) != (t1 == top[1]):
+        for (a, b), (p, q) in _opposite_edges(C, S):
+            if ((b, a) in C.edges) != ((q, p) in C.edges):
+                (t0, h0), (t1, h1) = C._orient[_pair(a, b)], C._orient[_pair(p, q)]
                 raise ComplexError(
                     "orientation violation: opposite edges of a square "
                     f"({t0!r}->{h0!r} vs {t1!r}->{h1!r}) disagree")

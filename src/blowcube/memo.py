@@ -4,8 +4,9 @@ Every key is map data only, never a cap or a ``RunConfig``.  A run's caps
 decide only whether it may use an entry: ``maps._compose_raw`` refuses a
 composite by its degree bound before it looks it up, and ``base_points``
 refuses a stored tower higher than its height cap, as a fresh process would.
-Curves and strict transforms need no cap; the chain walks that read them
-are not stored.
+Curves, their images and strict transforms need no cap; the chain walks
+that read them are not stored, so each walk asks for its iterates under
+its own degree cap.
 
 Kept elsewhere: ``maps._builtin`` and ``poly._symbols`` intern objects
 (``builtin(name) is builtin(name)`` is a contract that clearing would
@@ -15,11 +16,12 @@ their object.
 
 composites: dict = {}  # (f.key(), g.key()) -> f after g
 components: dict = {}  # f.key() -> the curves f contracts
+images: dict = {}  # (f.key(), C) -> the point f contracts C to, or None
 pullbacks: dict = {}  # (f.key(), C) -> the strict transform of C, or None
 towers: dict = {}  # (f^n.key(), proper base points) -> the base-point tree
 
 _TABLES = {"composites": composites, "components": components,
-           "pullbacks": pullbacks, "towers": towers}
+           "images": images, "pullbacks": pullbacks, "towers": towers}
 
 
 def clear() -> None:

@@ -26,9 +26,9 @@ exactly, and nothing is factored there either.  A chain member C_j is
 mapped onto its seed C_0 by f^j, so where its image under f^n is not read
 off the seed's point orbit it is the image of C_0 under f^(n-j).
 
-Contracted curves, strict transforms and towers are stored in ``memo``; the
-chains are walked afresh, so ``iterate`` checks the degree cap on every call
-and ``base_points`` checks the height cap.
+Contracted curves, their images, strict transforms and towers are stored
+in ``memo``; the chains are walked afresh, so ``iterate`` checks the degree
+cap on every call and ``base_points`` checks the height cap.
 """
 
 from __future__ import annotations
@@ -366,21 +366,29 @@ def curve_image(f: ProjMap, C: Poly) -> ProjPoint | None:
     multiples lambda_i of one nonzero pivot r_p, and then the image is
     [lambda_0 : lambda_1 : lambda_2].  The normal form modulo one polynomial
     is unique and linear, so r_i = lambda_i * r_p says that C divides
-    f_i - lambda_i * f_p.
+    f_i - lambda_i * f_p.  The answer is stored in ``memo.images``; a
+    refusal is not.
     """
+    key = (f.key(), C)
+    if key in memo.images:
+        return memo.images[key]
     rem = [poly_mod(e, C) for e in f.entries]
     base = next((r for r in rem if not r.is_zero), None)
     if base is None:
         raise ResolutionError(
             f"{C} divides every coordinate of {f}; the map is not reduced")
-    key, lead = base.leading()
+    mono, lead = base.leading()
     coords: list[Fraction] = []
+    image = None
     for r in rem:
-        ratio = r.coefficient(key) / lead
+        ratio = r.coefficient(mono) / lead
         if r != base * ratio:
-            return None
+            break
         coords.append(ratio)
-    return normalize_point(coords)
+    else:
+        image = normalize_point(coords)
+    memo.images[key] = image
+    return image
 
 
 def exc_components(f: ProjMap) -> tuple[ExcComponent, ...]:
@@ -450,7 +458,8 @@ def exc_curves(f: ProjMap, n: int, cfg: RunConfig = DEFAULTS
     point's forward orbit is defined.  Past that, f^j maps C_j onto C_0, so
     f^n(C_j) = f^(n-j)(C_0): the seed is queried under the reduced iterate
     f^(n-j), not the deep curve under f^n.  The walk is not stored, only
-    its members are, so every call queries its iterates under its own cap.
+    its members and their images are, so every call still asks for its
+    iterates under its own cap and a refusal reads as in a fresh process.
     """
     pairs = []
     for comp in exc_components(f):

@@ -403,7 +403,8 @@ def test_classification_report_dict_shape():
 def test_classify_does_not_depend_on_the_caps_of_earlier_runs(capped):
     # the memo tables hold no cap, so a run after a run under another cap
     # must report what a run after memo.clear() reports, and store the
-    # composites of a fresh default run; lox1 stops at N = 4 to keep this fast
+    # composites and curve images of a fresh default run; lox1 stops at
+    # N = 4 to keep this fast
     def classify_all(cfg):
         return [classify(builtin(name), 4 if name == "lox1" else 5, cfg).to_dict()
                 for name in ("sigma", "henon", "jonq1", "jonq2", "hen2", "lox1")]
@@ -416,7 +417,7 @@ def test_classify_does_not_depend_on_the_caps_of_earlier_runs(capped):
         memo.clear()
         for cfg in (first, second):
             runs.append(classify_all(cfg))
-            stored.append(set(memo.composites))
+            stored.append((set(memo.composites), set(memo.images)))
     fresh_default, capped_after, fresh_capped, default_after = runs
     assert any(report["caps_hit"] for report in fresh_capped)
     assert capped_after == fresh_capped

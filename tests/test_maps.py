@@ -332,9 +332,9 @@ def test_memo_is_the_one_process_wide_store():
     assert stores == {("maps.py", "_builtin"), ("poly.py", "_symbols")}
 
 
-def test_memo_has_four_tables():
-    assert sorted(memo.sizes()) == ["components", "composites", "pullbacks",
-                                    "towers"]
+def test_memo_has_five_tables():
+    assert sorted(memo.sizes()) == ["components", "composites", "images",
+                                    "pullbacks", "towers"]
 
 
 def test_composition_of_inverses_attaches_inverse():

@@ -1,6 +1,7 @@
 """Base-point towers, contracted curves, transport, stability."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from blowcube import (
     base_points,
     bubble_transport,
     builtin,
+    classify,
     compose,
     conjugate,
     curve_image,
@@ -219,6 +221,7 @@ def test_curve_image_needs_no_factoring_division_or_evaluation(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(ProjMap, "apply", refuse)
+    memo.clear()
     for f, curve, image in queries:
         assert curve_image(f, parse_poly(curve, P2)) == image
 
@@ -298,6 +301,53 @@ def test_chains_give_the_contracted_curves_of_the_iterates(name, dense_automorph
             direct = {(c.curve, c.image) for c in exc_components(iterate(f, n))}
             assert len(set(pairs)) == len(pairs)
             assert set(pairs) == direct, (name, str(f), n)
+
+
+def test_classify_makes_each_remainder_test_once(monkeypatch):
+    # mu and nu1 walk the same backward chains and the certificates query
+    # the chain members again: one classify of each plane built-in asks
+    # curve_image 137 times for 74 (map, curve) pairs.  A remainder test
+    # reduces the coordinates of one map in order, so each run of three
+    # poly_mod calls is one test, on the key (f.key(), C) of memo.images.
+    calls = []
+    real = resolve.poly_mod
+
+    def spy(p, C):
+        calls.append((p, C))
+        return real(p, C)
+
+    monkeypatch.setattr(resolve, "poly_mod", spy)
+    memo.clear()
+    for name in PLANE_BUILTINS:
+        classify(builtin(name), 4)
+    assert len(calls) % 3 == 0
+    tests = Counter((tuple(p for p, _C in calls[i:i + 3]), calls[i][1])
+                    for i in range(0, len(calls), 3))
+    assert tests and max(tests.values()) == 1
+    assert set(tests) == set(memo.images)
+
+
+def test_stored_images_match_a_fresh_remainder_test():
+    memo.clear()
+    for name in PLANE_BUILTINS:
+        classify(builtin(name), 4)
+    stored = dict(memo.images)
+    assert None in stored.values() and len(set(stored.values())) > 1
+    memo.images.clear()
+    for (entries, C), image in stored.items():
+        assert curve_image(ProjMap(entries), C) == image, str(C)
+
+
+def test_a_curve_through_every_coordinate_is_refused_and_not_stored():
+    # ProjMap divides out common factors, so only a map built around it
+    # reaches the refusal
+    f = linear_map([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    x = parse_poly("x", P2)
+    f.entries = tuple(x * e for e in f.entries)
+    for _ in range(2):
+        with pytest.raises(ResolutionError, match="divides every coordinate"):
+            curve_image(f, x)
+        assert (f.key(), x) not in memo.images
 
 
 def factored_pullback(f, C):
