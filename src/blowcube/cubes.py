@@ -17,9 +17,10 @@ record is a cube when its corners are distinct, it has exactly
 n 2^(n-1) internal edges and the cube edges the doubling did not build
 (``_unbuilt``: none for a square, one for a 3-cube, six for a 4-cube) are
 present; only a refused record is searched.  Cubes are validated in
-increasing dimension, so face closure is checked facet by facet; the
-orientation test, the opposite-edge relation and the link condition all
-read the corner tuples.
+increasing dimension, so face closure is checked facet by facet; only
+refused records are ranked, to name the least.  The orientation test, the
+opposite-edge relation and the link condition read the corner tuples, and
+every edge question reads the one edge table, ``C.edges``.
 
 Hyperplanes are found once per complex, for every connected component, with
 the sign vector of each vertex: an int whose bit i is the parity of class i
@@ -50,10 +51,6 @@ def _vkey(v):
     return (v.__class__.__name__, repr(v))
 
 
-def _pair(a, b) -> frozenset:
-    return frozenset((a, b))
-
-
 # ---------------------------------------------------------------------------
 # the complex
 # ---------------------------------------------------------------------------
@@ -76,12 +73,10 @@ class CubeComplex:
                 raise ComplexError(f"duplicate cube {_desc(S)}")
             cs.add(S)
         vertices, edges = list(vertices), [tuple(e) for e in edges]
-        self.vertices = frozenset(vertices)
-        self.edges = frozenset(edges)
+        self.vertices, self.edges = frozenset(vertices), frozenset(edges)
         self.cubes = {n: frozenset(cs) for n, cs in by_dim.items()}
         self._adj: dict[object, tuple] = {}
         self._rank: dict = {}
-        self._orient: dict[frozenset, tuple] = {}
         self._corners: dict[frozenset, tuple] = {}
         self._hyperplanes: Optional[tuple] = None
         _validate(self, vertices, edges)
@@ -94,7 +89,7 @@ class CubeComplex:
 
     def has_edge(self, a, b) -> bool:
         """True when the oriented edge (a, b) is present."""
-        return self._orient.get(_pair(a, b)) == (a, b)
+        return (a, b) in self.edges
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +200,18 @@ def _corner_tuple(S: frozenset, adj: Mapping, key: Callable, unbuilt: tuple) -> 
     return corners
 
 
+def _raise_least(refused: list, rank: Mapping) -> None:
+    """Raise the error of the least (record, error) pair, by sorted ranks."""
+    if refused:
+        raise min(refused, key=lambda r: sorted(map(rank.get, r[0])))[1]
+
+
 def _validate(C: CubeComplex, vertices: list, edges: list) -> None:
     """Check the records and label every cube, in increasing dimension: so
     an n-cube (n >= 3) only needs its 2n facets recorded.  The vertex and
     edge records are walked in the order given, so an error names the first
-    bad one.
+    bad one; the cube records and the squares' orientations are checked in
+    set order, and an error names the least refused record (``_raise_least``).
 
     Every deterministic order on the vertices reads ``C._rank``, the
     position of each vertex in the ``_vkey`` order, computed here once."""
@@ -225,11 +227,9 @@ def _validate(C: CubeComplex, vertices: list, edges: list) -> None:
             raise ComplexError(f"self-loop at {a!r}")
         if a not in C.vertices or b not in C.vertices:
             raise ComplexError(f"edge ({a!r}, {b!r}) leaves the vertex set")
-        pair = _pair(a, b)
-        if pair in C._orient:
+        if b in adj[a]:
             raise ComplexError(
                 f"edge {{{a!r}, {b!r}}} recorded twice (or with both orientations)")
-        C._orient[pair] = (a, b)
         adj[a].add(b)
         adj[b].add(a)
     stray = {v for cs in C.cubes.values() for S in cs for v in S} - C.vertices
@@ -239,11 +239,7 @@ def _validate(C: CubeComplex, vertices: list, edges: list) -> None:
     rank = C._rank = {v: i for i, v in enumerate(sorted(C.vertices, key=_vkey))}
     C._adj = {v: tuple(sorted(ws, key=rank.get)) for v, ws in adj.items()}
 
-    def cube_key(S):
-        return sorted(map(rank.get, S))
-
-    ordered = {n: sorted(cs, key=cube_key) for n, cs in sorted(C.cubes.items())}
-    for n, cs in ordered.items():
+    for n, cs in sorted(C.cubes.items()):
         if n < 2:
             raise ComplexError("cube records start at dimension 2")
         # the corner indices of each facet: bit i clear, then bit i set
@@ -251,23 +247,32 @@ def _validate(C: CubeComplex, vertices: list, edges: list) -> None:
                   for i in range(n if n > 2 else 0) for side in (0, 1 << i)]
         unbuilt = _unbuilt(n)
         faces = C.cubes.get(n - 1, ())
+        refused = []
         for S in cs:
-            corners = C._corners[S] = _corner_tuple(S, adj, rank.get, unbuilt)
-            for facet in facets:
-                if frozenset(facet(corners)) not in faces:
-                    raise ComplexError(
-                        f"face-closure violation: a {n - 1}-face of a "
-                        f"{n}-cube is not recorded")
+            try:
+                corners = C._corners[S] = _corner_tuple(S, adj, rank.get, unbuilt)
+                for facet in facets:
+                    if frozenset(facet(corners)) not in faces:
+                        raise ComplexError(
+                            f"face-closure violation: a {n - 1}-face of a "
+                            f"{n}-cube is not recorded")
+            except ComplexError as exc:
+                refused.append((S, exc))
+        _raise_least(refused, rank)
 
     # each edge is recorded once, so it points back along the square's bit
     # exactly when its reverse is a record
-    for S in ordered.get(2, ()):
+    refused = []
+    for S in C.cubes.get(2, ()):
         for (a, b), (p, q) in _opposite_edges(C, S):
             if ((b, a) in C.edges) != ((q, p) in C.edges):
-                (t0, h0), (t1, h1) = C._orient[_pair(a, b)], C._orient[_pair(p, q)]
-                raise ComplexError(
+                t0, h0 = (a, b) if (a, b) in C.edges else (b, a)
+                t1, h1 = (p, q) if (p, q) in C.edges else (q, p)
+                refused.append((S, ComplexError(
                     "orientation violation: opposite edges of a square "
-                    f"({t0!r}->{h0!r} vs {t1!r}->{h1!r}) disagree")
+                    f"({t0!r}->{h0!r} vs {t1!r}->{h1!r}) disagree")))
+                break
+    _raise_least(refused, rank)
 
 
 def build_complex(vertices: Iterable = (), edges: Iterable = (),
@@ -302,11 +307,11 @@ class Hyperplane:
         return self.side(u) != self.side(v)
 
 
-def _plane(C: CubeComplex, depth: dict, sign: dict, pairs, index) -> Hyperplane:
-    """The hyperplane of one class of parallel edges in the component whose
-    vertices are the keys of ``depth``."""
+def _plane(depth: dict, sign: dict, edges, index) -> Hyperplane:
+    """The hyperplane of one class of parallel recorded edges in the
+    component whose vertices are the keys of ``depth``."""
     bit = 1 << index
-    members = frozenset(C._orient[p] for p in pairs)
+    members = frozenset(edges)
     if any(sign[t] ^ sign[h] != bit for t, h in members):
         raise ComplexError(
             "hyperplane class does not cut the complex into two sides")
@@ -324,8 +329,8 @@ def _hyperplanes(C: CubeComplex) -> tuple[dict, list, dict]:
     every vertex, cached on C.
 
     Components are numbered by their least vertex.  The opposite-edge
-    relation is closed by union-find over the recorded squares; classes are
-    indexed component by component, each component's by their least edge,
+    relation on the recorded edges is closed by union-find over the squares;
+    classes are indexed per component, each component's by their least edge,
     and class i owns bit i.  A vertex at depth d > 0 of its component's
     breadth-first search flips the bit of its edge to its first neighbor at
     depth d - 1.  In index order, each class must have every edge flip just
@@ -343,7 +348,7 @@ def _hyperplanes(C: CubeComplex) -> tuple[dict, list, dict]:
             comp_of.update(dict.fromkeys(depth, len(comps)))
             comps.append(depth)
 
-    parent = {pair: pair for pair in C._orient}
+    parent = {e: e for e in C.edges}
 
     def find(x):
         while parent[x] != x:
@@ -351,28 +356,31 @@ def _hyperplanes(C: CubeComplex) -> tuple[dict, list, dict]:
             x = parent[x]
         return x
 
+    # opposite edges of a square point the same way, as validated
     for S in C.cubes.get(2, ()):
         for base, top in _opposite_edges(C, S):
-            parent[find(_pair(*base))] = find(_pair(*top))
+            if base not in C.edges:
+                base, top = base[::-1], top[::-1]
+            parent[find(base)] = find(top)
 
-    classes: list[dict] = [{} for _ in comps]  # per component: root -> pairs
-    for pair in C._orient:
-        classes[comp_of[next(iter(pair))]].setdefault(find(pair), []).append(pair)
+    classes: list[dict] = [{} for _ in comps]  # per component: root -> edges
+    for e in C.edges:
+        classes[comp_of[e[0]]].setdefault(find(e), []).append(e)
 
     planes: list = []
     sign: dict = {}
     index = 0
     for depth, roots in zip(comps, classes):
         group = sorted(roots.values(),
-                       key=lambda pairs: min(sorted(map(rank.get, p))
-                                             for p in pairs))
-        bit = {p: 1 << i for i, pairs in enumerate(group, index) for p in pairs}
+                       key=lambda es: min(sorted(map(rank.get, e)) for e in es))
+        bit = {e: 1 << i for i, es in enumerate(group, index)  # both ways
+               for a, b in es for e in ((a, b), (b, a))}
         for x, d in depth.items():  # breadth-first order: lower depths first
             w = next((w for w in C._adj[x] if depth[w] == d - 1), None)
-            sign[x] = 0 if w is None else sign[w] ^ bit[_pair(x, w)]
+            sign[x] = 0 if w is None else sign[w] ^ bit[x, w]
         try:
-            planes.append(tuple(_plane(C, depth, sign, pairs, i)
-                                for i, pairs in enumerate(group, index)))
+            planes.append(tuple(_plane(depth, sign, es, i)
+                                for i, es in enumerate(group, index)))
         except ComplexError as exc:
             planes.append(exc)
         index += len(group)
@@ -588,8 +596,8 @@ class IsometryReport:
 def _check_structure_preserved(C: CubeComplex, f: VertexIsometry) -> None:
     for a, b in sorted(C.edges, key=lambda e: (C._rank[e[0]], C._rank[e[1]])):
         fa, fb = f(a), f(b)
-        if C._orient.get(_pair(fa, fb)) != (fa, fb):
-            if C._orient.get(_pair(fa, fb)) == (fb, fa):
+        if (fa, fb) not in C.edges:
+            if (fb, fa) in C.edges:
                 raise ComplexError(
                     f"inversion: edge ({a!r}, {b!r}) maps onto its reverse "
                     f"({fa!r}, {fb!r})")
@@ -747,14 +755,16 @@ _DOT_PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e",
 
 
 def complex_to_dot(C: CubeComplex) -> str:
-    """1-skeleton in DOT, edges colored by hyperplane class."""
+    """1-skeleton in DOT, edges colored by hyperplane class, ids escaped."""
     _comp_of, planes, sign = _hyperplanes(C)
     for hps in planes:
         _checked(hps)
+    ids = {v: '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+           for v in C.vertices}
     lines = ["digraph cubes {"]
-    lines += [f'  "{v}";' for v in sorted(C.vertices, key=C._rank.get)]
+    lines += [f"  {ids[v]};" for v in sorted(C.vertices, key=C._rank.get)]
     for a, b in sorted(C.edges, key=lambda e: (C._rank[e[0]], C._rank[e[1]])):
         index = (sign[a] ^ sign[b]).bit_length() - 1
         color = _DOT_PALETTE[index % len(_DOT_PALETTE)]
-        lines.append(f'  "{a}" -> "{b}" [color="{color}"];')
+        lines.append(f'  {ids[a]} -> {ids[b]} [color="{color}"];')
     return "\n".join(lines) + "\n}\n"

@@ -250,6 +250,41 @@ def test_validation_errors_do_not_depend_on_the_hash_seed():
     assert lines[12] == "digraph cubes {" and len(lines) == 13 + 12 + 20 + 1
 
 
+def _bad_records_of_one_dimension():
+    """Three complexes, each with two bad records of one dimension, and the
+    message that names the least of them."""
+    vertices, edges, cubes = grid_data((3, 1))
+    paths = [frozenset((x, y) for x in range(4)) for y in (1, 0)]  # no squares
+    yield (vertices, edges, cubes + paths,
+           "face-closure violation: cube {(0, 0), (1, 0), (2, 0), (3, 0)} "
+           "is missing edges")
+    vertices, edges, cubes = grid_data((2, 1, 1))
+    gone = {frozenset([(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)]),  # y = 0 of one
+            frozenset([(1, 0, 1), (2, 0, 1), (1, 1, 1), (2, 1, 1)])}  # z = 1 of the other
+    yield (vertices, edges, [S for S in cubes if S not in gone],
+           "face-closure violation: a 2-face of a 3-cube is not recorded")
+    # in each square p, the opposite edges (p01, p00) and (p10, p11) disagree
+    squares = [[p + s for s in ("00", "01", "10", "11")] for p in "ba"]
+    edges = [(S[i], S[j]) for S in squares for i, j in ((1, 0), (2, 3), (2, 0), (3, 1))]
+    yield ([v for S in squares for v in S], edges, squares,
+           "orientation violation: opposite edges of a square "
+           "('a01'->'a00' vs 'a10'->'a11') disagree")
+
+
+@pytest.mark.parametrize("vertices, edges, cubes, message",
+                         list(_bad_records_of_one_dimension()),
+                         ids=["squares", "three-cubes", "orientations"])
+def test_validation_errors_do_not_depend_on_the_record_order(vertices, edges,
+                                                             cubes, message):
+    # several refused records of one dimension: the least by rank is named,
+    # whatever order the records come in
+    rng = random.Random("record order")
+    for _ in range(5):
+        cubes = rng.sample(cubes, len(cubes))
+        with pytest.raises(ComplexError, match=f"^{re.escape(message)}$"):
+            build_complex(vertices, edges, cubes)
+
+
 def test_face_closure_is_required():
     vertices, edges, cubes = grid_data((1, 1, 1))
     missing = [S for S in cubes if len(S) != 4 or (0, 0, 0) not in S]
@@ -1132,3 +1167,15 @@ def test_dot_export_colors_every_edge():
     assert dot.count("->") == 4
     assert dot.count("color=") == 4
     assert '"01" -> "00"' in dot
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    C = build_complex(['a"b', "c", "d\\"], [('a"b', "c"), ("d\\", "c")])
+    assert complex_to_dot(C).splitlines() == [
+        "digraph cubes {",
+        r'  "a\"b";',
+        r'  "c";',
+        r'  "d\\";',
+        r'  "a\"b" -> "c" [color="#1b9e77"];',
+        r'  "d\\" -> "c" [color="#d95f02"];',
+        "}"]

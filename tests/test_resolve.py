@@ -603,3 +603,14 @@ def test_degree_law_with_linear_composites_and_conjugates(dense_automorphism):
         if rng.random() < 0.5:
             f, g = g, f
         assert _degree_law_holds(f, g), (str(f), str(g))
+
+
+@pytest.mark.parametrize("name, depth", [("jonq2", 18), ("lox1", 4)])
+def test_degree_law_at_depth(name, depth):
+    # f^k = f^(k-1) f, an independent check on the deep towers; at the
+    # default caps jonq2's tower over [0 : 1 : 0] outgrows the height cap at
+    # k = 19, and lox1 at k = 5 costs seconds
+    f = builtin(name)
+    failed = [k for k in range(2, depth + 1)
+              if not _degree_law_holds(iterate(f, k - 1), f)]
+    assert failed == []
