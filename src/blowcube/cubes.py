@@ -755,12 +755,21 @@ _DOT_PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e",
 
 
 def complex_to_dot(C: CubeComplex) -> str:
-    """1-skeleton in DOT, edges colored by hyperplane class, ids escaped."""
+    """1-skeleton in DOT, edges colored by hyperplane class, ids escaped;
+    distinct ids that print alike are refused."""
     _comp_of, planes, sign = _hyperplanes(C)
     for hps in planes:
         _checked(hps)
     ids = {v: '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
            for v in C.vertices}
+    if len(set(ids.values())) < len(ids):
+        seen: dict = {}
+        for v in sorted(C.vertices, key=C._rank.get):
+            if ids[v] in seen:
+                raise OutputError(
+                    f"vertex ids {seen[ids[v]]!r} and {v!r} are both the DOT "
+                    f"node {ids[v]}; relabel before export")
+            seen[ids[v]] = v
     lines = ["digraph cubes {"]
     lines += [f"  {ids[v]};" for v in sorted(C.vertices, key=C._rank.get)]
     for a, b in sorted(C.edges, key=lambda e: (C._rank[e[0]], C._rank[e[1]])):

@@ -330,16 +330,26 @@ def mu(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> MuResu
     Returns the exact slope of the final half window when it is constant
     and positive; returns 0 only with a fixed vertex of the action as a
     certificate; anything else is undecided.
+
+    On hitting a soft cap the counts found so far are attached to the
+    raised error as ``.partial``.
     """
     N = _horizon(N, cfg)
-    seq = tuple(base_points(f, cfg, n).count for n in range(1, N + 1))
-    slope = _tail_slope(seq)
-    if slope is not None and slope > 0:
-        return MuResult(slope, seq, N)
-    if slope == 0 or _tail_bounded(seq):
-        witness = _probe_fixed_vertex(f, cfg)
-        if witness is not None:
-            return MuResult(0, seq, N, fixed_vertex=str(witness))
+    counts: list[int] = []
+    try:
+        for n in range(1, N + 1):
+            counts.append(base_points(f, cfg, n).count)
+        seq = tuple(counts)
+        slope = _tail_slope(seq)
+        if slope is not None and slope > 0:
+            return MuResult(slope, seq, N)
+        if slope == 0 or _tail_bounded(seq):
+            witness = _probe_fixed_vertex(f, cfg)
+            if witness is not None:
+                return MuResult(0, seq, N, fixed_vertex=str(witness))
+    except _SOFT_CAPS as exc:
+        exc.partial = tuple(counts)
+        raise
     return MuResult(None, seq, N)
 
 
@@ -561,7 +571,7 @@ def classify(f: ProjMap, N: Optional[int] = None,
         mu_res = mu(f, N, cfg)
     except _SOFT_CAPS as exc:
         caps.append(f"mu: {exc.__class__.__name__}")
-        mu_res = MuResult(None, (), N)
+        mu_res = MuResult(None, exc.partial, N)
 
     try:
         nu_res = nu1(f, N, cfg)

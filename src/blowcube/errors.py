@@ -47,9 +47,10 @@ class InverseUnavailable(MapError):
 class DegreeCapExceeded(MapError):
     """A composite's degree passed the configured cap.
 
-    ``partial`` holds the degrees of the iterates finished before the cap
-    hit when a degree sequence was being built, so partial sequences stay
-    usable.
+    ``partial`` holds what was finished before the cap hit, so partial
+    sequences stay usable: the degrees of the iterates when a degree
+    sequence was being built, the base-point counts when ``mu`` was (which
+    attaches its counts to every soft cap it raises).
     """
 
     def __init__(self, message: str):

@@ -17,7 +17,11 @@ Every composite f after g, inverse checks included, is built once per
 process and kept in ``memo.composites`` under the keys of f and g;
 ``iterate(f, n)`` walks f^k = f^(k-1) after f through the same store.  The
 degree cap bounds only these composites, by deg f * deg g, checked before
-the store is read.
+the store is read.  When deg f > deg g and the inner map g is c * M after
+l, a monomial map after independent linear forms
+(``monomial_linear_form``), f after g is built as (f after M) after l by
+``poly.compose_monomial_linear``, with no product of polynomials; else by
+``compose_tuple``.
 Composites and iterates of maps with verified inverses inherit inverses
 without re-verification: ``compose(f, g)`` carries g^-1 after f^-1, and
 ``iterate(f, n)`` carries (f^-1)^n.
@@ -37,13 +41,18 @@ from blowcube.errors import DegreeCapExceeded, InverseUnavailable, MapError, Par
 from blowcube.poly import (
     EXP_LIMIT,
     Poly,
+    canonical_factor,
     check_exponent,
+    compose_monomial_linear,
     compose_tuple,
+    factor_q,
+    jacobian_det,
     parse_poly,
     parse_ratfunc,
     linear_relations,
     poly_str,
     primitive_tuple,
+    strip_factor,
     top_exponent,
 )
 
@@ -218,9 +227,10 @@ def _compose_raw(f: ProjMap, g: ProjMap, cfg: RunConfig) -> ProjMap:
 
 
 def _composite(f: ProjMap, g: ProjMap) -> ProjMap:
-    """f after g from ``memo.composites``, built and stored on a miss; the
-    one builder of composites, which refuses only a degree bound that
-    packed exponents cannot hold."""
+    """f after g from ``memo.composites``, built and stored on a miss, through
+    the form of g when it has one and deg f > deg g; the one builder of
+    composites, which refuses only a degree bound that packed exponents
+    cannot hold."""
     bound = f.degree() * g.degree()
     if bound >= EXP_LIMIT:
         raise DegreeCapExceeded(f"composition degree bound {bound} exceeds "
@@ -228,8 +238,111 @@ def _composite(f: ProjMap, g: ProjMap) -> ProjMap:
     key = (f.key(), g.key())
     h = memo.composites.get(key)
     if h is None:
-        h = memo.composites[key] = ProjMap(compose_tuple(f.entries, g.entries))
+        # with deg f <= deg g the products are few and small, and a form
+        # would factor a Jacobian for nothing: conjugations a^-1 after f
+        # after a, and the checks f after f^-1 of every new inverse
+        form = monomial_linear_form(g) if f.degree() > g.degree() else None
+        entries = (compose_tuple(f.entries, g.entries) if form is None
+                   else compose_monomial_linear(f.entries, *form))
+        h = memo.composites[key] = ProjMap(entries)
     return h
+
+
+def jacobian_factors(f: ProjMap) -> tuple[tuple[Poly, int], ...] | None:
+    """The irreducible factors of the Jacobian determinant of f with their
+    multiplicities, or None when it vanishes identically; factored once per
+    process and kept in ``memo.jacobians``."""
+    key = f.key()
+    if key not in memo.jacobians:
+        jac = jacobian_det(f.entries)
+        memo.jacobians[key] = (None if jac.is_zero else () if jac.is_constant
+                               else factor_q(jac)[1])
+    return memo.jacobians[key]
+
+
+def monomial_linear_form(g: ProjMap) -> tuple | None:
+    """(scales, rows, lines) with g_i = scales[i] * prod_j lines[j]^rows[i][j],
+    that is g = c * M after l for a monomial map M and independent linear
+    forms l, or None; kept in ``memo.forms``.
+
+    A monomial map is its own M, with l the coordinates.  Any other plane map
+    of degree at least 2 is read off the lines of its Jacobian: with s_j the
+    column sums of the exponent matrix A of M, J(M after l) is a constant
+    times prod_j l_j^(s_j - 1), so J has only linear factors, and each
+    line of l is one of them except at most one with s_j = 1, which is left
+    over in one entry.  A line of J that divides no entry (no entry vanishes
+    at one of its points) refuses g before anything is divided.  Then each
+    line is stripped from the entries that vanish on it, and g is accepted
+    when each entry leaves a constant or, in one entry only, a line, three
+    independent lines in all, with |det A| = deg g, so that M is birational.
+    """
+    key = g.key()
+    if key not in memo.forms:
+        memo.forms[key] = _monomial_linear_form(g)
+    return memo.forms[key]
+
+
+def _monomial_linear_form(g: ProjMap) -> tuple | None:
+    if g.is_monomial():
+        return (tuple(p.leading()[1] for p in g.entries),
+                tuple(p.leading()[0] for p in g.entries),
+                tuple(Poly.var(g.vars, v) for v in g.vars))
+    if g.dim != 2 or g.degree() < 2:
+        return None
+    facs = jacobian_factors(g)
+    if facs is None or len(facs) < 2 or any(p.degree() != 1 for p, _m in facs):
+        return None
+    lines = [p for p, _m in facs]
+    coefs = [_coefficients(line) for line in lines]
+    hits = []
+    for j, line in enumerate(coefs):
+        pt = _point_on(line, coefs[:j] + coefs[j + 1:])
+        hits.append([i for i, p in enumerate(g.entries) if p.evaluate(pt) == 0])
+        if not hits[-1]:
+            return None
+    rest = list(g.entries)
+    rows = [[0] * len(lines) for _ in rest]
+    for j, line in enumerate(lines):
+        for i in hits[j]:
+            rest[i], rows[i][j] = strip_factor(rest[i], line)
+    left = [i for i, p in enumerate(rest) if not p.is_constant]
+    if len(lines) + len(left) != 3 or any(rest[i].degree() != 1 for i in left):
+        return None
+    scales = [p.constant_value() if p.is_constant else None for p in rest]
+    for i in left:
+        line = canonical_factor(rest[i])
+        scales[i] = rest[i].leading()[1] / line.leading()[1]
+        lines.append(line)
+        coefs.append(_coefficients(line))
+        for r, row in enumerate(rows):
+            row.append(int(r == i))
+    if _mat_inverse_frac(coefs) is None or abs(_det3(rows)) != g.degree():
+        return None
+    return tuple(scales), tuple(map(tuple, rows)), tuple(lines)
+
+
+def _coefficients(line: Poly) -> list[Fraction]:
+    return [line.coefficient(u) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+
+
+def _point_on(line: Sequence, others: Sequence[Sequence]) -> list:
+    """A point of the plane line with coefficients ``line`` off the lines
+    with coefficients ``others``."""
+    a, b, c = line
+    p, q = (((-b, a, 0), (-c, 0, a)) if a else ((1, 0, 0), (0, -c, b)) if b
+            else ((1, 0, 0), (0, 1, 0)))
+    t = 0
+    while True:  # each other line holds at most one of these points
+        pt = [u + t * v for u, v in zip(p, q)]
+        if all(sum(m * x for m, x in zip(other, pt)) for other in others):
+            return pt
+        t += 1
+
+
+def _det3(m: Sequence[Sequence[int]]) -> int:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def compose(f: ProjMap, g: ProjMap, cfg: RunConfig = DEFAULTS) -> ProjMap:

@@ -714,6 +714,78 @@ def compose_tuple(outer: Sequence[Poly], inner: Sequence[Poly]) -> tuple[Poly, .
     return tuple(p.compose(inner) for p in outer)
 
 
+def compose_monomial_linear(outer: Sequence[Poly], scales: Sequence,
+                            rows: Sequence[Sequence[int]],
+                            linear: Sequence[Poly]) -> tuple[Poly, ...]:
+    """The outer tuple after g, where g_i = scales[i] * prod_j linear[j]^rows[i][j]
+    for independent linear forms, less a common factor that is a product of
+    the linear forms.
+
+    A term c * X^e becomes c * prod_i scales[i]^e_i times the monomial
+    e * rows in the linear forms: exponent arithmetic on the packed keys,
+    with no product of polynomials.  The common monomial of the results
+    then comes off the keys, and the linear forms are substituted: by a
+    ``translate`` in the chart of the last variable when each form is a
+    multiple of one variable plus a multiple of the last (the variables
+    all different), else by ``compose``.  ``primitive_tuple`` of the
+    answer is that of ``compose_tuple(outer, g)``.
+    """
+    vars = linear[0].vars
+    n = len(vars) - 1
+    last = WIDTH * n
+    units = [1 << (WIDTH * k) for k in range(n + 1)]
+    coefs = [[Fraction(p.coeffs.get(u, 0), p.den) for u in units] for p in linear]
+    heads = [[k for k in range(n) if c[k]] for c in coefs]
+    shifts = [Fraction(0)] * n
+    targets = sorted(h[0] if h else n for h in heads if len(h) <= 1)
+    if targets == list(range(n + 1)):
+        # x_k + s_k * x_n after folding each lead coefficient into the scales
+        scales = list(scales)
+        moved = []
+        for j, (c, h) in enumerate(zip(coefs, heads)):
+            k = h[0] if h else n
+            for i, row in enumerate(rows):
+                scales[i] *= c[k] ** row[j]
+            if h:
+                shifts[k] = c[n] / c[k]
+            moved.append(k)
+        rows = [[row[moved.index(k)] for k in range(n + 1)] for row in rows]
+    else:
+        moved = None
+    packed = [sum(e << (WIDTH * k) for k, e in enumerate(row)) for row in rows]
+    steps = list(zip(range(0, last + 1, WIDTH), packed))
+    fracs = [Fraction(s) for s in scales]
+    mapped = []
+    for p in outer:
+        # c * prod (a_i/b_i)^e_i over the scale den * prod b_i^T_i, with T_i
+        # the top exponent of variable i in p, as in ``evaluate``
+        den, tables = p.den, []
+        for q, (s, _step) in zip(fracs, steps):
+            top = max(((k >> s) & MASK for k in p.coeffs), default=0)
+            apow, bpow = [1], [1]
+            for _ in range(top):
+                apow.append(apow[-1] * q.numerator)
+                bpow.append(bpow[-1] * q.denominator)
+            tables.append([apow[e] * bpow[top - e] for e in range(top + 1)])
+            den *= bpow[top]
+        out: dict[int, int] = {}
+        for k, c in p.coeffs.items():
+            key = 0
+            for (s, step), table in zip(steps, tables):
+                e = (k >> s) & MASK
+                key += e * step
+                c *= table[e]
+            out[key] = out.get(key, 0) + c  # a singular rows matrix merges terms
+        mapped.append(Poly(vars, den, out))
+    _mono, mapped = _common_monomial(mapped)
+    if moved is None:
+        return tuple(p.compose(linear) for p in mapped)
+    if not any(shifts):
+        return tuple(mapped)
+    return tuple(p.dehomogenize().translate(shifts).homogenize(vars[n], p.degree())
+                 for p in mapped)
+
+
 def primitive_tuple(polys: Sequence[Poly]) -> tuple[Poly, ...]:
     """Divide out the common polynomial factor and normalize signs.
 
@@ -933,6 +1005,19 @@ def _chart(polys: Sequence[Poly]):
             lambda q, d=None: q.homogenize(vars[-1], d))
 
 
+def _common_monomial(polys: Sequence[Poly]) -> tuple[int, list[Poly]]:
+    """The packed key of the largest monomial dividing every term of the
+    given polynomials (0 when they are all zero), and the polynomials
+    divided by it, on the packed keys."""
+    vars = polys[0].vars
+    mono = sum(min((((k >> s) & MASK) for p in polys for k in p.coeffs), default=0) << s
+               for s in range(0, WIDTH * len(vars), WIDTH))
+    if mono:
+        polys = [Poly(vars, p.den, {k - mono: c for k, c in p.coeffs.items()})
+                 for p in polys]
+    return mono, list(polys)
+
+
 def _cofactors(polys: Sequence[Poly]) -> tuple[Poly, tuple[Poly, ...]]:
     """A gcd g of polynomials on common variables, not all zero, and each
     entry divided by g; zero entries stay zero.  The common monomial comes
@@ -947,11 +1032,7 @@ def _cofactors(polys: Sequence[Poly]) -> tuple[Poly, tuple[Poly, ...]]:
     vars = nz[0].vars
     if any(p.vars != vars for p in polys):
         raise ValueError("variable mismatch")
-    mono = sum(min((k >> s) & MASK for p in nz for k in p.coeffs) << s
-               for s in range(0, WIDTH * len(vars), WIDTH))
-    if mono:
-        nz = [Poly(vars, p.den, {k - mono: c for k, c in p.coeffs.items()})
-              for p in nz]
+    mono, nz = _common_monomial(nz)
     g = Poly(vars, 1, {mono: 1})
     quotients = iter(nz)
     if all(len(p.coeffs) > 1 for p in nz):
@@ -981,12 +1062,19 @@ def factor_q(p: Poly) -> tuple[Fraction, tuple[tuple[Poly, int], ...]]:
     by (degree, text) for determinism.  unit * prod(factor^mult) == p.
     sympy factors p in its ``_chart``; a homogeneous p gets back, beside the
     homogenized factors of the chart, the power of the last variable that
-    the chart drops.
+    the chart drops.  A monomial is factored into its variables without
+    sympy.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if p.is_constant:
         return p.constant_value(), ()
+    if len(p.coeffs) == 1:
+        (key, c), = p.coeffs.items()
+        out = [(Poly.var(p.vars, v), e)
+               for v, e in zip(p.vars, unpack(key, len(p.vars))) if e]
+        out.sort(key=lambda t: poly_str(t[0]))
+        return Fraction(c, p.den), tuple(out)
     (chart,), back = _chart((p,))
     coeff, factors = _to_zz(chart).factor_list()
     unit = Fraction(int(coeff), p.den)

@@ -42,9 +42,9 @@ from .config import DEFAULTS, RunConfig
 from .errors import (HeightCapExceeded, IrrationalBaseLocus, MapError,
                      ResolutionError, TransportUnsupported)
 from .maps import (ProjMap, ProjPoint, degree_sequence, inverse, iterate,
-                   normalize_point, point_str)
-from .poly import (Poly, canonical_factor, factor_q, jacobian_det,
-                   poly_gcd, poly_mod, strip_factor)
+                   jacobian_factors, normalize_point, point_str)
+from .poly import (Poly, canonical_factor, factor_q, poly_gcd, poly_mod,
+                   strip_factor)
 
 CHART_VARS = ("u", "t")
 
@@ -393,26 +393,25 @@ def curve_image(f: ProjMap, C: Poly) -> ProjPoint | None:
 
 def exc_components(f: ProjMap) -> tuple[ExcComponent, ...]:
     """The irreducible curves contracted by f, with Jacobian multiplicities
-    and image points."""
+    and image points; the Jacobian's factors come from
+    ``maps.jacobian_factors``, which factors each Jacobian once."""
     if f.dim != 2:
         raise ResolutionError("contracted curves are only computed for plane maps")
     if f.key() in memo.components:
         return memo.components[f.key()]
-    jac = jacobian_det(f.entries)
-    if jac.is_zero:
+    facs = jacobian_factors(f)
+    if facs is None:
         raise MapError(f"{f} is not dominant: its Jacobian vanishes identically")
     comps: list[ExcComponent] = []
-    if not jac.is_constant:
-        _, facs = factor_q(jac)
-        for fac, mult in facs:
-            img = curve_image(f, fac)
-            if img is None:
-                # every Jacobian factor of a birational map is contracted:
-                # this one is a Galois orbit of curves sent to conjugate points
-                raise IrrationalBaseLocus(
-                    f"{f} contracts the components of {fac} = 0 to points "
-                    "outside the rationals")
-            comps.append(ExcComponent(fac, mult, img))
+    for fac, mult in facs:
+        img = curve_image(f, fac)
+        if img is None:
+            # every Jacobian factor of a birational map is contracted:
+            # this one is a Galois orbit of curves sent to conjugate points
+            raise IrrationalBaseLocus(
+                f"{f} contracts the components of {fac} = 0 to points "
+                "outside the rationals")
+        comps.append(ExcComponent(fac, mult, img))
     memo.components[f.key()] = tuple(comps)
     return memo.components[f.key()]
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from blowcube import maps
 from blowcube.errors import MapError
 from blowcube.maps import linear_map
 
@@ -19,3 +20,17 @@ def dense_automorphism():
             except MapError:
                 continue
     return draw
+
+
+@pytest.fixture
+def built_composites(monkeypatch):
+    """The factors of every composite built from now on, by either builder:
+    (outer entries, inner entries) for a product, and (outer entries,
+    (scales, rows, lines)) for an inner map read as c * M after l."""
+    built = []
+    for name in ("compose_tuple", "compose_monomial_linear"):
+        def counted(outer, *inner, real=getattr(maps, name)):
+            built.append((outer, inner))
+            return real(outer, *inner)
+        monkeypatch.setattr(maps, name, counted)
+    return built

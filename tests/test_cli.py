@@ -9,6 +9,8 @@ import pytest
 
 from blowcube.cli import main
 from blowcube.config import BOUNDS, RunConfig
+from blowcube.dynamics import mu
+from blowcube.errors import HeightCapExceeded
 from blowcube.maps import builtin
 
 # the reports of ``classify <name> -n 4`` that the benchmark also checks
@@ -106,6 +108,20 @@ def test_classify_reports_an_irrational_base_locus_as_a_cap(capsys):
     data = json.loads(out)
     assert "nu1: IrrationalBaseLocus" in data["caps_hit"]
     assert data["nu_forward"] is None and data["nu_backward"] is None
+
+
+def test_classify_keeps_the_base_point_counts_found_before_a_cap(capsys):
+    # henon's tower over [0 : 1 : 0] outgrows the height cap at n = 6; the
+    # counts for n <= 5 were computed and are printed with the cap
+    code, out, err = run(capsys, "classify", "henon", "-n", "6")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["caps_hit"] == ["mu: HeightCapExceeded"]
+    assert data["mu"] is None
+    assert data["base_point_counts"] == [3, 6, 9, 12, 15]
+    with pytest.raises(HeightCapExceeded) as info:
+        mu(builtin("henon"), 6)
+    assert info.value.partial == (3, 6, 9, 12, 15)
 
 
 def test_mu_command(capsys):

@@ -21,6 +21,7 @@ from blowcube import (
     CubeComplex,
     GeodesicResult,
     Hyperplane,
+    OutputError,
     VertexIsometry,
     build_complex,
     check_gromov,
@@ -1179,3 +1180,17 @@ def test_dot_export_escapes_quotes_and_backslashes():
         r'  "a\"b" -> "c" [color="#1b9e77"];',
         r'  "d\\" -> "c" [color="#d95f02"];',
         "}"]
+
+
+def test_dot_export_refuses_ids_that_print_alike():
+    # JSON keeps 1 and "1" apart; DOT would merge them into one node and
+    # draw their edge as a self-loop
+    C = build_complex([1, "1"], [(1, "1")])
+    assert json.loads(complex_to_json(C))["vertices"] == [1, "1"]
+    with pytest.raises(OutputError,
+                       match="""^vertex ids 1 and '1' are both the DOT node "1"; """
+                             "relabel before export$") as info:
+        complex_to_dot(C)
+    assert info.value.exit_code == 8
+    assert complex_to_dot(build_complex([1, "2"], [(1, "2")])).splitlines()[1:3] \
+        == ['  "1";', '  "2";']

@@ -133,18 +133,11 @@ def test_action_outside_the_ball_is_refused(figure_ball):
         action_on_ball(builtin("henon"), figure_ball)
 
 
-def test_a_ball_builds_each_composite_once(monkeypatch):
+def test_a_ball_builds_each_composite_once(built_composites):
     memo.clear()
-    built = []
-    real = maps.compose_tuple
-
-    def counted(outer, inner):
-        built.append((outer, inner))
-        return real(outer, inner)
-
-    monkeypatch.setattr(maps, "compose_tuple", counted)
     sigma_ball()
-    assert built and len(set(built)) == len(built)
+    assert built_composites
+    assert len(set(built_composites)) == len(built_composites)
 
 
 def test_a_center_beyond_the_universe_joins_the_ball():
@@ -284,7 +277,8 @@ def test_nu1_counts_are_certified_without_factoring(monkeypatch, dense_automorph
 def test_mu_and_nu1_factor_only_jacobians_and_slope_polynomials(monkeypatch,
                                                                 dense_automorphism):
     # the backward chains divide instead of factoring: the only polynomials
-    # factored are J(f), J(f^-1) and the (u, t) slope polynomials of towers
+    # factored are J(f), J(f^-1) (by maps.jacobian_factors) and the (u, t)
+    # slope polynomials of towers
     real = resolve.factor_q
     inputs = []
 
@@ -294,6 +288,7 @@ def test_mu_and_nu1_factor_only_jacobians_and_slope_polynomials(monkeypatch,
 
     memo.clear()
     monkeypatch.setattr(resolve, "factor_q", spy)
+    monkeypatch.setattr(maps, "factor_q", spy)
     rng = random.Random(2)
     cases = [(builtin(name), 4) for name in
              ("sigma", "henon", "hen2", "jonq1", "jonq2", "lox1")]

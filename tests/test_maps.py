@@ -40,6 +40,9 @@ from blowcube.errors import (
     ParseError,
 )
 from blowcube.maps import linear_map, mat_pow, monomial_matrix_of, normalize_point
+from blowcube.poly import (Poly, compose_monomial_linear, compose_tuple,
+                           jacobian_det, primitive_tuple)
+from blowcube.resolve import exc_components
 
 P2 = ("x", "y", "z")
 
@@ -233,23 +236,10 @@ def test_iterates_stay_paired_after_composing_with_an_iterate():
     assert attached_inverse(iterate(inverse(henon), 3)) is iterate(henon, 3)
 
 
-def _count_builds(monkeypatch) -> list:
-    """The factor pairs of every composite built from now on."""
-    calls = []
-    real = maps.compose_tuple
-
-    def counted(outer, inner):
-        calls.append((outer, inner))
-        return real(outer, inner)
-
-    monkeypatch.setattr(maps, "compose_tuple", counted)
-    return calls
-
-
-def test_a_map_and_its_inverse_share_one_iterate_chain(monkeypatch):
+def test_a_map_and_its_inverse_share_one_iterate_chain(built_composites):
     memo.clear()
     lox1 = builtin("lox1")
-    calls = _count_builds(monkeypatch)
+    calls = built_composites
     for _ in range(2):
         assert degree_sequence(lox1, 4) == [3, 8, 21, 55]
         assert degree_sequence(inverse(lox1), 4) == [3, 8, 21, 55]
@@ -267,11 +257,11 @@ def test_degree_sequence_builds_only_the_forward_chain():
     assert [h.degree() for h in memo.composites.values()] == [8, 21, 55]
 
 
-def test_an_inverse_check_builds_each_composite_once(monkeypatch):
+def test_an_inverse_check_builds_each_composite_once(built_composites):
     # sigma is its own inverse: both checks and the later sigma^-1 after
     # sigma are the one composite sigma after sigma
     memo.clear()
-    calls = _count_builds(monkeypatch)
+    calls = built_composites
     sigma = parse_map("P2:[y*z : x*z : x*y]")
     assert inverse(sigma) == sigma
     assert compose(inverse(sigma), sigma).is_identity()
@@ -332,9 +322,10 @@ def test_memo_is_the_one_process_wide_store():
     assert stores == {("maps.py", "_builtin"), ("poly.py", "_symbols")}
 
 
-def test_memo_has_five_tables():
-    assert sorted(memo.sizes()) == ["components", "composites", "images",
-                                    "pullbacks", "towers"]
+def test_memo_has_seven_tables():
+    assert sorted(memo.sizes()) == ["components", "composites", "forms",
+                                    "images", "jacobians", "pullbacks",
+                                    "towers"]
 
 
 def test_composition_of_inverses_attaches_inverse():
@@ -564,3 +555,169 @@ def test_builtin_registry():
         assert builtin(name) is f
     with pytest.raises(MapError):
         builtin("nope")
+
+
+# ---------------------------------------------------------------------------
+# composites through an inner map c * M after l
+# ---------------------------------------------------------------------------
+
+def _unimodular(rng) -> list[list[int]]:
+    """A random 2x2 integer matrix of determinant +-1 whose monomial map
+    has degree 2 to 4."""
+    while True:
+        m = [[1, 0], [0, 1]]
+        for _ in range(rng.randint(2, 4)):
+            i = rng.randrange(2)
+            k = rng.choice((-2, -1, 1, 2))
+            m[i] = [a + k * b for a, b in zip(m[i], m[1 - i])]
+        if rng.random() < 0.5:
+            m[0], m[1] = m[1], m[0]
+        if 2 <= monomial_map(m).degree() <= 4:
+            return m
+
+
+def _shear(rng) -> list[list]:
+    """Coordinates permuted and scaled, plus multiples of z."""
+    rows = [[1, 0, rng.choice((-2, -1, 1, 3))], [0, 1, rng.choice((-1, 2))],
+            [0, 0, 1]]
+    rng.shuffle(rows)
+    return [[rng.choice((1, -1, 2)) * c for c in row] for row in rows]
+
+
+def _dense(rng, values) -> list[list]:
+    while True:
+        m = [[rng.choice(values) for _ in range(3)] for _ in range(3)]
+        if maps._mat_inverse_frac(m) is not None:
+            return m
+
+
+def _power_products(scales, rows, lines) -> list[Poly]:
+    """c * M after l, multiplied out: entry i is scales[i] times the product
+    of the powers lines[j]^rows[i][j]."""
+    return [functools.reduce(lambda a, b: a * b,
+                             (line ** k for line, k in zip(lines, row))) * c
+            for c, row in zip(scales, rows)]
+
+
+@pytest.mark.parametrize("kind", ["shear", "integer", "rational"])
+@pytest.mark.parametrize("seed", range(4))
+def test_composites_through_a_monomial_linear_map_equal_the_product(kind, seed):
+    rng = random.Random(100 * seed + len(kind))
+    mon = monomial_map(_unimodular(rng))
+    matrix = {"shear": lambda: _shear(rng),
+              "integer": lambda: _dense(rng, (-3, -2, -1, 1, 2, 3)),
+              "rational": lambda: _dense(rng, (Fr(-1, 2), Fr(2, 3), 1, -3, Fr(5, 4)))
+              }[kind]()
+    g = ProjMap(_power_products(
+        [rng.choice((1, -2, 3)) for _ in range(3)],
+        [p.leading()[0] for p in mon.entries],
+        [parse_poly(" + ".join(f"({c})*{v}" for c, v in zip(row, P2)), P2)
+         for row in matrix]))
+    memo.clear()
+    form = maps.monomial_linear_form(g)
+    assert form is not None
+    scales, rows, lines = form
+    assert abs(maps._det3(rows)) == g.degree() == mon.degree()
+    assert ProjMap(_power_products(scales, rows, lines)) == g
+    for f in (builtin("henon"), builtin("lox1"), mon, g):
+        want = primitive_tuple(compose_tuple(f.entries, g.entries))
+        assert primitive_tuple(compose_monomial_linear(f.entries, *form)) == want
+        assert maps._composite(f, g).entries == want
+    assert memo.forms[g.key()] is form
+    # the same map with rational scales and rational lines, not multiplied out
+    scales = [c * Fr(2, 7) ** k for k, c in enumerate(scales)]
+    lines = [line * Fr(3, 2) for line in lines]
+    f = builtin("henon")
+    assert primitive_tuple(compose_monomial_linear(f.entries, scales, rows, lines)) \
+        == primitive_tuple(compose_tuple(f.entries, _power_products(scales, rows, lines)))
+
+
+def test_a_shear_of_the_last_variable_is_substituted_by_translation(monkeypatch):
+    # lox1^-1 = [x^2*z : (y - z)^3 : x*z*(y - z)], with l = (x, y - z, z)
+    g = inverse(builtin("lox1"))
+    form = maps.monomial_linear_form(g)
+    assert [str(line) for line in form[2]] == ["x", "y - z", "z"]
+    f, want = iterate(g, 3), iterate(g, 4)
+    monkeypatch.setattr(Poly, "compose", None)  # the translate path needs none
+    assert primitive_tuple(compose_monomial_linear(f.entries, *form)) == want.entries
+
+
+@pytest.mark.parametrize("name", ["henon", "lox1", "jonq2", "hen2"])
+def test_maps_that_are_not_monomial_after_linear_have_no_form(name):
+    memo.clear()
+    assert maps.monomial_linear_form(builtin(name)) is None
+
+
+def test_dense_conjugates_have_no_form(monkeypatch, dense_automorphism):
+    # J of a conjugate of sigma is three lines, but its entries are sums
+    # of products of them: no entry vanishes on any of the lines, so each
+    # map is refused by evaluations before anything is divided
+    rng = random.Random(5)
+    memo.clear()
+    monkeypatch.setattr(maps, "strip_factor", None)
+    for name in ("sigma", "henon", "jonq2", "lox1"):
+        g = conjugate(builtin(name), dense_automorphism(rng))
+        assert maps.monomial_linear_form(g) is None, name
+        if name == "sigma":
+            assert [p.degree() for p, _m in maps.jacobian_factors(g)] == [1, 1, 1]
+
+
+def test_a_jacobian_line_on_which_no_entry_vanishes_refuses_before_division(
+        monkeypatch):
+    # b after lox1^-1, b linear: J has the lines x, y - z and z of lox1^-1,
+    # and y - z divides the middle entry, but no entry vanishes on x = 0
+    g = parse_map("P2:[(y - z)^3 : x^2*z + (y - z)^3 : (y - z)^3 + x*z*(y - z)]")
+    memo.clear()
+    assert [str(p) for p, _m in maps.jacobian_factors(g)] == ["x", "y - z", "z"]
+    monkeypatch.setattr(maps, "strip_factor", None)
+    assert maps.monomial_linear_form(g) is None
+
+
+def test_a_monomial_map_of_lines_that_is_not_birational_has_no_form():
+    # [l0^2 : l1^2 : l2^2] strips to three lines, but |det A| = 8, not 2
+    lines = [parse_poly(s, P2) for s in ("x + y", "y - 2*z", "x + z")]
+    g = ProjMap(tuple(line ** 2 for line in lines))
+    memo.clear()
+    assert maps.monomial_linear_form(g) is None
+    assert [p.degree() for p, _m in maps.jacobian_factors(g)] == [1, 1, 1]
+
+
+def test_monomial_maps_are_their_own_form():
+    for f in (builtin("sigma"), builtin("jonq1"), builtin("mon3"), identity(3)):
+        scales, rows, lines = maps.monomial_linear_form(f)
+        assert lines == tuple(Poly.var(f.vars, v) for v in f.vars)
+        assert rows == tuple(p.leading()[0] for p in f.entries)
+
+
+def test_each_jacobian_is_factored_once(monkeypatch):
+    # the inverse walk of lox1 reads the form of lox1^-1 from the Jacobian
+    # factors that exc_components reads too
+    memo.clear()
+    g = inverse(builtin("lox1"))
+    factored = []
+    real = maps.factor_q
+    monkeypatch.setattr(maps, "factor_q", lambda p: factored.append(p) or real(p))
+    iterate(g, 3)
+    exc_components(g)
+    exc_components(builtin("lox1"))
+    iterate(builtin("lox1"), 2)
+    assert factored == [jacobian_det(g.entries), jacobian_det(builtin("lox1").entries)]
+    assert set(memo.jacobians) == {g.key(), builtin("lox1").key()}
+
+
+def test_conjugations_and_inverse_checks_factor_no_jacobian(monkeypatch,
+                                                             dense_automorphism):
+    # an inner form is asked for only when deg f > deg g: the composites of
+    # a^-1 after f after a, and the checks f after f^-1 and f^-1 after f of
+    # a new inverse, never ask for one
+    rng = random.Random(7)
+    a = dense_automorphism(rng)
+    fs = [builtin(name) for name in ("jonq2", "lox1", "henon")]
+    memo.clear()
+    monkeypatch.setattr(maps, "factor_q", None)
+    for f in fs:
+        g = conjugate(f, a)
+        assert g.degree() == f.degree()
+        assert attached_inverse(g) == conjugate(inverse(f), a)
+        assert inverse(ProjMap(g.entries)) == attached_inverse(g)
+    assert not memo.jacobians

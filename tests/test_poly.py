@@ -898,6 +898,18 @@ def test_factor_q_matches_the_expression_reference():
         assert prod == p
 
 
+def test_factor_q_takes_monomials_apart_without_sympy(monkeypatch):
+    # the Jacobians of monomial-like maps (lox1, jonq2, hen2) are monomials
+    monomials = [parse_poly(s, XYZ) for s in ("3*z^3*x^2*y", "-2*z^3", "y*z^2/5")]
+    monomials.append(Poly.var(CHART_VARS, "u") ** 2 * Poly.var(CHART_VARS, "t"))
+    want = [reference_factor(p) for p in monomials]
+    monkeypatch.setattr(blowcube.poly, "_to_zz", None)
+    for p, (unit, facs) in zip(monomials, want):
+        got = factor_q(p)
+        assert (got[0], Counter(got[1])) == (unit, facs)
+        assert [poly_str(f) for f, _m in got[1]] == sorted(str(f) for f, _m in facs)
+
+
 def test_poly_gcd_matches_the_expression_reference():
     rng = random.Random(59)
     for _ in range(12):
