@@ -10,17 +10,15 @@ must point the same way; hyperplane half-spaces inherit that orientation
 
 A cube record is kept as its corner tuple: its vertices indexed by bit
 labels, so the corner across bit i from corner k is at index k ^ (1 << i).
-The tuple is built by doubling from the record's least vertex, each new
-corner the common neighbour of two built ones (``_corner_tuple``), so the
-doubling itself proves 2^(n+1) - n - 2 of the n 2^(n-1) cube edges.  The
-record is a cube when its corners are distinct, it has exactly
-n 2^(n-1) internal edges and the cube edges the doubling did not build
-(``_unbuilt``: none for a square, one for a 3-cube, six for a 4-cube) are
-present; only a refused record is searched.  Cubes are validated in
-increasing dimension, so face closure is checked facet by facet; only
-refused records are ranked, to name the least.  The orientation test, the
-opposite-edge relation and the link condition read the corner tuples, and
-every edge question reads the one edge table, ``C.edges``.
+A square is recognised by six adjacency tests (``_corner_tuple``); an
+n-cube (n >= 3), and a square those tests refuse, are built by doubling
+from the least vertex, each new corner the common neighbour of two built
+ones, and accepted when the record has n 2^(n-1) internal edges, distinct
+corners and the cube edges the doubling did not build (``_unbuilt``).
+Cubes are validated in increasing dimension, so face closure is checked
+facet by facet; only refused records are ranked, to name the least.  The
+orientation test, the opposite-edge relation and the link condition read
+the corner tuples, and every edge question reads ``C.edges``.
 
 Hyperplanes are found once per complex, for every connected component, with
 the sign vector of each vertex: an int whose bit i is the parity of class i
@@ -161,12 +159,30 @@ def _corner_tuple(S: frozenset, adj: Mapping, key: Callable, unbuilt: tuple) -> 
     graph induced on S is the n-dimensional hypercube.  Corner 0 is the
     least vertex and corner 2^i its i-th least neighbor in S; corner
     k | 2^i, for 0 < k < 2^i, is the one common neighbor in S of corners k
-    and j | 2^i, other than corner j, where j = k & (k - 1).  So each
-    corner is adjacent, by construction, to the corners it was built from.
-    With n 2^(n-1) edges inside S, S is the n-cube exactly when these 2^n
-    corners are distinct and the cube edges the doubling did not build
-    are present too.
+    and j | 2^i, other than corner j, where j = k & (k - 1).
+
+    A square is accepted by six adjacency tests: corner 0 is adjacent to
+    just two vertices of S, and the fourth, corner 3, to both of them,
+    which are not adjacent.  Any other record is built by doubling, which
+    makes each corner adjacent to the corners it was built from; with
+    n 2^(n-1) edges inside S, S is the n-cube exactly when these corners
+    are distinct and the cube edges the doubling did not build are present.
+    A square the six tests refuse is doubled too, to name its defect.
     """
+    if len(S) == 4:
+        c0 = min(S, key=key)
+        near = adj[c0]
+        sides = []
+        for v in S:
+            if v in near:
+                sides.append(v)
+            elif v != c0:
+                c3 = v
+        if len(sides) == 2:
+            c1, c2 = sides if key(sides[0]) < key(sides[1]) else sides[::-1]
+            far = adj[c3]
+            if c1 in far and c2 in far and c2 not in adj[c1]:
+                return (c0, c1, c2, c3)
     size = len(S)
     n = (size - 1).bit_length()
     if size < 4 or size != 1 << n:

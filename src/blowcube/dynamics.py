@@ -396,11 +396,20 @@ def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[in
     counted ones; a failed certificate raises ResolutionError.  n = 1 needs
     no check: every seed is counted there, so the count is |Exc^1(f)| by
     construction.
+
+    On hitting a soft cap the counts finished before it, certified in the
+    same way, are attached to the raised error as ``.partial``.
     """
     N = _horizon(N, cfg)
     inverse(f)
-    counted = [exc_curves(f, n, cfg) for n in range(1, N + 1)]
-    for n in range(2, N + 1):
+    counted: list = []
+    capped = None
+    try:
+        for n in range(1, N + 1):
+            counted.append(exc_curves(f, n, cfg))
+    except _SOFT_CAPS as exc:
+        capped = exc
+    for n in range(2, len(counted) + 1):
         try:
             fn = iterate(f, n, cfg)
         except DegreeCapExceeded:
@@ -411,7 +420,11 @@ def exc_count_sequence(f: ProjMap, N: int, cfg: RunConfig = DEFAULTS) -> list[in
             raise ResolutionError(
                 f"|Exc^1(f^{n})| of {f}: the {len(counted[n - 1])} curves "
                 "counted by the backward chains fail the division certificate")
-    return [len(pairs) for pairs in counted]
+    counts = [len(pairs) for pairs in counted]
+    if capped is not None:
+        capped.partial = tuple(counts)
+        raise capped
+    return counts
 
 
 @dataclass(frozen=True)
@@ -443,11 +456,25 @@ def _nu_from_counts(seq: Sequence[int]) -> Optional[int]:
 
 
 def nu1(f: ProjMap, N: Optional[int] = None, cfg: RunConfig = DEFAULTS) -> NuResult:
-    """Growth rates of |Exc^1(f^n)| and |Exc^1(f^-n)|."""
+    """Growth rates of |Exc^1(f^n)| and |Exc^1(f^-n)|.
+
+    A soft cap in one direction does not stop the other: the first cap hit
+    is raised after both, with the pair of count sequences (each as far as
+    it got) as ``.partial``.
+    """
     N = _horizon(N, cfg)
     finv = inverse(f)
-    seq_f = tuple(exc_count_sequence(f, N, cfg))
-    seq_finv = tuple(exc_count_sequence(finv, N, cfg))
+    seqs, caps = [], []
+    for g in (f, finv):
+        try:
+            seqs.append(tuple(exc_count_sequence(g, N, cfg)))
+        except _SOFT_CAPS as exc:
+            seqs.append(exc.partial)
+            caps.append(exc)
+    if caps:
+        caps[0].partial = tuple(seqs)
+        raise caps[0]
+    seq_f, seq_finv = seqs
     return NuResult(_nu_from_counts(seq_f), _nu_from_counts(seq_finv),
                     seq_f, seq_finv, N)
 
@@ -577,7 +604,7 @@ def classify(f: ProjMap, N: Optional[int] = None,
         nu_res = nu1(f, N, cfg)
     except _SOFT_CAPS as exc:
         caps.append(f"nu1: {exc.__class__.__name__}")
-        nu_res = NuResult(None, None, (), (), N)
+        nu_res = NuResult(None, None, *exc.partial, N)
 
     if mu_res.value == 0 and (nu_res.nu_f or nu_res.nu_finv):
         raise ResolutionError(

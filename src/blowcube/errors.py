@@ -49,13 +49,14 @@ class DegreeCapExceeded(MapError):
 
     ``partial`` holds what was finished before the cap hit, so partial
     sequences stay usable: the degrees of the iterates when a degree
-    sequence was being built, the base-point counts when ``mu`` was (which
-    attaches its counts to every soft cap it raises).
+    sequence was being built, the base-point counts when ``mu`` was, and
+    the pair of contracted-curve count sequences when ``nu1`` was (both
+    attach their counts to every soft cap they raise).
     """
 
     def __init__(self, message: str):
         super().__init__(message)
-        self.partial: tuple[int, ...] = ()
+        self.partial: tuple = ()
 
 
 class ResolutionError(BlowcubeError):

@@ -9,9 +9,9 @@ import pytest
 
 from blowcube.cli import main
 from blowcube.config import BOUNDS, RunConfig
-from blowcube.dynamics import mu
-from blowcube.errors import HeightCapExceeded
-from blowcube.maps import builtin
+from blowcube.dynamics import exc_count_sequence, mu, nu1
+from blowcube.errors import DegreeCapExceeded, HeightCapExceeded
+from blowcube.maps import builtin, inverse
 
 # the reports of ``classify <name> -n 4`` that the benchmark also checks
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
@@ -122,6 +122,27 @@ def test_classify_keeps_the_base_point_counts_found_before_a_cap(capsys):
     with pytest.raises(HeightCapExceeded) as info:
         mu(builtin("henon"), 6)
     assert info.value.partial == (3, 6, 9, 12, 15)
+
+
+def test_classify_keeps_the_contracted_curve_counts_found_before_a_cap(capsys):
+    # lox1^6 and lox1^-6 outgrow the degree cap; the counts for n <= 5 were
+    # computed and certified in both directions and are printed with the cap
+    code, out, err = run(capsys, "classify", "lox1", "-n", "6")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert "nu1: DegreeCapExceeded" in data["caps_hit"]
+    assert data["nu_forward"] is None and data["nu_backward"] is None
+    counts = [3, 4, 5, 6, 7]
+    assert data["exc_counts_forward"] == data["exc_counts_backward"] == counts
+    lox1 = builtin("lox1")
+    for f in (lox1, inverse(lox1)):
+        assert exc_count_sequence(f, 5) == counts
+        with pytest.raises(DegreeCapExceeded) as info:
+            exc_count_sequence(f, 6)
+        assert info.value.partial == tuple(counts)
+    with pytest.raises(DegreeCapExceeded) as info:
+        nu1(lox1, 6)
+    assert info.value.partial == (tuple(counts), tuple(counts))
 
 
 def test_mu_command(capsys):

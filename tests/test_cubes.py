@@ -191,6 +191,10 @@ def bad_square(p):
              [("01", "00"), ("10", "11"), ("10", "00"), ("11", "01")]]
     return verts, edges, [verts]
 
+def good_square(p):
+    verts, (e0, e1, e2, e3), cubes = bad_square(p)
+    return verts, [e0, e1[::-1], e2, e3], cubes
+
 squares = [bad_square(p) for p in "abcdef"]
 cases = [(["a", "b"], [], [["a", "b", "x", "y"]]),
          tuple(sum((sq[i] for sq in squares), []) for i in range(3)),
@@ -198,6 +202,13 @@ cases = [(["a", "b"], [], [["a", "b", "x", "y"]]),
          (["a", "b"], [("a", "b"), ("a", "b")], []),
          (["a", "b"], [("b", "b"), ("a", "a")], []),
          (["a", "b"], [("a", "y"), ("x", "b")], [])]
+# two refused squares, a paw on m and a path on n, among accepted ones
+refused = (["m0", "m1", "m2", "m3", "n0", "n1", "n2", "n3"],
+           [("m0", "m1"), ("m1", "m2"), ("m2", "m0"), ("m2", "m3"),
+            ("n0", "n1"), ("n1", "n2"), ("n2", "n3")],
+           [["n0", "n1", "n2", "n3"], ["m3", "m2", "m1", "m0"]])
+good = [good_square(p) for p in "gkz"]
+cases.append(tuple(sum((sq[i] for sq in good), refused[i]) for i in range(3)))
 for vertices, edges, cubes in cases:
     try:
         build_complex(vertices, edges, cubes)
@@ -222,7 +233,8 @@ def test_validation_errors_do_not_depend_on_the_hash_seed():
     # the error must name the least offender whatever the set order is;
     # a pair of edges recorded twice (reversed, then repeated), two
     # self-loops and two edges leaving the vertex set: the error must name
-    # the first bad record;
+    # the first bad record; a paw and a path among three squares: the error
+    # must name the paw, the least refused square;
     # then the hyperplanes, the geodesic paths and the DOT export of a box
     # on string ids must come out in one order
     vertices, edges, cubes = grid_data((2, 1, 1))
@@ -238,17 +250,18 @@ def test_validation_errors_do_not_depend_on_the_hash_seed():
         outputs.add(run.stdout)
     assert len(outputs) == 1
     lines = outputs.pop().splitlines()
-    assert lines[:6] == [
+    assert lines[:7] == [
         "cube uses unknown vertex 'x'",
         "orientation violation: opposite edges of a square "
         "('a01'->'a00' vs 'a10'->'a11') disagree",
         "edge {'b', 'a'} recorded twice (or with both orientations)",
         "edge {'a', 'b'} recorded twice (or with both orientations)",
         "self-loop at 'b'",
-        "edge ('a', 'y') leaves the vertex set"]
-    assert [line.split()[0] for line in lines[6:10]] == ["0", "1", "2", "3"]
-    assert lines[10].count("), (") == 11  # 12 geodesics each way
-    assert lines[12] == "digraph cubes {" and len(lines) == 13 + 12 + 20 + 1
+        "edge ('a', 'y') leaves the vertex set",
+        "cube record {'m0', 'm1', 'm2', 'm3'} is not a hypercube"]
+    assert [line.split()[0] for line in lines[7:11]] == ["0", "1", "2", "3"]
+    assert lines[11].count("), (") == 11  # 12 geodesics each way
+    assert lines[13] == "digraph cubes {" and len(lines) == 14 + 12 + 20 + 1
 
 
 def _bad_records_of_one_dimension():
@@ -365,6 +378,47 @@ def test_hypercube_recognition_matches_networkx(n):
         label = {v: k for k, v in enumerate(corners)}
         assert all((label[a] ^ label[b]).bit_count() == 1 for a, b in G.edges)
         assert corners[0] == min(S, key=_vkey)
+
+
+def _square_defect(G):
+    """The networkx verdict on four vertices with the edges of G: None for
+    a 4-cycle, else how the refusal message must end."""
+    m = G.number_of_edges()
+    if m != 4:
+        return "is missing edges" if m < 4 else "has too many internal edges"
+    return None if nx.is_isomorphic(G, nx.cycle_graph(4)) else "is not a hypercube"
+
+
+def test_square_recognition_on_every_edge_set():
+    # all 64 graphs on four labelled vertices, on int ids and on shuffled
+    # string ids, among outsiders: the 4-cycles are labelled as the doubling
+    # labels them, any other record is refused with the message of its defect
+    rng = random.Random(64)
+    pairs = list(itertools.combinations(range(4), 2))
+    unbuilt = _unbuilt(2)
+    accepted = 0
+    for mask in range(1 << len(pairs)):
+        G = nx.Graph([p for i, p in enumerate(pairs) if mask >> i & 1])
+        G.add_nodes_from(range(4))
+        defect = _square_defect(G)
+        for H in (G, _relabelled(G, rng)):
+            S = frozenset(H.nodes)
+            try:
+                corners = _corner_tuple(S, _with_outsiders(H, rng), _vkey, unbuilt)
+            except ComplexError as exc:
+                what = ("face-closure violation: cube" if defect == "is missing edges"
+                        else "cube record")
+                ids = ", ".join(map(repr, sorted(S, key=_vkey)))
+                assert str(exc) == f"{what} {{{ids}}} {defect}"
+                continue
+            assert defect is None
+            # corner 0 the least vertex, corners 1 and 2 its neighbors in
+            # order, corner 3 the vertex left
+            c0 = min(S, key=_vkey)
+            c1, c2 = sorted(H[c0], key=_vkey)
+            assert corners == (c0, c1, c2, *(S - {c0, c1, c2}))
+            accepted += 1
+    assert accepted == 2 * 3
 
 
 def _q3():
