@@ -25,6 +25,11 @@ l, a monomial map after independent linear forms
 Composites and iterates of maps with verified inverses inherit inverses
 without re-verification: ``compose(f, g)`` carries g^-1 after f^-1, and
 ``iterate(f, n)`` carries (f^-1)^n.
+Each composite keeps the pair it was built from as ``_parts``, and the
+irreducible factors of the Jacobian of f after g, when g carries a verified
+inverse, are derived from those of f and g instead of factored: every curve
+f after g contracts is contracted by g or is the strict transform under g
+of a curve f contracts, and that strict transform is Q-irreducible.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from typing import Sequence
 
 from blowcube import memo
 from blowcube.config import DEFAULTS, RunConfig, check_horizon
-from blowcube.errors import DegreeCapExceeded, InverseUnavailable, MapError, ParseError
+from blowcube.errors import (DegreeCapExceeded, InverseUnavailable, MapError,
+                             ParseError, ResolutionError)
 from blowcube.poly import (
     EXP_LIMIT,
     Poly,
@@ -111,6 +117,9 @@ class ProjMap:
         self.vars = vars
         self.name = name
         self._inverse: "ProjMap | None" = None
+        # (f, g) for a composite f after g; set once, by ``_composite``, so
+        # the parts always predate the map and walking them terminates
+        self._parts: "tuple[ProjMap, ProjMap] | None" = None
 
     # -- basics -------------------------------------------------------
 
@@ -245,19 +254,92 @@ def _composite(f: ProjMap, g: ProjMap) -> ProjMap:
         entries = (compose_tuple(f.entries, g.entries) if form is None
                    else compose_monomial_linear(f.entries, *form))
         h = memo.composites[key] = ProjMap(entries)
+        h._parts = (f, g)
     return h
 
 
 def jacobian_factors(f: ProjMap) -> tuple[tuple[Poly, int], ...] | None:
     """The irreducible factors of the Jacobian determinant of f with their
-    multiplicities, or None when it vanishes identically; factored once per
-    process and kept in ``memo.jacobians``."""
+    multiplicities, sorted as ``factor_q`` sorts them, or None when it
+    vanishes identically; kept in ``memo.jacobians``.
+
+    A composite whose inner map carries a verified inverse is not factored:
+    its Jacobian is divided by each of the candidate curves of
+    ``_candidates`` with all its powers, the candidates that divide it are
+    its factors, and a nonzero constant must remain.  Any other map is
+    factored by ``factor_q``.
+    """
     key = f.key()
     if key not in memo.jacobians:
         jac = jacobian_det(f.entries)
         memo.jacobians[key] = (None if jac.is_zero else () if jac.is_constant
+                               else _derived_factors(f, jac) if _derivable(f)
                                else factor_q(jac)[1])
     return memo.jacobians[key]
+
+
+def _derivable(h: ProjMap) -> bool:
+    """Whether h is a composite f after g with a verified inverse of g."""
+    return h._parts is not None and h._parts[1]._inverse is not None
+
+
+def _derived_factors(h: ProjMap, jac: Poly) -> tuple[tuple[Poly, int], ...]:
+    factors = []
+    for C in _candidates(h):
+        jac, k = strip_factor(jac, C)
+        if k:
+            factors.append((C, k))
+    if not jac.is_constant:
+        raise ResolutionError(
+            f"the candidate curves of {h} leave {poly_str(jac)} of its "
+            "Jacobian; this indicates an internal inconsistency")
+    factors.sort(key=lambda t: (t[0].degree(), poly_str(t[0])))
+    return tuple(factors)
+
+
+def _candidates(h: ProjMap) -> list[Poly]:
+    """Distinct Q-irreducible curves among which are the factors of J(h).
+
+    J(f after g) divides J(f)(g) * J(g), and a factor E of J(f) pulls back
+    under a birational g to its strict transform times curves that g
+    contracts, which divide J(g).  So the candidates of f after g are those
+    of g and the strict transforms under g of those of f, with no map in
+    between certified.  Dividing E(g) by a candidate of g that g does not
+    contract removes only the strict transform itself, which is then a
+    candidate already.  The outer parts are walked in a loop, down to a map
+    that is not derivable or whose factors are stored, so a long iterate
+    f^n = f^(n-1) after f takes no deep recursion.
+    """
+    inners = []
+    while _derivable(h) and h.key() not in memo.jacobians:
+        h, g = h._parts
+        inners.append(g)
+    curves = [C for C, _m in jacobian_factors(h) or ()]
+    for g in reversed(inners):
+        under = _candidates(g)
+        found = dict.fromkeys(under)
+        for E in curves:
+            S = strict_transform(E, g, under)
+            if S is not None:
+                found[S] = None
+        curves = list(found)
+    return curves
+
+
+def strict_transform(C: Poly, g: ProjMap, curves: Sequence[Poly]) -> Poly | None:
+    """C(g) with each of ``curves`` divided out with all its powers, scaled
+    to canonical form; None when only a constant is left.
+
+    For a birational g and a Q-irreducible C, C(g) is the strict transform,
+    once, times curves that g contracts (Alberich-Carramiñana, Geometry of
+    the Plane Cremona Maps, LNM 1769), so when ``curves`` holds those
+    contracted curves what is left is the strict transform, and nothing is
+    factored.
+    """
+    rest = C.compose(g.entries)
+    for E in curves:
+        rest, _k = strip_factor(rest, E)
+    return None if rest.is_constant else canonical_factor(rest)
 
 
 def monomial_linear_form(g: ProjMap) -> tuple | None:

@@ -8,14 +8,15 @@ Curves, their images and strict transforms need no cap; the chain walks
 that read them are not stored, so each walk asks for its iterates under
 its own degree cap.  The tables: ``composites``, ``components`` (the
 curves a map contracts), ``images``, ``pullbacks``, ``towers``,
-``jacobians`` (the factors of a map's Jacobian, factored once for
-``exc_components`` and for ``forms``) and ``forms`` (a map as c * M after
-l, which ``maps._composite`` reads for its inner map).
+``jacobians`` (the factors of a map's Jacobian, factored, or derived for
+a composite, once for ``exc_components`` and for ``forms``) and ``forms``
+(a map as c * M after l, which ``maps._composite`` reads for its inner
+map).
 
 Kept elsewhere: ``maps._builtin`` and ``poly._symbols`` intern objects
 (``builtin(name) is builtin(name)`` is a contract that clearing would
-break), and ``ProjMap._inverse`` and ``CubeComplex._hyperplanes`` belong to
-their object.
+break), and ``ProjMap._inverse``, ``ProjMap._parts`` (the pair a composite
+was built from) and ``CubeComplex._hyperplanes`` belong to their object.
 """
 
 composites: dict = {}  # (f.key(), g.key()) -> f after g

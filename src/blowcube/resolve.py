@@ -42,9 +42,9 @@ from .config import DEFAULTS, RunConfig
 from .errors import (HeightCapExceeded, IrrationalBaseLocus, MapError,
                      ResolutionError, TransportUnsupported)
 from .maps import (ProjMap, ProjPoint, degree_sequence, inverse, iterate,
-                   jacobian_factors, normalize_point, point_str)
-from .poly import (Poly, canonical_factor, factor_q, poly_gcd, poly_mod,
-                   strip_factor)
+                   jacobian_factors, normalize_point, point_str,
+                   strict_transform)
+from .poly import Poly, factor_q, poly_gcd, poly_mod
 
 CHART_VARS = ("u", "t")
 
@@ -394,7 +394,8 @@ def curve_image(f: ProjMap, C: Poly) -> ProjPoint | None:
 def exc_components(f: ProjMap) -> tuple[ExcComponent, ...]:
     """The irreducible curves contracted by f, with Jacobian multiplicities
     and image points; the Jacobian's factors come from
-    ``maps.jacobian_factors``, which factors each Jacobian once."""
+    ``maps.jacobian_factors``, which factors each Jacobian once, or derives
+    a composite's from its parts."""
     if f.dim != 2:
         raise ResolutionError("contracted curves are only computed for plane maps")
     if f.key() in memo.components:
@@ -420,27 +421,21 @@ def _pullback(f: ProjMap, C: Poly) -> Poly | None:
     """The strict transform of C under f: the one component of C(f) that f
     does not contract.  None when f^-1 contracts C, so no curve maps onto it.
 
-    For a birational f and a Q-irreducible C, the pullback C(f) is the
-    strict transform, once, times curves that f contracts
-    (Alberich-Carramiñana, Geometry of the Plane Cremona Maps, LNM 1769).
-    A contracted curve E divides C(f) exactly when f(E) lies on C, so those
-    curves are divided out with all their powers and nothing is factored;
-    what remains is the strict transform up to a constant.
+    A contracted curve E divides C(f) exactly when f(E) lies on C, so only
+    those curves are handed to ``maps.strict_transform``, which divides
+    them out with all their powers; nothing is factored.
     """
     key = (f.key(), C)
     if key in memo.pullbacks:
         return memo.pullbacks[key]
     strict = None
     if not any(c.curve == C for c in exc_components(inverse(f))):
-        rest = C.compose(f.entries)
-        for comp in exc_components(f):
-            if C.evaluate(comp.image) == 0:
-                rest, _k = strip_factor(rest, comp.curve)
-        if rest.is_constant:
+        strict = strict_transform(C, f, [comp.curve for comp in exc_components(f)
+                                         if C.evaluate(comp.image) == 0])
+        if strict is None:
             raise ResolutionError(
                 f"pullback of {C} under {f} is all contracted curves; "
                 "this indicates an internal inconsistency")
-        strict = canonical_factor(rest)
     memo.pullbacks[key] = strict
     return strict
 

@@ -1,10 +1,20 @@
 """Fixtures shared by the test modules."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from blowcube import maps
 from blowcube.errors import MapError
 from blowcube.maps import linear_map
+
+# pyproject's pythonpath puts src/ on this process's path only: the
+# interpreters that tests start get it through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_PATH = os.environ.get("PYTHONPATH", "")
+if _SRC not in _PATH.split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, _PATH)))
 
 
 @pytest.fixture

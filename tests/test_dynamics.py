@@ -278,7 +278,10 @@ def test_mu_and_nu1_factor_only_jacobians_and_slope_polynomials(monkeypatch,
                                                                 dense_automorphism):
     # the backward chains divide instead of factoring: the only polynomials
     # factored are J(f), J(f^-1) (by maps.jacobian_factors) and the (u, t)
-    # slope polynomials of towers
+    # slope polynomials of towers.  The Jacobian factors of a dense
+    # conjugate a^-1 after f after a and of its inverse are derived from
+    # those of f and f^-1, factored for the built-ins before, so only slope
+    # polynomials are factored for a conjugate.
     real = resolve.factor_q
     inputs = []
 
@@ -290,16 +293,17 @@ def test_mu_and_nu1_factor_only_jacobians_and_slope_polynomials(monkeypatch,
     monkeypatch.setattr(resolve, "factor_q", spy)
     monkeypatch.setattr(maps, "factor_q", spy)
     rng = random.Random(2)
-    cases = [(builtin(name), 4) for name in
+    cases = [(builtin(name), 4, True) for name in
              ("sigma", "henon", "hen2", "jonq1", "jonq2", "lox1")]
-    cases += [(conjugate(builtin(name), dense_automorphism(rng)), 2)
+    cases += [(conjugate(builtin(name), dense_automorphism(rng)), 2, False)
               for name in ("henon", "jonq2")]
     factored = 0
-    for f, N in cases:
+    for f, N, own in cases:
         del inputs[:]
         mu(f, N=N)
         nu1(f, N=N)
-        jacobians = {jacobian_det(f.entries), jacobian_det(inverse(f).entries)}
+        jacobians = ({jacobian_det(f.entries), jacobian_det(inverse(f).entries)}
+                     if own else set())
         for p in inputs:
             assert p in jacobians or p.vars == resolve.CHART_VARS, (str(f), str(p))
         factored += len(inputs)

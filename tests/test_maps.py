@@ -38,10 +38,11 @@ from blowcube.errors import (
     InverseUnavailable,
     MapError,
     ParseError,
+    ResolutionError,
 )
 from blowcube.maps import linear_map, mat_pow, monomial_matrix_of, normalize_point
 from blowcube.poly import (Poly, compose_monomial_linear, compose_tuple,
-                           jacobian_det, primitive_tuple)
+                           factor_q, jacobian_det, primitive_tuple)
 from blowcube.resolve import exc_components
 
 P2 = ("x", "y", "z")
@@ -651,15 +652,18 @@ def test_maps_that_are_not_monomial_after_linear_have_no_form(name):
 def test_dense_conjugates_have_no_form(monkeypatch, dense_automorphism):
     # J of a conjugate of sigma is three lines, but its entries are sums
     # of products of them: no entry vanishes on any of the lines, so each
-    # map is refused by evaluations before anything is divided
+    # map is refused by evaluations before anything is divided.  The
+    # Jacobian factors of a conjugate are derived by division, so they are
+    # read before division is refused.
     rng = random.Random(5)
     memo.clear()
+    names = ("sigma", "henon", "jonq2", "lox1")
+    gs = [conjugate(builtin(name), dense_automorphism(rng)) for name in names]
+    facs = [maps.jacobian_factors(g) for g in gs]
     monkeypatch.setattr(maps, "strip_factor", None)
-    for name in ("sigma", "henon", "jonq2", "lox1"):
-        g = conjugate(builtin(name), dense_automorphism(rng))
+    for name, g in zip(names, gs):
         assert maps.monomial_linear_form(g) is None, name
-        if name == "sigma":
-            assert [p.degree() for p, _m in maps.jacobian_factors(g)] == [1, 1, 1]
+    assert [p.degree() for p, _m in facs[0]] == [1, 1, 1]
 
 
 def test_a_jacobian_line_on_which_no_entry_vanishes_refuses_before_division(
@@ -721,3 +725,94 @@ def test_conjugations_and_inverse_checks_factor_no_jacobian(monkeypatch,
         assert attached_inverse(g) == conjugate(inverse(f), a)
         assert inverse(ProjMap(g.entries)) == attached_inverse(g)
     assert not memo.jacobians
+
+
+# ---------------------------------------------------------------------------
+# Jacobian factors of composites, derived from their parts
+# ---------------------------------------------------------------------------
+
+def _factored(h):
+    """The reference: the factors of J(h) from sympy, through factor_q."""
+    return factor_q(jacobian_det(h.entries))[1]
+
+
+@pytest.fixture
+def factored_by_maps(monkeypatch):
+    """The polynomials that maps hands to factor_q from now on."""
+    factored = []
+    real = maps.factor_q
+    monkeypatch.setattr(maps, "factor_q", lambda p: factored.append(p) or real(p))
+    return factored
+
+
+def test_derived_jacobian_factors_are_sympy_factorizations(dense_automorphism,
+                                                           factored_by_maps):
+    # seeded dense conjugates of every plane built-in and their inverses,
+    # f^2 and f^3 of every built-in, and jonq2 after henon: each composite's
+    # inner map carries a verified inverse, so its factors are derived, and
+    # they equal sympy's factorization as tuples, order included
+    rng = random.Random("derived jacobians")
+    memo.clear()
+    hs = []
+    for name in builtin_names():
+        f = builtin(name)
+        if f.dim == 2:
+            g = conjugate(f, dense_automorphism(rng))
+            hs += [g, inverse(g)]
+        hs += [iterate(f, 2), iterate(f, 3)]
+    hs.append(compose(builtin("jonq2"), builtin("henon")))
+    for h in hs:
+        assert h._parts is not None and h._parts[1]._inverse is not None
+        del factored_by_maps[:]
+        got = maps.jacobian_factors(h)
+        assert jacobian_det(h.entries) not in factored_by_maps, str(h)
+        assert got == _factored(h), str(h)
+
+
+@pytest.mark.parametrize("build", [
+    lambda s, h: compose(compose(s, s), s),
+    lambda s, h: compose(identity(), h),
+    lambda s, h: compose(h, identity()),
+], ids=["sigma^3", "id-after-h", "h-after-id"])
+def test_derivation_ends_on_composites_equal_to_a_part(build, dense_automorphism):
+    # sigma after sigma is the identity, so sigma^2 after sigma has the key
+    # of sigma; the parts are objects older than the composite, so the walk
+    # ends however the keys repeat
+    h = conjugate(builtin("henon"), dense_automorphism(random.Random(3)))
+    memo.clear()
+    m = build(builtin("sigma"), h)
+    assert m._parts is not None
+    assert maps.jacobian_factors(m) == _factored(m)
+
+
+def test_a_composite_whose_inner_map_has_no_verified_inverse_is_factored(
+        factored_by_maps):
+    g = parse_map("P2:[y*z : y^2 + x*z : z^2]")  # henon, with no inverse
+    memo.clear()
+    h = compose(builtin("jonq2"), g)
+    assert h._parts == (builtin("jonq2"), g) and g._inverse is None
+    assert maps.jacobian_factors(h) == _factored(h)
+    assert jacobian_det(h.entries) in factored_by_maps
+
+
+def test_a_wrong_candidate_curve_raises(monkeypatch, dense_automorphism):
+    h = conjugate(builtin("henon"), dense_automorphism(random.Random(3)))
+    memo.clear()
+    real = maps._candidates
+    wrong = parse_poly("x + 2*y + 3*z", P2)
+    monkeypatch.setattr(maps, "_candidates", lambda m: [wrong] + real(m)[1:])
+    with pytest.raises(ResolutionError, match="internal inconsistency"):
+        maps.jacobian_factors(h)
+    assert h.key() not in memo.jacobians
+
+
+def test_derived_factors_equal_those_of_a_parsed_copy(dense_automorphism):
+    rng = random.Random("parsed copy")
+    for name in ("jonq2", "lox1"):
+        g = conjugate(builtin(name), dense_automorphism(rng))
+        memo.clear()
+        derived = maps.jacobian_factors(g)
+        memo.clear()
+        copy = parse_map(f"P2:{g}")
+        assert copy._parts is None
+        assert maps.jacobian_factors(copy) == derived
