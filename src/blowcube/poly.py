@@ -21,9 +21,13 @@ of vars[0], vars[1], ...).  ``str()`` prints terms in descending order and
 
 Division is native: one graded-lex reduction, ``_divmod``, gives the
 quotient and the normal form that ``poly_mod``, ``poly_exact_div`` and
-``strip_factor`` read.  Factorization, gcd and linear relations (a
-nullspace) are delegated to sympy; everything else is native.  This module
-is the only one that imports sympy.  Polynomials cross to sympy as integer
+``strip_factor`` read.  So are the common rational roots of polynomials in
+one variable, the slopes of towers (``_common_rational_roots``: a heuristic
+gcd and p-adic roots on integer coefficient lists).  Factorization,
+multivariate gcd and linear relations (a nullspace) are delegated to sympy;
+a tower reaches sympy only to name the factor of a conjugate cluster it
+refuses.  Everything else is native.  This module is the only one that
+imports sympy.  Polynomials cross to sympy as integer
 polynomials on ZZ: the bridge hands over ``den * p`` built straight from the
 integer numerators and reads the integer result back, while ``den`` and the
 rational scale of each answer stay on this side.  Homogeneous polynomials
@@ -881,32 +885,41 @@ def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     the running remainder and ``quo * b.den / scale`` the running quotient,
     and ``scale`` grows, rescaling both, only when the leading coefficient
     of b does not divide the coefficient being cancelled.
+
+    The worklist runs on graded keys, one integer per monomial whose order
+    is the graded-lex order: the total degree in the top field, then
+    e_0, ..., e_(n-1) in fields of WIDTH + 1 bits, each with a guard bit
+    above the exponent.  A graded key is additive over monomial products,
+    and t is divisible by the leading monomial bk exactly when every guard
+    bit survives ``(t | G) - bk``.  The keys are packed again at the end.
     """
     if a.vars != b.vars:
         raise ValueError("variable mismatch")
     if b.is_constant:
         return a / b.constant_value(), Poly.zero(a.vars)
     n = len(a.vars)
-    bexp, _ = b.leading()
-    bk = pack(bexp)
-    lead = b.coeffs[bk]
-    tail = [(k, c) for k, c in b.coeffs.items() if k != bk]
-    shifts = [WIDTH * i for i in range(n)]
+    fields = [((WIDTH + 1) * (n - 1 - i), WIDTH * i) for i in range(n)]
+    top = (WIDTH + 1) * n
+    guards = sum(1 << (f + WIDTH) for f, _s in fields)
 
-    def hkey(k: int):
-        return (-_key_total(k), tuple(-e for e in unpack(k, n)))
+    def graded(k: int) -> int:
+        return sum(((k >> s) & MASK) << f for f, s in fields) | (_key_total(k) << top)
 
+    def packed(g: int) -> int:
+        return sum(((g >> f) & MASK) << s for f, s in fields)
+
+    terms = [(graded(k), c) for k, c in b.coeffs.items()]
+    bk, lead = max(terms)
+    tail = [(k, c) for k, c in terms if k != bk]
     scale = a.den
-    cur = dict(a.coeffs)
+    cur = {graded(k): c for k, c in a.coeffs.items()}
     quo: dict[int, int] = {}
-    heap = [(hkey(k), k) for k in cur]
+    heap = [-k for k in cur]
     heapq.heapify(heap)
     while heap:
-        _, t = heapq.heappop(heap)
+        t = -heapq.heappop(heap)
         c = cur.get(t)
-        if c is None:
-            continue
-        if not all(((t >> s) & MASK) >= e for s, e in zip(shifts, bexp)):
+        if c is None or ((t | guards) - bk) & guards != guards:
             continue
         if c % lead:
             m = abs(lead) // math.gcd(c, lead)
@@ -924,12 +937,171 @@ def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
             nv = cur.get(nk)
             if nv is None:
                 cur[nk] = -q * tc
-                heapq.heappush(heap, (hkey(nk), nk))
+                heapq.heappush(heap, -nk)
             elif nv == q * tc:
                 del cur[nk]
             else:
                 cur[nk] = nv - q * tc
-    return Poly(a.vars, scale, quo) * b.den, Poly(a.vars, scale, cur)
+    return (Poly(a.vars, scale, {packed(k): v for k, v in quo.items()}) * b.den,
+            Poly(a.vars, scale, {packed(k): v for k, v in cur.items()}))
+
+
+# ---------------------------------------------------------------------------
+# univariate: common rational roots, on integer coefficient lists
+# ---------------------------------------------------------------------------
+
+def _common_rational_roots(polys: Sequence[Poly], name: str
+                           ) -> tuple[list[Fraction], Poly | None]:
+    """The distinct rational common roots of polynomials in the variable
+    ``name`` alone, sorted, and None when their gcd splits into those roots
+    over the rationals, else that gcd (so that a caller can name a factor).
+
+    Each polynomial becomes a dense list of integer coefficients, constant
+    term first.  The gcd g is the heuristic gcd (``_ugcd``), its squarefree
+    part is g / gcd(g, g'), and the roots of that part are found p-adically
+    (``_uroots``) and checked exactly.  g splits when the part has as many
+    rational roots as its degree.
+    """
+    shift = WIDTH * polys[0].vars.index(name)
+    g = None
+    for p in polys:
+        if not p.coeffs:
+            continue
+        if any(k & ~(MASK << shift) for k in p.coeffs):
+            raise ValueError(f"{p} is not a polynomial in {name} alone")
+        a = [0] * ((max(p.coeffs) >> shift) + 1)
+        for k, c in p.coeffs.items():
+            a[k >> shift] = c
+        g = _uprimitive(a) if g is None else _ugcd(g, _uprimitive(a))
+        if len(g) == 1:
+            break
+    if g is None:
+        raise ValueError("common roots of all-zero sequence")
+    if len(g) == 1:
+        return [], None
+    part = _uquo(g, _ugcd(g, _uprimitive([i * c for i, c in enumerate(g)][1:])))
+    degree = len(part) - 1
+    roots = []
+    if not part[0]:
+        # a squarefree part has the factor t at most once
+        roots.append(Fraction(0))
+        part = part[1:]
+    if len(part) > 1:
+        roots += _uroots(part)
+    roots.sort()
+    if len(roots) == degree:
+        return roots, None
+    return roots, Poly(polys[0].vars, 1, {i << shift: c for i, c in enumerate(g)})
+
+
+def _uprimitive(a: list[int]) -> list[int]:
+    """A nonzero coefficient list divided by its content, with the sign that
+    makes the leading coefficient positive."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _ueval(a: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _uquo(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b when b divides a in Z[t], else None."""
+    m = len(b) - 1
+    if len(a) <= m:
+        return None
+    r = list(a)
+    lead = b[-1]
+    q = [0] * (len(a) - m)
+    for i in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[i + m], lead)
+        if rest:
+            return None
+        if c:
+            q[i] = c
+            for j in range(m):
+                r[i + j] -= c * b[j]
+    return None if any(r[:m]) else q
+
+
+def _ugcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd of two primitive coefficient lists with positive leading
+    coefficients, by GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput.
+    1989): the integer gcd of a(xi) and b(xi), read back in base xi with
+    symmetric digits, is a candidate h; pp(h) is the gcd when it divides a
+    and b exactly.  Else xi grows and the step repeats.
+
+    With B the smaller max-norm of a and b and xi > 2B + 2, a candidate that
+    divides both is the gcd: were gcd = pp(h) * k with k not constant, k
+    would divide a, so its roots have modulus below B + 1 and
+    |k(xi)| > xi/2; but k(xi) divides the content of h, whose digits are at
+    most xi/2.  A candidate is also found: past twice the norm of the gcd
+    times the resultant of the cofactors, h is a multiple of the gcd.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    # a margin above 2B + 2 makes a failed first try rare on small norms,
+    # and xi grows by about 1 + sqrt(3) per try, as in GCDHEU
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    while True:
+        gamma = math.gcd(_ueval(a, xi), _ueval(b, xi))
+        h = []
+        while gamma:
+            d = gamma % xi
+            if 2 * d > xi:
+                d -= xi
+            h.append(d)
+            gamma = (gamma - d) // xi
+        h = _uprimitive(h)
+        if len(h) == 1 or (_uquo(a, h) is not None and _uquo(b, h) is not None):
+            return h
+        xi = xi * 73794 // 27011
+
+
+def _uroots(s: list[int]) -> list[Fraction]:
+    """The rational roots of a squarefree primitive s with s(0) != 0, by
+    p-adic lifting (Loos, SIAM J. Comput. 1983).
+
+    A root a/b in lowest terms has b | lc and a | tc.  For a prime p that
+    does not divide lc and at which every root of s mod p is simple, each
+    rational root reduces to one of those roots, which Newton's iteration
+    lifts to the unique root mod p^k.  Once p^k > 2 |lc * tc|, the symmetric
+    residue of lc * r is a * (lc / b) itself.  A candidate is kept only
+    when s vanishes there exactly.
+    """
+    lead, ds = s[-1], [i * c for i, c in enumerate(s)][1:]
+    bound = 2 * abs(lead * s[0])
+    p = 1
+    while True:
+        p += 1
+        if lead % p == 0 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        low = [r for r in range(p) if _ueval(s, r) % p == 0]
+        if all(_ueval(ds, r) % p for r in low):
+            break
+    roots = []
+    for r in low:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _ueval(s, r) * pow(_ueval(ds, r), -1, m)) % m
+        c = lead * r % m
+        if 2 * c > m:
+            c -= m
+        root = Fraction(c, lead)
+        a, b = root.numerator, root.denominator
+        v, bp = s[-1], 1
+        for coef in reversed(s[:-1]):
+            bp *= b
+            v = v * a + coef * bp
+        if not v:
+            roots.append(root)
+    return roots
 
 
 # ---------------------------------------------------------------------------

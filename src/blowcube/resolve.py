@@ -44,7 +44,7 @@ from .errors import (HeightCapExceeded, IrrationalBaseLocus, MapError,
 from .maps import (ProjMap, ProjPoint, degree_sequence, inverse, iterate,
                    jacobian_factors, normalize_point, point_str,
                    strict_transform)
-from .poly import Poly, factor_q, poly_gcd, poly_mod
+from .poly import Poly, _common_rational_roots, factor_q, poly_mod
 
 CHART_VARS = ("u", "t")
 
@@ -194,21 +194,6 @@ def _order_at_origin(polys: Sequence[Poly]) -> int:
     return min(orders)
 
 
-def _slope_roots(g: Poly, parent: BubblePoint) -> list[Fraction]:
-    roots = []
-    _, facs = factor_q(g)
-    for fac, _m in facs:
-        if fac.degree() == 1:
-            a = fac.coefficient((0, 1))
-            c = fac.coefficient((0, 0))
-            roots.append(-c / a)
-        else:
-            raise IrrationalBaseLocus(
-                f"infinitely near points over {parent} come in a conjugate "
-                f"cluster of degree {fac.degree()} ({fac} = 0)")
-    return sorted(roots)
-
-
 def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
                   coords: tuple[Fraction, Fraction], height_cap: int,
                   budget: int) -> BaseNode:
@@ -235,8 +220,12 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
     translation.
 
     Each chart's strict transform is one exponent remap (``Poly.blow_up``).
-    The chart u -> u*t adds one point of the exceptional line, its origin, a
-    base point exactly when no lowest form has the term t^mult.
+    The slopes are the rational common roots of the lowest forms on the
+    exceptional line u = 0, found natively (``_common_rational_roots``);
+    when their gcd does not split into them, ``factor_q`` is asked only to
+    name the first nonlinear factor of the refusal.  The chart u -> u*t adds
+    one point of the exceptional line, its origin, a base point exactly when
+    no lowest form has the term t^mult.
     """
     system = [p.truncate_total(budget) for p in system]
     mult = _order_at_origin(system)
@@ -249,8 +238,12 @@ def _resolve_node(system: Sequence[Poly], bubble: BubblePoint, chart: str,
     if not nz:
         raise ResolutionError(
             f"the exceptional line over {bubble} lies in the base locus")
-    g = poly_gcd(*nz)
-    slopes = [] if g.is_constant else _slope_roots(g, bubble)
+    slopes, unsplit = _common_rational_roots(nz, "t")
+    if unsplit is not None:
+        fac = next(f for f, _m in factor_q(unsplit)[1] if f.degree() > 1)
+        raise IrrationalBaseLocus(
+            f"infinitely near points over {bubble} come in a conjugate "
+            f"cluster of degree {fac.degree()} ({fac} = 0)")
     vertical = all(p.coefficient((0, mult)) == 0 for p in system)
 
     blown = f"{chart}; bl({coords[0]},{coords[1]})"

@@ -277,11 +277,12 @@ def test_nu1_counts_are_certified_without_factoring(monkeypatch, dense_automorph
 def test_mu_and_nu1_factor_only_jacobians_and_slope_polynomials(monkeypatch,
                                                                 dense_automorphism):
     # the backward chains divide instead of factoring: the only polynomials
-    # factored are J(f), J(f^-1) (by maps.jacobian_factors) and the (u, t)
-    # slope polynomials of towers.  The Jacobian factors of a dense
+    # factored are J(f), J(f^-1) (by maps.jacobian_factors) and, when a
+    # tower refuses a conjugate cluster, the (u, t) gcd of its lowest forms
+    # (slopes are found natively).  The Jacobian factors of a dense
     # conjugate a^-1 after f after a and of its inverse are derived from
-    # those of f and f^-1, factored for the built-ins before, so only slope
-    # polynomials are factored for a conjugate.
+    # those of f and f^-1, factored for the built-ins before, so at most
+    # such gcds are factored for a conjugate.
     real = resolve.factor_q
     inputs = []
 

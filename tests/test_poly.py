@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 import sympy
 from hypothesis import given, settings
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import ring
 from hypothesis import strategies as st
 
 import blowcube
@@ -27,8 +29,10 @@ from blowcube import (
 )
 from blowcube.errors import ParseError
 from blowcube.poly import (
+    EXP_LIMIT,
     MASK,
     WIDTH,
+    _common_rational_roots,
     _divmod,
     _key_total,
     canonical_factor,
@@ -968,6 +972,155 @@ def test_poly_exact_div_matches_the_expression_reference():
                         poly_exact_div(num, b)
                 assert strip_factor(num, b) == sympy_strip(num, b)
             assert poly_mod(exact, b).is_zero and not poly_mod(off, b).is_zero
+
+
+def grlex_reference(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(q, r) from sympy's ``div`` in a ring ordered by grlex, the order of
+    ``_divmod``: for one divisor both are unique, whatever the steps."""
+    n = len(a.vars)
+    R, *_gens = ring(",".join(a.vars), sympy.QQ, grlex)
+
+    def to_ring(p):
+        return R.from_dict({unpack(k, n): sympy.QQ(c, p.den) for k, c in p.coeffs.items()})
+
+    def back(e):
+        return Poly.from_terms(a.vars, ((m, Fraction(int(c.numerator), int(c.denominator)))
+                                        for m, c in e.items()))
+
+    q, r = to_ring(a).div(to_ring(b))
+    return back(q), back(r)
+
+
+@pytest.mark.parametrize("n", [3, 4], ids=["3 vars", "4 vars"])
+def test_divmod_keys_hold_exponents_up_to_the_limit(n):
+    # exponents up to 2^16 - 1 fill each 16-bit field of a graded key below
+    # its guard bit; a divisor whose leading exponent is one more than a
+    # dividend term's in one field must leave that term in the remainder
+    vars = XYZ if n == 3 else ("x", "y", "z", "w")
+    top = EXP_LIMIT - 1
+    rng = random.Random(f"divmod keys {n}")
+
+    def term(exps, c=1):
+        return Poly(vars, 1, {pack(exps): 1}) * c
+
+    def rand_exps(low, high):
+        return [rng.randint(low, high) for _ in range(n)]
+
+    checked = 0
+    for _ in range(25):
+        # a leading term of degree far above the tail, so that few
+        # reductions follow each other
+        lead = rand_exps(top // 2, top // 2 + 2000)
+        b = term(lead, rng.choice([-3, -1, 2, 5]))
+        for _ in range(rng.randint(1, 3)):
+            b = b + term(rand_exps(0, 300), rng.randint(-9, 9))
+        dividends = []
+        for _ in range(3):
+            e = [rng.randint(lead[i], top) for i in range(n)]
+            i = rng.randrange(n)
+            e[i] = rng.choice([top, lead[i], lead[i] - 1])  # equal, or one below
+            a = term(e, rng.randint(-50, 50) or 1)
+            for _ in range(rng.randint(0, 3)):
+                a = a + term(rand_exps(0, top), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            dividends.append(a)
+        # every field of the dividend at the limit, and the divisor one above
+        # it in a single field
+        full = term([top] * n, 7) + term([rng.randint(0, top) for _ in range(n)], 3)
+        near = [top] * n
+        near[rng.randrange(n)] = top - 1
+        dividends.append(term(near) + full)
+        for a in dividends:
+            q, r = _divmod(a, b)
+            assert (q, r) == grlex_reference(a, b)
+            assert q * b + r == a
+            checked += 1
+        # a divisor one above a dividend term in a single field
+        e = rand_exps(0, top - 1)
+        i = rng.randrange(n)
+        over = list(e)
+        over[i] += 1
+        a = term(e, 4) + term(rand_exps(0, top), -1)
+        d = term(over, 2) + term(rand_exps(0, 200))
+        q, r = _divmod(a, d)
+        assert (q, r) == grlex_reference(a, d)
+        assert a.coefficient(e) == r.coefficient(e)
+        checked += 1
+    assert checked == 125
+
+
+def sympy_common_roots(polys):
+    """The sympy route to the common rational roots, ``factor_q`` of
+    ``poly_gcd``: (sorted roots, first nonlinear factor or None)."""
+    g = poly_gcd(*polys)
+    facs = () if g.is_constant else factor_q(g)[1]
+    roots = sorted(-f.coefficient((0, 0)) / f.coefficient((0, 1))
+                   for f, _m in facs if f.degree() == 1)
+    return roots, next((f for f, _m in facs if f.degree() > 1), None)
+
+
+def common_root_inputs(rng: random.Random):
+    """Seeded lists of polynomials in t (on the chart variables), with the
+    common factors planted."""
+    t = Poly.var(CHART_VARS, "t")
+
+    def linear(bits):
+        a = rng.randint(1, 1 << bits)
+        return a * t - rng.randint(-(1 << bits), 1 << bits)
+
+    def small(deg):
+        return sum((t ** i * rng.randint(-9, 9) for i in range(deg)), t ** deg * rng.randint(1, 5))
+
+    def planted(common, k):
+        return [common * small(rng.randint(0, 3)) for _ in range(k)]
+
+    for _ in range(12):  # powers of rational linear factors
+        common = Poly.const(CHART_VARS, rng.randint(1, 9))
+        for _ in range(rng.randint(1, 3)):
+            common = common * linear(rng.choice([3, 20, 60])) ** rng.randint(1, 8)
+        yield planted(common, rng.randint(1, 3))
+    yield planted(linear(60) ** 8 * linear(60) ** 7, 2)
+    for m in (1, 2, 5):  # a root at t = 0
+        yield planted(t ** m * linear(60), 2)
+        yield [t ** m * 3]
+    yield [Poly.const(CHART_VARS, 5)]  # constants and coprime inputs
+    yield [Poly.const(CHART_VARS, -2), t - 1]
+    yield [t - 1, t - 2]
+    yield [linear(60) ** 3, linear(60) ** 2 * (t ** 2 + 1)]
+    irrational = [t ** 2 - 2, 3 * t ** 2 + 4 * t + 5, t ** 3 - 2, t ** 3 - t - 1]
+    for q in irrational:  # rational roots beside irrational factors
+        common = q ** rng.randint(1, 2) * linear(40) * linear(3) ** 2
+        yield planted(common, rng.randint(1, 3))
+        yield planted(q * t, 2)
+        yield [q]
+    for _ in range(2):  # dense coprime pairs of degree 144
+        yield [sum((t ** i * rng.randint(-(1 << 52), 1 << 52) for i in range(144)),
+                   t ** 144 * rng.randint(1, 1 << 52)) for _ in range(2)]
+
+
+def test_common_rational_roots_match_the_sympy_route():
+    seen = Counter()
+    for polys in common_root_inputs(random.Random(36)):
+        roots, unsplit = _common_rational_roots(polys, "t")
+        want_roots, want_factor = sympy_common_roots(polys)
+        assert roots == want_roots, [str(p) for p in polys]
+        if want_factor is None:
+            assert unsplit is None, [str(p) for p in polys]
+        else:
+            got = next(f for f, _m in factor_q(unsplit)[1] if f.degree() > 1)
+            assert got == want_factor, [str(p) for p in polys]
+        seen[bool(roots), want_factor is not None] += 1
+    assert all(seen[key] for key in [(True, False), (False, False), (True, True), (False, True)])
+
+
+def test_common_rational_roots_refuse_other_variables_and_zero():
+    u, t = Poly.var(CHART_VARS, "u"), Poly.var(CHART_VARS, "t")
+    with pytest.raises(ValueError, match="not a polynomial in t alone"):
+        _common_rational_roots([t - 1, u * t], "t")
+    with pytest.raises(ValueError, match="not a polynomial in u alone"):
+        _common_rational_roots([u - 1, t ** 60000], "u")
+    with pytest.raises(ValueError, match="all-zero"):
+        _common_rational_roots([Poly.zero(CHART_VARS)], "t")
+    assert _common_rational_roots([Poly.zero(CHART_VARS), 2 * t - 1], "t") == ([Fraction(1, 2)], None)
 
 
 def test_bridge_makes_no_expression_round_trip(monkeypatch):

@@ -1,6 +1,7 @@
 """Base-point towers, contracted curves, transport, stability."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -142,6 +143,19 @@ def test_irrational_base_locus_is_reported_not_approximated():
     f = parse_map("P2:[x*z^2 : y*(y^2 - 2*z^2) : z*(y^2 - 2*z^2)]")
     with pytest.raises(IrrationalBaseLocus):
         base_points(f)
+
+
+@pytest.mark.parametrize("spec", [
+    "P2:[x*z^2 : y*(y^2 - 2*z^2) : z*(y^2 - 2*z^2)]",
+    # the slopes over [1 : 0 : 0] are the roots of (t - 1)*(2*t^2 - 1): one
+    # rational slope beside the conjugate pair
+    "P2:[x*z^3 : y*(y - z)*(y^2 - 2*z^2) : z*(y - z)*(y^2 - 2*z^2)]",
+], ids=["quadratic", "rational-and-quadratic"])
+def test_conjugate_cluster_refusal_names_its_factor(spec):
+    message = ("infinitely near points over [1 : 0 : 0] come in a conjugate "
+               "cluster of degree 2 (2*t^2 - 1 = 0)")
+    with pytest.raises(IrrationalBaseLocus, match=f"^{re.escape(message)}$"):
+        base_points(inverse(parse_map(spec)))
 
 
 @pytest.mark.parametrize("spec", [
@@ -442,16 +456,31 @@ def test_conjugation_moves_the_base_points(name, dense_automorphism):
         assert sorted(moved.multiplicities().values()) == mults
 
 
+def sympy_slopes(nz, bubble):
+    """The rational common roots of the lowest forms nz, sorted, through
+    sympy's gcd and factorization: a reference independent of the native
+    slopes of ``_resolve_node``, with the same refusal."""
+    g = poly.poly_gcd(*nz)
+    roots = []
+    for fac, _m in ([] if g.is_constant else factor_q(g)[1]):
+        if fac.degree() > 1:
+            raise IrrationalBaseLocus(
+                f"infinitely near points over {bubble} come in a conjugate "
+                f"cluster of degree {fac.degree()} ({fac} = 0)")
+        roots.append(-fac.coefficient((0, 0)) / fac.coefficient((0, 1)))
+    return sorted(roots)
+
+
 def untruncated_node(system, bubble, chart, coords, height_cap, budget):
     """_resolve_node with the child budget budget - mult and no u-filter:
-    the reference that the chain bound's truncation must agree with."""
+    the reference that the chain bound's truncation must agree with.  Its
+    slopes come from sympy (``sympy_slopes``)."""
     system = [p.truncate_total(budget) for p in system]
     mult = resolve._order_at_origin(system)
     assert 1 <= mult <= budget
     alpha = [p.blow_up("u", mult) for p in system]
     nz = [q for q in (p.truncate_in("u", 0) for p in alpha) if not q.is_zero]
-    g = poly.poly_gcd(*nz)
-    slopes = [] if g.is_constant else resolve._slope_roots(g, bubble)
+    slopes = sympy_slopes(nz, bubble)
     # read off the blown-up chart, not the lowest forms as _resolve_node does
     beta = [p.blow_up("t", mult) for p in system]
     vertical = all(p.coefficient((0, 0)) == 0 for p in beta)
@@ -495,6 +524,29 @@ def test_chain_bound_keeps_the_untruncated_tower(name, monkeypatch, dense_automo
         for n in range(1, horizon + 1):
             want = untruncated_tower(g, DEFAULTS, n, monkeypatch).to_dict()
             assert base_points(g, n=n).to_dict() == want, (name, str(g), n)
+
+
+def test_towers_reach_no_sympy(monkeypatch, dense_automorphism):
+    # slopes are found natively: with sympy's gcd and factorization refused
+    # where resolve and poly bind them, the towers are those of the sympy
+    # reference (the Jacobians of the built-ins are still factored, by maps)
+    rng = random.Random("towers without sympy")
+    maps = [builtin(name) for name in ("henon", "hen2", "jonq2")]
+    maps += [conjugate(builtin(name), dense_automorphism(rng))
+             for name in PLANE_BUILTINS]
+    want = [untruncated_tower(f, DEFAULTS, 1, monkeypatch).to_dict() for f in maps]
+
+    def refuse(*_args):
+        raise AssertionError("a tower reached sympy")
+
+    for module in (poly, resolve):
+        for name in ("poly_gcd", "factor_q"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    memo.clear()
+    try:
+        assert [base_points(f).to_dict() for f in maps] == want
+    finally:
+        memo.clear()
 
 
 @pytest.mark.parametrize("n,top", [(5, 14), (6, 17)])
